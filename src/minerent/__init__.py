@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .concession_sim import (
+    AccrualBatch,
     AuctionError,
     Bidder,
     ConcessionOutcome,
@@ -10,6 +11,7 @@ from .concession_sim import (
     ConcessionStatus,
     PricePathParams,
     StateMachineError,
+    accrue_concessions,
     equilibrium_bid,
     expropriate,
     expropriation_indemnity,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,7 @@ from . import __version__
 from .concession_sim import (
     Bidder,
     PricePathParams,
+    accrue_concessions,
     equilibrium_bid,
     generate_price_path,
     run_auction,
@@ -264,6 +266,9 @@ _SCENARIO_SCALARS = {
     "replications",
     "tax_per_year",
 }
+# Integer-valued keys and their smallest allowed value. The price-path
+# generator takes seed + replication, which numpy requires to be >= 0.
+_SCENARIO_INTEGERS = {"horizon": 1, "replications": 1, "seed": 0}
 _SCENARIO_SECTIONS = {
     "bidders": ("bidder_id", "i0", "cost_of_capital"),
     "price_path": ("period", "price_usd_per_t"),
@@ -282,6 +287,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     scalars: dict[str, float] = {}
+    scalar_lines: dict[str, int] = {}
     tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
     section: str | None = None
     header_pending = False
@@ -306,6 +312,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if key in scalars:
                 raise ScenarioError(f"duplicate key {key!r}", path, lineno)
             scalars[key] = _scenario_number(value, key, path, lineno)
+            scalar_lines[key] = lineno
             continue
         expected = ",".join(_SCENARIO_SECTIONS[section])
         if header_pending:
@@ -319,6 +326,15 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"expected {len(_SCENARIO_SECTIONS[section])} columns, got {len(fields)}", path, lineno
             )
         tables[section].append((lineno, fields))
+
+    for key, minimum in _SCENARIO_INTEGERS.items():
+        value = scalars.get(key)
+        if value is None:
+            continue
+        if not value.is_integer():
+            raise ScenarioError(f"{key} must be an integer, got {value!r}", path, scalar_lines[key])
+        if value < minimum:
+            raise ScenarioError(f"{key} must be >= {minimum}, got {value!r}", path, scalar_lines[key])
 
     if "announced_rate" not in scalars:
         raise ScenarioError("missing required key 'announced_rate'", path)
@@ -490,12 +506,11 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     except AuctionFailed as exc:
         return _fail(str(exc), 1)
 
-    outcomes = []
-    for replication in range(scenario.replications):
-        if scenario.explicit_path is not None:
-            prices = list(scenario.explicit_path)
-        else:
-            prices = generate_price_path(
+    if scenario.explicit_path is not None:
+        paths = [scenario.explicit_path] * scenario.replications
+    else:
+        paths = [
+            generate_price_path(
                 PricePathParams(
                     initial_price=scenario.initial_price,
                     drift=scenario.drift,
@@ -504,31 +519,31 @@ def cmd_simulate_concession(config: RunConfig) -> int:
                     seed=scenario.seed + replication,
                 )
             )
-        outcomes.append(
-            simulate_concession(
-                vpi, prices, scenario.quantity, Rate(scenario.announced_rate), _tax_policy(scenario)
-            )
-        )
-
-    for index, outcome in enumerate(outcomes):
-        if outcome.warning:
-            print(f"warning: replication {index}: {outcome.warning}", file=sys.stderr)
+            for replication in range(scenario.replications)
+        ]
+    rate, tax_policy = Rate(scenario.announced_rate), _tax_policy(scenario)
+    batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
+    for replication in range(scenario.replications):
+        warning = batch.warning(replication)
+        if warning:
+            print(f"warning: replication {replication}: {warning}", file=sys.stderr)
+    # Only replication 0's rows are written, so only its rows are built.
+    outcome = simulate_concession(vpi, paths[0], scenario.quantity, rate, tax_policy)
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         if "table" in config.formats:
-            _write_outcome_table(outcomes[0], config.out_dir / OUTCOME_TABLE_NAME)
+            _write_outcome_table(outcome, config.out_dir / OUTCOME_TABLE_NAME)
         if "json" in config.formats:
             _write_text(
                 config.out_dir / OUTCOME_JSON_NAME,
-                json.dumps(_outcome_json(outcomes[0], vpi), sort_keys=True, indent=2) + "\n",
+                json.dumps(_outcome_json(outcome, vpi), sort_keys=True, indent=2) + "\n",
             )
         if scenario.replications > 1:
             lines = ["replication,duration"]
-            lines.extend(
-                f"{index},{'' if outcome.duration is None else outcome.duration}"
-                for index, outcome in enumerate(outcomes)
-            )
+            for replication in range(scenario.replications):
+                duration = batch.duration(replication)
+                lines.append(f"{replication},{'' if duration is None else duration}")
             _write_text(config.out_dir / HISTOGRAM_NAME, "\n".join(lines) + "\n")
         _write_manifest(
             config.out_dir,
@@ -661,6 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Nothing here calls BLAS, yet on import numpy's OpenBLAS starts a worker
+    # per core that busy-waits about 0.1 s of CPU before it sleeps. With one
+    # BLAS thread a run stays on one core, and its time no longer depends on
+    # whether a second core is free. Must be set before numpy is imported.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     if args.command == "analyze":
         try:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .data_model import USD_PER_MUSD
 from .valuation import CashFlowSeries, Rate, as_rate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BID_TOLERANCE = 1e-6
 
@@ -122,6 +123,19 @@ def _revenue_periods(path: CashFlowSeries) -> list[tuple[int, float]]:
     return periods
 
 
+def _compound(rate: float, period: int) -> float:
+    """``(1 + rate) ** period``, or infinity where that overflows a float.
+
+    A discounted term ``amount / _compound(rate, period)`` past the overflow
+    point is then exactly 0.0, its limit, instead of an ``OverflowError``;
+    below it the value is the plain power, bit for bit.
+    """
+    try:
+        return (1.0 + rate) ** period
+    except OverflowError:
+        return math.inf
+
+
 def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float, tolerance: float = BID_TOLERANCE) -> float | None:
     """Smallest achievable VPI that still repays the bidder's investment.
 
@@ -141,8 +155,8 @@ def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float, tolerance: flo
     accrued = [0.0]
     own_pv = [0.0]
     for offset, amount in periods:
-        accrued.append(accrued[-1] + amount / (1.0 + announced) ** offset)
-        own_pv.append(own_pv[-1] + amount / (1.0 + own) ** offset)
+        accrued.append(accrued[-1] + amount / _compound(announced, offset))
+        own_pv.append(own_pv[-1] + amount / _compound(own, offset))
 
     if own_pv[-1] < bidder.investment:
         return None
@@ -175,6 +189,12 @@ def run_auction(bids: dict[str, float] | Sequence[tuple[str, float]]) -> tuple[s
     return winner_id, winning_vpi
 
 
+def _tax_error(voluntary_tax: float, gross_revenue: float) -> ValueError:
+    return ValueError(
+        f"voluntary tax must lie in [0, gross revenue], got {voluntary_tax!r} vs {gross_revenue!r}"
+    )
+
+
 def new_concession(vpi_target: float, announced_rate: Rate | float) -> ConcessionState:
     if not math.isfinite(vpi_target) or vpi_target <= 0:
         raise ValueError(f"vpi_target must be finite and > 0, got {vpi_target!r}")
@@ -197,12 +217,10 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
     if not state.active:
         raise StateMachineError(f"cannot step a concession in status {state.status.value!r}")
     if not 0.0 <= voluntary_tax <= gross_revenue:
-        raise ValueError(
-            f"voluntary tax must lie in [0, gross revenue], got {voluntary_tax!r} vs {gross_revenue!r}"
-        )
+        raise _tax_error(voluntary_tax, gross_revenue)
     counted = gross_revenue - voluntary_tax
     period = state.current_year + 1
-    accrued = state.accrued_pv + counted / (1.0 + state.announced_rate.value) ** period
+    accrued = state.accrued_pv + counted / _compound(state.announced_rate.value, period)
     status = ConcessionStatus.EXPIRED if accrued >= state.vpi_target else ConcessionStatus.ACTIVE
     return replace(
         state,
@@ -235,6 +253,8 @@ def expropriation_indemnity(state: ConcessionState, at_expropriation_date: bool 
 
 def generate_price_path(params: PricePathParams) -> np.ndarray:
     """Seeded geometric-Brownian annual prices; index 0 is the initial price."""
+    import numpy as np
+
     rng = np.random.default_rng(params.seed)
     shocks = rng.standard_normal(params.horizon - 1)
     log_steps = (params.drift - params.volatility**2 / 2.0) + params.volatility * shocks
@@ -245,16 +265,99 @@ def generate_price_path(params: PricePathParams) -> np.ndarray:
 TaxPolicy = Callable[[int, float], float]
 
 
-def _as_tax_policy(tax_policy) -> TaxPolicy:
+def _requested_taxes(tax_policy, gross: np.ndarray):
+    """Each period's tax as the policy asks for it, broadcastable against ``gross``."""
+    import numpy as np
+
     if tax_policy is None:
-        return lambda period, gross: 0.0
+        return 0.0
     if callable(tax_policy):
-        return tax_policy
+        taxes = [[tax_policy(period, g) for period, g in enumerate(row, start=1)] for row in gross.tolist()]
+        return np.array(taxes, dtype=float).reshape(gross.shape)
     if isinstance(tax_policy, (int, float)):
-        constant = float(tax_policy)
-        return lambda period, gross: constant
+        return float(tax_policy)
     schedule = dict(tax_policy) if isinstance(tax_policy, dict) else dict(enumerate(tax_policy, start=1))
-    return lambda period, gross: float(schedule.get(period, 0.0))
+    return np.array([float(schedule.get(period, 0.0)) for period in range(1, gross.shape[1] + 1)])
+
+
+@dataclass(frozen=True)
+class AccrualBatch:
+    """Concession runs accrued side by side, one row per price path.
+
+    The arrays are ``(runs, periods)``. Run ``i`` lasts ``stepped[i]``
+    periods: its expiry period, or the whole path if it never expires.
+    Only the first ``stepped[i]`` entries of its row are part of its history.
+    """
+
+    vpi_target: float
+    prices: np.ndarray
+    gross: np.ndarray
+    tax: np.ndarray
+    counted: np.ndarray
+    accrued: np.ndarray
+    stepped: np.ndarray
+    expired: np.ndarray
+
+    def duration(self, run: int) -> int | None:
+        """Periods until expiry; None if the run is still active at the path's end."""
+        return int(self.stepped[run]) if self.expired[run] else None
+
+    def final_accrued(self, run: int) -> float:
+        stepped = int(self.stepped[run])
+        return float(self.accrued[run, stepped - 1]) if stepped else 0.0
+
+    def warning(self, run: int) -> str | None:
+        if self.expired[run]:
+            return None
+        return (
+            f"concession still active after {int(self.stepped[run])} periods: accrued "
+            f"{self.final_accrued(run)!r} of VPI target {self.vpi_target!r}"
+        )
+
+
+def accrue_concessions(
+    vpi: float,
+    price_paths: Sequence[Sequence[float]],
+    quantity_per_year: float,
+    announced_rate: Rate | float,
+    tax_policy: TaxPolicy | dict[int, float] | Sequence[float] | float | None = None,
+) -> AccrualBatch:
+    """Accrue one concession per price path, all paths in one vectorised pass.
+
+    The paths must share one length. Every value equals what a loop of
+    ``step_concession`` calls gives, bit for bit: gross, tax and counted
+    revenue are the same IEEE operations, the discount factors are the same
+    Python float powers, and ``cumsum`` adds each row left to right as the
+    loop does. Taxes are clamped to [0, gross] with Python's ``max``/``min``
+    semantics. A callable or scheduled tax policy is evaluated for every
+    period of every path, including periods after expiry. As the loop does,
+    raises ValueError for a tax outside [0, gross] (a negative price, or a
+    NaN tax) only at or before the run's stop period.
+    """
+    import numpy as np
+
+    rate = as_rate(announced_rate).value
+    prices = np.array(price_paths, dtype=float)
+    periods = prices.shape[1]
+    gross = prices * quantity_per_year / USD_PER_MUSD
+    requested = _requested_taxes(tax_policy, gross)
+    tax = np.where(0.0 > requested, 0.0, requested)
+    tax = np.where(gross < tax, gross, tax)
+    counted = gross - tax
+    factors = np.array([_compound(rate, period) for period in range(1, periods + 1)])
+    accrued = np.cumsum(counted / factors, axis=1)
+    # The loop starts from +0.0, so where the running sum is -0.0 it reads +0.0.
+    accrued += 0.0
+    hit = accrued >= vpi
+    expired = hit.any(axis=1)
+    first_hit = hit.argmax(axis=1) if periods else 0
+    stepped = np.where(expired, first_hit + 1, periods)
+
+    invalid = (np.arange(periods) < stepped[:, None]) & ~((0.0 <= tax) & (tax <= gross))
+    if invalid.any():
+        run, column = np.argwhere(invalid)[0]
+        raise _tax_error(tax[run, column].item(), gross[run, column].item())
+    return AccrualBatch(vpi, prices, gross, tax, counted, accrued, stepped, expired)
 
 
 def simulate_concession(
@@ -268,35 +371,28 @@ def simulate_concession(
 
     Yearly gross revenue is price (USD/t) times quantity (t), expressed in
     million USD. The tax policy may be a callable (period, gross) -> tax, a
-    per-period schedule, or a constant; taxes are clamped to [0, gross].
+    per-period schedule, or a constant; taxes are clamped to [0, gross]. A
+    callable policy is evaluated for every period of the path, including
+    periods after expiry. The run is ``accrue_concessions`` on a single
+    path, with its rows built out.
     """
-    policy = _as_tax_policy(tax_policy)
     state = new_concession(vpi, announced_rate)
-    rows: list[OutcomeRow] = []
-    duration = None
-    for index, price in enumerate(price_path):
-        period = index + 1
-        gross = float(price) * quantity_per_year / USD_PER_MUSD
-        tax = min(max(policy(period, gross), 0.0), gross)
-        state = step_concession(state, gross, tax)
-        rows.append(
-            OutcomeRow(
-                period=period,
-                price=float(price),
-                gross_revenue=gross,
-                voluntary_tax=tax,
-                counted_revenue=gross - tax,
-                accrued_pv=state.accrued_pv,
-                status=state.status.value,
-            )
-        )
-        if not state.active:
-            duration = period
-            break
-    warning = None
-    if state.active:
-        warning = (
-            f"concession still active after {len(rows)} periods: accrued "
-            f"{state.accrued_pv!r} of VPI target {state.vpi_target!r}"
-        )
-    return ConcessionOutcome(final_state=state, duration=duration, rows=tuple(rows), warning=warning)
+    batch = accrue_concessions(vpi, [price_path], quantity_per_year, state.announced_rate, tax_policy)
+    stepped = int(batch.stepped[0])
+    prices, gross, tax, counted, accrued = (
+        column[0, :stepped].tolist()
+        for column in (batch.prices, batch.gross, batch.tax, batch.counted, batch.accrued)
+    )
+    status = ConcessionStatus.EXPIRED if batch.expired[0] else ConcessionStatus.ACTIVE
+    rows = tuple(
+        OutcomeRow(period, *values, status=(status if period == stepped else ConcessionStatus.ACTIVE).value)
+        for period, values in enumerate(zip(prices, gross, tax, counted, accrued), start=1)
+    )
+    final_state = replace(
+        state,
+        current_year=stepped,
+        accrued_pv=batch.final_accrued(0),
+        counted_revenue_log=tuple(zip(gross, tax, counted)),
+        status=status,
+    )
+    return ConcessionOutcome(final_state=final_state, duration=batch.duration(0), rows=rows, warning=batch.warning(0))

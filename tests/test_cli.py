@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,46 @@ class TestSimulateConcession:
         assert outcome["rows"][2]["gross_revenue"] == pytest.approx(15.0)
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("replications=0", "replications must be >= 1"),
+            ("horizon=0", "horizon must be >= 1"),
+            ("horizon=3.7", "horizon must be an integer"),
+            ("seed=1.5", "seed must be an integer"),
+            ("seed=-3", "seed must be >= 0"),
+            ("replications=2.5", "replications must be an integer"),
+        ],
+    )
+    def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
+        key, _, value = line.partition("=")
+        text = CONSTANT_SCENARIO.replace("horizon=10", line) if key == "horizon" else CONSTANT_SCENARIO + line
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        lineno = text.splitlines().index(line) + 1
+        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {scenario}:{lineno}: {message}, got {float(value)!r}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):
+        # (1.06) ** t overflows a float past t = 12180; later periods add 0.0.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=0.06")
+            .replace("vpi=30", "vpi=1000")
+            .replace("horizon=10", "horizon=20000")
+        )
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: replication 0: concession still active after 20000 periods")
+        outcome = json.loads((out / "concession_outcome.json").read_text())
+        assert outcome["rows"][12179]["accrued_pv"] == outcome["rows"][-1]["accrued_pv"] == outcome["accrued_pv"]
+        assert outcome["accrued_pv"] == pytest.approx(10.0 / 0.06, rel=1e-9)
+
+
 class TestAuctionCommand:
     def test_result_table(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
@@ -319,3 +363,39 @@ class TestAuctionCommand:
         code = main(["auction", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "no feasible bids" in capsys.readouterr().err
+
+    def test_long_horizon_past_discount_overflow(self, tmp_path):
+        # (1.14) ** t overflows a float past t = 5400.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(AUCTION_SCENARIO.replace("horizon=25", "horizon=10000") + "patient,120,0.14\n")
+        out = tmp_path / "out"
+        assert main(["auction", "--scenario", str(scenario), "--out", str(out)]) == 0
+        lines = (out / "auction_result.csv").read_text().splitlines()
+        rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+        assert rows["slim"][2] == "true" and rows["patient"][1] != "no-bid"
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    result = _fresh_python("import minerent.cli, sys; assert 'numpy' not in sys.modules, 'numpy imported'")
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_simulate_concession_runs_on_one_thread(tmp_path):
+    # numpy's OpenBLAS would otherwise start a spinning worker per extra core.
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(CONSTANT_SCENARIO)
+    code = (
+        "import os, sys; from minerent.cli import main; code = main(sys.argv[1:]); "
+        "assert 'numpy' in sys.modules; print(len(os.listdir('/proc/self/task'))); sys.exit(code)"
+    )
+    result = _fresh_python(code, "simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1"]

@@ -17,6 +17,7 @@ from minerent import (
     PricePathParams,
     Rate,
     StateMachineError,
+    accrue_concessions,
     equilibrium_bid,
     expropriate,
     expropriation_indemnity,
@@ -26,6 +27,7 @@ from minerent import (
     simulate_concession,
     step_concession,
 )
+from minerent.cli import main
 
 from oracle import bid_brute, rel_close
 
@@ -298,3 +300,105 @@ class TestSimulateConcession:
             assert vpi <= state.accrued_pv < vpi + final_pv + 1e-12
         else:
             assert state.accrued_pv < vpi
+
+
+def stepped_run(vpi, prices, quantity, rate, tax_policy):
+    """The accrual as a plain ``step_concession`` loop: the kernel's reference."""
+    def tax_for(period, gross):
+        if tax_policy is None:
+            return 0.0
+        if callable(tax_policy):
+            return tax_policy(period, gross)
+        if isinstance(tax_policy, dict):
+            return tax_policy.get(period, 0.0)
+        return tax_policy
+
+    state = new_concession(vpi, Rate(rate))
+    rows = []
+    for period, price in enumerate(prices, start=1):
+        gross = float(price) * quantity / 1e6
+        tax = min(max(tax_for(period, gross), 0.0), gross)
+        state = step_concession(state, gross, tax)
+        rows.append((period, float(price), gross, tax, gross - tax, state.accrued_pv, state.status.value))
+        if not state.active:
+            break
+    return state, rows
+
+
+TAX_POLICIES = {
+    "none": None,
+    "constant": 2.0,
+    "schedule": {1: 5.0, 2: 25.0, 4: 1e9},
+    "callable": lambda period, gross: 0.3 * gross if period % 3 else 1.0,
+}
+
+
+class TestAccrualKernel:
+    """``accrue_concessions`` against the single-step oracle, bit for bit."""
+
+    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
+    @pytest.mark.parametrize("rate", [0.0, 0.06, 0.15])
+    def test_matches_stepper_on_seeded_paths(self, rate, tax):
+        policy = TAX_POLICIES[tax]
+        paths = [
+            generate_price_path(PricePathParams(2000.0, 0.0, 0.3, horizon=300, seed=seed)) for seed in range(40)
+        ]
+        vpi = 150.0 if rate else 900.0
+        batch = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
+        for run, prices in enumerate(paths):
+            state, _ = stepped_run(vpi, prices, 10_000.0, rate, policy)
+            assert batch.duration(run) == (state.current_year if not state.active else None)
+            assert batch.final_accrued(run) == state.accrued_pv
+        assert {batch.duration(run) is None for run in range(len(paths))} == {True, False}
+
+        outcome = simulate_concession(vpi, paths[0], 10_000.0, Rate(rate), policy)
+        state, rows = stepped_run(vpi, paths[0], 10_000.0, rate, policy)
+        assert repr([dataclasses.astuple(row) for row in outcome.rows]) == repr(rows)
+        assert repr(outcome.final_state) == repr(state)
+        assert outcome.warning == batch.warning(0)
+
+    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
+    @pytest.mark.parametrize(
+        "prices, rate, vpi",
+        [
+            ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
+            ([1000.0] * 6, 0.0, 30.0),
+            ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
+            ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
+            ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
+            ([], 0.05, 10.0),
+        ],
+    )
+    def test_matches_stepper_on_explicit_paths(self, prices, rate, vpi, tax):
+        policy = TAX_POLICIES[tax]
+        outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
+        state, rows = stepped_run(vpi, prices, 10_000.0, rate, policy)
+        # repr compares bit for bit, telling -0.0 from 0.0 as the artifacts do.
+        assert repr([dataclasses.astuple(row) for row in outcome.rows]) == repr(rows)
+        assert repr(outcome.final_state) == repr(state)
+        assert outcome.duration == (state.current_year if not state.active else None)
+        assert (outcome.warning is None) == (not state.active)
+
+    def test_rejects_bad_tax_only_before_stop(self):
+        # A negative price makes the clamped tax exceed gross revenue.
+        assert accrue_concessions(30.0, [[4000.0, -1.0]], 10_000.0, Rate(0.0)).duration(0) == 1
+        with pytest.raises(ValueError, match="voluntary tax"):
+            accrue_concessions(30.0, [[4000.0, 0.0], [1000.0, -1.0]], 10_000.0, Rate(0.0))
+
+    def test_cli_histogram_matches_stepper(self, tmp_path):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=200\ninitial_price=2000\n"
+            "volatility=0.3\nhorizon=120\nseed=9\nreplications=60\n"
+            "[tax_schedule]\nperiod,tax\n1,4\n2,4\n3,40\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+        lines = (out / "duration_histogram.csv").read_text().splitlines()
+        want = ["replication,duration"]
+        for replication in range(60):
+            prices = generate_price_path(PricePathParams(2000.0, 0.0, 0.3, horizon=120, seed=9 + replication))
+            state, _ = stepped_run(200.0, prices, 10_000.0, 0.05, {1: 4.0, 2: 4.0, 3: 40.0})
+            want.append(f"{replication},{'' if state.active else state.current_year}")
+        assert lines == want
+        assert any(line.endswith(",") for line in lines) and not all(line.endswith(",") for line in lines[1:])
