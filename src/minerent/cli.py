@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .concession_sim import (
+    AuctionError,
     Bidder,
     PricePathParams,
     accrue_concessions,
@@ -62,7 +63,6 @@ class ScenarioError(DataFileError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     mines_dir: Path | None = None
     market_path: Path | None = None
     scenario_path: Path | None = None
@@ -109,39 +109,22 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict,
     _write_text(out_dir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _discover_mines(mines_dir: Path) -> list[Path]:
-    return sorted(mines_dir.glob("*.csv"))
+def _load_and_validate(config: RunConfig):
+    """Load the market and every mine in the directory, then validate them.
 
-
-def _load_inputs(config: RunConfig):
-    market = load_market_series(config.market_path)
-    paths = _discover_mines(config.mines_dir)
-    mines = [load_mine_dataset(path) for path in paths]
-    return market, mines
-
-
-def _validate_all(mines, market) -> tuple[list, list]:
-    errors, warnings = [], []
-    seen = set()
-    for mine in mines:
-        report = validate_dataset(mine, market)
-        for issue in report.errors:
-            key = (issue.locator, issue.rule, issue.message)
-            if key not in seen:
-                seen.add(key)
-                errors.append(issue)
-        for issue in report.warnings:
-            key = (issue.locator, issue.rule, issue.message)
-            if key not in seen:
-                seen.add(key)
-                warnings.append(issue)
-    return errors, warnings
-
-
-def cmd_analyze(config: RunConfig) -> int:
-    """Reconstruct, build RVP series per rate, and emit summary artifacts."""
+    Prints each distinct warning and error once. Returns ``(market,
+    mine_paths, mines)``, the paths as sorted strings, or the exit code: 1
+    for invalid content, a ``mine_id`` shared by two files or an empty
+    directory, 2 for an unreadable file.
+    """
     try:
-        market, mines = _load_inputs(config)
+        market = load_market_series(config.market_path)
+        mine_paths = sorted(map(str, config.mines_dir.glob("*.csv")))
+        mines = [load_mine_dataset(path) for path in mine_paths]
+        owners: dict[str, str] = {}
+        for path, mine in zip(mine_paths, mines):
+            if owners.setdefault(mine.mine_id, path) != path:
+                raise DataFileError(f"duplicate mine_id {mine.mine_id!r}, also in {owners[mine.mine_id]}", path)
     except DataFileError as exc:
         return _fail(str(exc), 1)
     except OSError as exc:
@@ -149,20 +132,35 @@ def cmd_analyze(config: RunConfig) -> int:
     if not mines:
         return _fail(f"no mine datasets found in {config.mines_dir}", 1)
 
-    errors, warnings = _validate_all(mines, market)
+    errors, warnings, seen = [], [], set()
+    for mine in mines:
+        report = validate_dataset(mine, market)
+        for kept, issues in ((errors, report.errors), (warnings, report.warnings)):
+            for issue in issues:
+                key = (issue.locator, issue.rule, issue.message)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(issue)
     for issue in warnings:
         print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
-    if errors:
-        for issue in errors:
-            print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
-        return 1
+    for issue in errors:
+        print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
+    return 1 if errors else (market, mine_paths, mines)
+
+
+def cmd_analyze(config: RunConfig) -> int:
+    """Reconstruct, build RVP series per rate, and emit summary artifacts."""
+    loaded = _load_and_validate(config)
+    if isinstance(loaded, int):
+        return loaded
+    market, mine_paths, mines = loaded
 
     audit: list[str] = []
     try:
         report = sensitivity_report(
             mines, market, config.rates, valuation_year=config.valuation_year, audit=audit
         )
-    except ReconstructionError as exc:
+    except (ReconstructionError, ValueError) as exc:
         return _fail(str(exc), 1)
 
     try:
@@ -180,10 +178,7 @@ def cmd_analyze(config: RunConfig) -> int:
         _write_manifest(
             config.out_dir,
             "analyze",
-            inputs={
-                "market": str(config.market_path),
-                "mines": [str(p) for p in _discover_mines(config.mines_dir)],
-            },
+            inputs={"market": str(config.market_path), "mines": mine_paths},
             parameters={
                 "formats": sorted(config.formats),
                 "fund_rate": market.fund_rate,
@@ -207,20 +202,10 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_reconstruct(config: RunConfig) -> int:
     """Backfill pre-history rows and write the completed datasets."""
-    try:
-        market, mines = _load_inputs(config)
-    except DataFileError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    if not mines:
-        return _fail(f"no mine datasets found in {config.mines_dir}", 1)
-
-    errors, _ = _validate_all(mines, market)
-    if errors:
-        for issue in errors:
-            print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
-        return 1
+    loaded = _load_and_validate(config)
+    if isinstance(loaded, int):
+        return loaded
+    market, mine_paths, mines = loaded
 
     audit: list[str] = []
     try:
@@ -235,23 +220,13 @@ def cmd_reconstruct(config: RunConfig) -> int:
         _write_manifest(
             config.out_dir,
             "reconstruct",
-            inputs={
-                "market": str(config.market_path),
-                "mines": [str(p) for p in _discover_mines(config.mines_dir)],
-            },
+            inputs={"market": str(config.market_path), "mines": mine_paths},
             parameters={},
             seed=None,
         )
     except OSError as exc:
         return _fail(str(exc), 2)
     return 0
-
-
-def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
 
 
 _SCENARIO_SCALARS = {
@@ -266,14 +241,46 @@ _SCENARIO_SCALARS = {
     "replications",
     "tax_per_year",
 }
-# Integer-valued keys and their smallest allowed value. The price-path
-# generator takes seed + replication, which numpy requires to be >= 0.
-_SCENARIO_INTEGERS = {"horizon": 1, "replications": 1, "seed": 0}
+# Every scenario number must be finite. Some fields must also be integers,
+# and some must satisfy ``value <op> bound``. The price-path generator takes
+# seed + replication, which numpy requires to be >= 0.
+_SCENARIO_INTEGERS = {"horizon", "replications", "seed", "period"}
+_SCENARIO_BOUNDS = {
+    "announced_rate": (">", -1),
+    "cost_of_capital": (">", -1),
+    "vpi": (">", 0),
+    "i0": (">", 0),
+    "initial_price": (">", 0),
+    "volatility": (">=", 0),
+    "quantity_t_per_year": (">=", 0),
+    "price_usd_per_t": (">=", 0),
+    "horizon": (">=", 1),
+    "replications": (">=", 1),
+    "seed": (">=", 0),
+    "period": (">=", 1),
+}
 _SCENARIO_SECTIONS = {
     "bidders": ("bidder_id", "i0", "cost_of_capital"),
     "price_path": ("period", "price_usd_per_t"),
     "tax_schedule": ("period", "tax"),
 }
+
+
+def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
+    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
+    if not math.isfinite(number):
+        problem = "must be finite"
+    elif key in _SCENARIO_INTEGERS and not number.is_integer():
+        problem = "must be an integer"
+    elif not (number > bound if op == ">" else number >= bound):
+        problem = f"must be {op} {bound}"
+    else:
+        return number
+    raise ScenarioError(f"{key} {problem}, got {number!r}", path, line)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -282,12 +289,12 @@ def load_scenario(path: str | Path) -> Scenario:
     Sections are ``[bidders]``, ``[price_path]``, and ``[tax_schedule]``,
     each a small header+rows table. Either ``vpi`` or a bidders table must
     be present, and either an explicit price path or ``initial_price`` with
-    ``horizon``.
+    ``horizon``. A number that is not finite, not an integer where one is
+    required, or out of its field's bound raises ScenarioError naming the line.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     scalars: dict[str, float] = {}
-    scalar_lines: dict[str, int] = {}
     tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
     section: str | None = None
     header_pending = False
@@ -312,7 +319,6 @@ def load_scenario(path: str | Path) -> Scenario:
             if key in scalars:
                 raise ScenarioError(f"duplicate key {key!r}", path, lineno)
             scalars[key] = _scenario_number(value, key, path, lineno)
-            scalar_lines[key] = lineno
             continue
         expected = ",".join(_SCENARIO_SECTIONS[section])
         if header_pending:
@@ -326,15 +332,6 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"expected {len(_SCENARIO_SECTIONS[section])} columns, got {len(fields)}", path, lineno
             )
         tables[section].append((lineno, fields))
-
-    for key, minimum in _SCENARIO_INTEGERS.items():
-        value = scalars.get(key)
-        if value is None:
-            continue
-        if not value.is_integer():
-            raise ScenarioError(f"{key} must be an integer, got {value!r}", path, scalar_lines[key])
-        if value < minimum:
-            raise ScenarioError(f"{key} must be >= {minimum}, got {value!r}", path, scalar_lines[key])
 
     if "announced_rate" not in scalars:
         raise ScenarioError("missing required key 'announced_rate'", path)
@@ -435,23 +432,15 @@ def _scenario_bidders(scenario: Scenario) -> list[Bidder]:
     ]
 
 
-class AuctionFailed(Exception):
-    pass
+def _auction(scenario: Scenario) -> tuple[dict[str, float | None], str, float]:
+    """Every bidder's equilibrium bid (None for no bid), the winner and the winning VPI.
 
-
-def _resolve_vpi(scenario: Scenario) -> float:
-    """Winning VPI, either given directly or decided by the auction."""
-    if scenario.vpi is not None:
-        return scenario.vpi
-    bids = {
-        bidder.bidder_id: equilibrium_bid(bidder, Rate(scenario.announced_rate))
-        for bidder in _scenario_bidders(scenario)
-    }
-    feasible = {bidder_id: bid for bidder_id, bid in bids.items() if bid is not None}
-    if not feasible:
-        raise AuctionFailed("auction failed: no feasible bids")
-    _, winning = run_auction(feasible)
-    return winning
+    Raises AuctionError when no bidder can bid.
+    """
+    rate = Rate(scenario.announced_rate)
+    bids = {bidder.bidder_id: equilibrium_bid(bidder, rate) for bidder in _scenario_bidders(scenario)}
+    winner_id, winning_vpi = run_auction(bids)
+    return bids, winner_id, winning_vpi
 
 
 def _tax_policy(scenario: Scenario):
@@ -501,10 +490,12 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     except OSError as exc:
         return _fail(str(exc), 2)
 
-    try:
-        vpi = _resolve_vpi(scenario)
-    except AuctionFailed as exc:
-        return _fail(str(exc), 1)
+    vpi = scenario.vpi
+    if vpi is None:
+        try:
+            _, _, vpi = _auction(scenario)
+        except AuctionError as exc:
+            return _fail(str(exc), 1)
 
     if scenario.explicit_path is not None:
         paths = [scenario.explicit_path] * scenario.replications
@@ -574,14 +565,10 @@ def cmd_auction(config: RunConfig) -> int:
     if not scenario.bidders:
         return _fail(f"{config.scenario_path}: auction requires a [bidders] section", 1)
 
-    bids = {
-        bidder.bidder_id: equilibrium_bid(bidder, Rate(scenario.announced_rate))
-        for bidder in _scenario_bidders(scenario)
-    }
-    feasible = {bidder_id: bid for bidder_id, bid in bids.items() if bid is not None}
-    if not feasible:
-        return _fail("auction failed: no feasible bids", 1)
-    winner_id, winning_vpi = run_auction(feasible)
+    try:
+        bids, winner_id, winning_vpi = _auction(scenario)
+    except AuctionError as exc:
+        return _fail(str(exc), 1)
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -688,7 +675,6 @@ def main(argv: list[str] | None = None) -> int:
         except (argparse.ArgumentTypeError, ValueError) as exc:
             return _fail(str(exc), 1)
         config = RunConfig(
-            command="analyze",
             mines_dir=args.mines,
             market_path=args.market,
             out_dir=args.out,
@@ -698,20 +684,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return cmd_analyze(config)
     if args.command == "reconstruct":
-        config = RunConfig(
-            command="reconstruct", mines_dir=args.mines, market_path=args.market, out_dir=args.out
-        )
-        return cmd_reconstruct(config)
+        return cmd_reconstruct(RunConfig(mines_dir=args.mines, market_path=args.market, out_dir=args.out))
     if args.command == "simulate-concession":
-        config = RunConfig(
-            command="simulate-concession",
-            scenario_path=args.scenario,
-            out_dir=args.out,
-            formats=args.format,
-        )
+        config = RunConfig(scenario_path=args.scenario, out_dir=args.out, formats=args.format)
         return cmd_simulate_concession(config)
-    config = RunConfig(command="auction", scenario_path=args.scenario, out_dir=args.out)
-    return cmd_auction(config)
+    return cmd_auction(RunConfig(scenario_path=args.scenario, out_dir=args.out))
 
 
 if __name__ == "__main__":

@@ -21,11 +21,9 @@ from .valuation import CashFlowSeries, Rate, as_rate
 if TYPE_CHECKING:
     import numpy as np
 
-BID_TOLERANCE = 1e-6
-
 
 class AuctionError(Exception):
-    """Auction cannot produce a winner (no bids)."""
+    """Auction cannot produce a winner (no feasible bids)."""
 
 
 class StateMachineError(Exception):
@@ -111,16 +109,16 @@ class ConcessionOutcome:
     warning: str | None = None
 
 
-def _revenue_periods(path: CashFlowSeries) -> list[tuple[int, float]]:
-    periods = []
+def _check_revenue_path(path: CashFlowSeries) -> None:
+    """Revenue must start after the concession start and never be negative.
+
+    Flow years strictly increase, so only the first one can start too early.
+    """
+    if path.flows and path.flows[0][0] <= path.base_year:
+        raise ValueError("revenue path must start strictly after the concession start")
     for year, amount in path.flows:
-        offset = year - path.base_year
-        if offset < 1:
-            raise ValueError("revenue path must start strictly after the concession start")
         if amount < 0:
-            raise ValueError(f"revenue must be nonnegative, got {amount!r} at period {offset}")
-        periods.append((offset, amount))
-    return periods
+            raise ValueError(f"revenue must be nonnegative, got {amount!r} at period {year - path.base_year}")
 
 
 def _compound(rate: float, period: int) -> float:
@@ -136,57 +134,44 @@ def _compound(rate: float, period: int) -> float:
         return math.inf
 
 
-def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float, tolerance: float = BID_TOLERANCE) -> float | None:
-    """Smallest achievable VPI that still repays the bidder's investment.
+def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | None:
+    """The bidder's LPVR bid: what the concession accrues by its earliest repaying stop.
 
-    A candidate target V stops the concession at the first period where
-    revenue discounted at the announced rate accrues to V; the stopping
-    time is non-decreasing in V, so a bisection over V finds the earliest
-    stop whose revenue prefix, discounted at the bidder's own cost of
-    capital, covers the investment. The bid is the accrued value at that
-    stop, which equals the investment to within one final-period granule
-    when both rates coincide. Returns None when even the full path cannot
-    repay the investment.
+    Let k be the first period whose revenue prefix, discounted at the
+    bidder's own cost of capital, covers the investment; a target that ends
+    the concession any earlier leaves the investment unpaid. The bid is the
+    same prefix discounted at the announced rate (Engel, Fischer & Galetovic,
+    JPE 2001), found in one pass. When both rates coincide it exceeds the
+    investment by less than period k's discounted revenue. Returns None when
+    even the full path cannot repay the investment. The whole path is
+    validated first, so a negative revenue after period k still raises.
     """
+    path = bidder.expected_revenue_path
+    _check_revenue_path(path)
     announced = as_rate(announced_rate).value
     own = bidder.cost_of_capital.value
-    periods = _revenue_periods(bidder.expected_revenue_path)
-
-    accrued = [0.0]
-    own_pv = [0.0]
-    for offset, amount in periods:
-        accrued.append(accrued[-1] + amount / _compound(announced, offset))
-        own_pv.append(own_pv[-1] + amount / _compound(own, offset))
-
-    if own_pv[-1] < bidder.investment:
-        return None
-
-    def stop_index(target: float) -> int:
-        if target <= 0:
-            return 0
-        for k in range(1, len(accrued)):
-            if accrued[k] >= target:
-                return k
-        return len(accrued) - 1
-
-    lo, hi = 0.0, accrued[-1]
-    span = max(hi, 1.0)
-    while hi - lo > tolerance * span:
-        mid = (lo + hi) / 2.0
-        if own_pv[stop_index(mid)] >= bidder.investment:
-            hi = mid
-        else:
-            lo = mid
-    return accrued[stop_index(hi)]
+    accrued = own_pv = 0.0
+    for year, amount in path.flows:
+        offset = year - path.base_year
+        accrued += amount / _compound(announced, offset)
+        own_pv += amount / _compound(own, offset)
+        if own_pv >= bidder.investment:
+            return accrued
+    return None
 
 
-def run_auction(bids: dict[str, float] | Sequence[tuple[str, float]]) -> tuple[str, float]:
-    """Winner is the smallest VPI demand; ties break on bidder id."""
-    items = list(bids.items()) if isinstance(bids, dict) else list(bids)
-    if not items:
-        raise AuctionError("auction failed: no bids")
-    winner_id, winning_vpi = min(items, key=lambda item: (item[1], item[0]))
-    return winner_id, winning_vpi
+def run_auction(
+    bids: dict[str, float | None] | Sequence[tuple[str, float | None]],
+) -> tuple[str, float]:
+    """Winner is the smallest VPI demand; ties break on bidder id.
+
+    A None bid is no bid; raises AuctionError when no bid is left.
+    """
+    items = bids.items() if isinstance(bids, dict) else bids
+    feasible = [(bidder_id, bid) for bidder_id, bid in items if bid is not None]
+    if not feasible:
+        raise AuctionError("auction failed: no feasible bids")
+    return min(feasible, key=lambda item: (item[1], item[0]))
 
 
 def _tax_error(voluntary_tax: float, gross_revenue: float) -> ValueError:

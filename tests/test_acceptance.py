@@ -313,7 +313,7 @@ def test_criterion_5_equilibrium_bid_vs_enumeration():
         checked += 1
         flows = CashFlowSeries(0, tuple((i + 1, r) for i, r in enumerate(revenues)))
         got = equilibrium_bid(Bidder("b", investment, Rate(cost), flows), Rate(announced))
-        if got is None or not rel_close(got, expected, rel=1e-6, abs_tol=1e-9):
+        if got is None or not rel_close(got, expected, rel=1e-9, abs_tol=1e-9):
             failures.append(f"bid {got} != enumeration {expected}")
 
     # announced rate equal to the cost of capital: bid within one granule of I0

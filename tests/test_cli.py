@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,37 @@ replications=100
 
 def read_artifacts(out_dir):
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def copy_mines(tmp_path):
+    mines = tmp_path / "mines"
+    shutil.copytree(MINES_DIR, mines)
+    return mines
+
+
+@pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+class TestLoadAndValidate:
+    def run(self, command, mines, tmp_path):
+        return main([command, "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(tmp_path / "out")])
+
+    def test_duplicate_mine_id_is_one_error_line(self, tmp_path, capsys, command):
+        mines = copy_mines(tmp_path)
+        shutil.copy(mines / "alpha.csv", mines / "zeta.csv")
+        assert self.run(command, mines, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {mines / 'zeta.csv'}: duplicate mine_id 'alpha', also in {mines / 'alpha.csv'}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_validation_warnings_are_printed(self, tmp_path, capsys, command):
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("1996,,,,,,,,,,310000.0,297600.0", "1996,,,,,,,,,,310000.0,400000.0"))
+        assert self.run(command, mines, tmp_path) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)"
+        ]
 
 
 class TestAnalyze:
@@ -159,6 +191,20 @@ class TestAnalyze:
         )
         assert code == 1
         assert "production-nonnegative" in capsys.readouterr().err
+
+    def test_valuation_year_before_last_flow_is_one_error_line(self, tmp_path, capsys):
+        code = main(
+            [
+                "analyze",
+                "--mines", str(MINES_DIR),
+                "--market", str(MARKET_FILE),
+                "--valuation-year", "2005",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: valuation_year 2005 precedes last flow year")
 
     def test_summary_numbers_match_bruteforce_oracle(self, tmp_path, corpus_mines, corpus_market):
         from oracle import pipeline_brute, rel_close
@@ -302,11 +348,19 @@ class TestSimulateConcession:
             ("seed=1.5", "seed must be an integer"),
             ("seed=-3", "seed must be >= 0"),
             ("replications=2.5", "replications must be an integer"),
+            ("announced_rate=-2", "announced_rate must be > -1"),
+            ("announced_rate=nan", "announced_rate must be finite"),
+            ("volatility=-1", "volatility must be >= 0"),
+            ("initial_price=0", "initial_price must be > 0"),
+            ("quantity_t_per_year=-10", "quantity_t_per_year must be >= 0"),
+            ("vpi=-5", "vpi must be > 0"),
+            ("vpi=nan", "vpi must be finite"),
         ],
     )
     def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
         key, _, value = line.partition("=")
-        text = CONSTANT_SCENARIO.replace("horizon=10", line) if key == "horizon" else CONSTANT_SCENARIO + line
+        present = [old for old in CONSTANT_SCENARIO.splitlines() if old.startswith(f"{key}=")]
+        text = CONSTANT_SCENARIO.replace(present[0], line) if present else CONSTANT_SCENARIO + line
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(text)
         lineno = text.splitlines().index(line) + 1
@@ -314,6 +368,29 @@ class TestSimulateConcession:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {scenario}:{lineno}: {message}, got {float(value)!r}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, row, message",
+        [
+            ("bidders", "slim,-5,0.12", "i0 must be > 0, got -5.0"),
+            ("bidders", "slim,nan,0.12", "i0 must be finite, got nan"),
+            ("bidders", "slim,90,-2", "cost_of_capital must be > -1, got -2.0"),
+            ("bidders", "slim,90,nan", "cost_of_capital must be finite, got nan"),
+            ("price_path", "1,-1000", "price_usd_per_t must be >= 0, got -1000.0"),
+            ("price_path", "1.5,1000", "period must be an integer, got 1.5"),
+            ("tax_schedule", "2.5,1", "period must be an integer, got 2.5"),
+        ],
+    )
+    def test_bad_section_row_is_one_error_line(self, tmp_path, capsys, section, row, message):
+        header = {"bidders": "bidder_id,i0,cost_of_capital", "price_path": "period,price_usd_per_t"}
+        text = CONSTANT_SCENARIO + f"[{section}]\n{header.get(section, 'period,tax')}\n{row}\n"
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lineno = len(text.splitlines())
+        assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:{lineno}: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):

@@ -74,6 +74,8 @@ class TestEquilibriumBid:
     def test_negative_revenue_rejected(self):
         with pytest.raises(ValueError):
             equilibrium_bid(bidder(10.0, 0.1, [5.0, -1.0]), Rate(0.05))
+        with pytest.raises(ValueError):  # also after the period that repays
+            equilibrium_bid(bidder(5.0, 0.1, [50.0, 5.0, -1.0]), Rate(0.05))
 
     def test_path_must_start_after_award(self):
         path = CashFlowSeries(0, ((0, 5.0), (1, 5.0)))
@@ -96,7 +98,16 @@ class TestEquilibriumBid:
             assert got is None
         else:
             assert got is not None
-            assert rel_close(got, want, rel=1e-6, abs_tol=1e-9)
+            assert rel_close(got, want, rel=1e-9, abs_tol=1e-9)
+
+    def test_tiny_middle_revenue_does_not_skip_the_stop(self):
+        # Periods 2 and 3 add less than a 1e-6 share of the total, yet period 2
+        # is where the own-rate PV first covers the investment.
+        revenues = [1000.0, 1e-7, 1e-7, 1000.0]
+        investment = 1000.0 / 1.1 + 1e-9
+        bid = equilibrium_bid(bidder(investment, 0.1, revenues), Rate(0.1))
+        assert bid == bid_brute(revenues, investment, 0.1, 0.1)
+        assert bid == pytest.approx(1000.0 / 1.1, rel=1e-9)
 
 
 class TestRunAuction:
@@ -109,6 +120,11 @@ class TestRunAuction:
     def test_empty_bid_set_fails(self):
         with pytest.raises(AuctionError):
             run_auction({})
+
+    def test_no_bid_entries_are_ignored(self):
+        assert run_auction({"A": None, "B": 1400.0, "C": None}) == ("B", 1400.0)
+        with pytest.raises(AuctionError, match="no feasible bids"):
+            run_auction([("A", None)])
 
     def test_efficient_bidder_wins(self):
         revenues = [150.0] * 20
