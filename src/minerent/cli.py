@@ -12,8 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .concession_sim import (
@@ -61,8 +61,7 @@ class ScenarioError(DataFileError):
     """Unparseable or inconsistent concession scenario file."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     mines_dir: Path | None = None
     market_path: Path | None = None
     scenario_path: Path | None = None
@@ -72,8 +71,7 @@ class RunConfig:
     formats: frozenset[str] = frozenset(FORMATS)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     announced_rate: float
     quantity: float
     vpi: float | None
@@ -295,6 +293,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     scalars: dict[str, float] = {}
+    scalar_lines: dict[str, int] = {}
     tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
     section: str | None = None
     header_pending = False
@@ -319,6 +318,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if key in scalars:
                 raise ScenarioError(f"duplicate key {key!r}", path, lineno)
             scalars[key] = _scenario_number(value, key, path, lineno)
+            scalar_lines[key] = lineno
             continue
         expected = ",".join(_SCENARIO_SECTIONS[section])
         if header_pending:
@@ -386,6 +386,20 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             "scenario needs either a [price_path] section or initial_price and horizon", path
         )
+    drift = scalars.get("drift", 0.0)
+    if explicit_path is None:
+        # The forecast peaks at the last period; it can only overflow for a drift > 0.
+        try:
+            forecast = initial_price * math.exp(drift * (horizon - 1))
+        except OverflowError:
+            forecast = math.inf
+        if not math.isfinite(forecast):
+            raise ScenarioError(
+                "drift overflows the price forecast initial_price * exp(drift * (horizon - 1)), "
+                f"got {drift!r}",
+                path,
+                scalar_lines["drift"],
+            )
 
     return Scenario(
         announced_rate=scalars["announced_rate"],
@@ -394,7 +408,7 @@ def load_scenario(path: str | Path) -> Scenario:
         bidders=tuple(bidders),
         explicit_path=explicit_path,
         initial_price=initial_price,
-        drift=scalars.get("drift", 0.0),
+        drift=drift,
         volatility=scalars.get("volatility", 0.0),
         horizon=int(horizon) if horizon is not None else None,
         seed=int(scalars.get("seed", 0)),
@@ -500,18 +514,21 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     if scenario.explicit_path is not None:
         paths = [scenario.explicit_path] * scenario.replications
     else:
-        paths = [
-            generate_price_path(
-                PricePathParams(
-                    initial_price=scenario.initial_price,
-                    drift=scenario.drift,
-                    volatility=scenario.volatility,
-                    horizon=scenario.horizon,
-                    seed=scenario.seed + replication,
+        try:
+            paths = [
+                generate_price_path(
+                    PricePathParams(
+                        initial_price=scenario.initial_price,
+                        drift=scenario.drift,
+                        volatility=scenario.volatility,
+                        horizon=scenario.horizon,
+                        seed=scenario.seed + replication,
+                    )
                 )
-            )
-            for replication in range(scenario.replications)
-        ]
+                for replication in range(scenario.replications)
+            ]
+        except ValueError as exc:
+            return _fail(f"{config.scenario_path}: {exc}", 1)
     rate, tax_policy = Rate(scenario.announced_rate), _tax_policy(scenario)
     batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
     for replication in range(scenario.replications):

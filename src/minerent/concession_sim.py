@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .data_model import USD_PER_MUSD
 from .valuation import CashFlowSeries, Rate, as_rate
@@ -36,27 +35,39 @@ class ConcessionStatus(enum.Enum):
     EXPROPRIATED = "expropriated"
 
 
-@dataclass(frozen=True)
-class Bidder:
-    """Auction participant with a private revenue forecast.
-
-    ``reported_operating_cost`` is informational only: bids depend on the
-    investment, the rates, and the revenue path, never on reported costs.
-    """
-
+class _BidderFields(NamedTuple):
     bidder_id: str
     investment: float
     cost_of_capital: Rate
     expected_revenue_path: CashFlowSeries
     reported_operating_cost: float = 0.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.investment) or self.investment <= 0:
-            raise ValueError(f"investment must be finite and > 0, got {self.investment!r}")
+
+class Bidder(_BidderFields):
+    """Auction participant with a private revenue forecast.
+
+    ``reported_operating_cost`` is informational only: bids depend on the
+    investment, the rates, and the revenue path, never on reported costs.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        bidder_id: str,
+        investment: float,
+        cost_of_capital: Rate,
+        expected_revenue_path: CashFlowSeries,
+        reported_operating_cost: float = 0.0,
+    ):
+        if not math.isfinite(investment) or investment <= 0:
+            raise ValueError(f"investment must be finite and > 0, got {investment!r}")
+        return super().__new__(
+            cls, bidder_id, investment, cost_of_capital, expected_revenue_path, reported_operating_cost
+        )
 
 
-@dataclass(frozen=True)
-class ConcessionState:
+class ConcessionState(NamedTuple):
     """Value-typed state of a running concession."""
 
     vpi_target: float
@@ -71,27 +82,30 @@ class ConcessionState:
         return self.status is ConcessionStatus.ACTIVE
 
 
-@dataclass(frozen=True)
-class PricePathParams:
-    """Geometric-Brownian annual price path parameters."""
-
+class _PricePathParamsFields(NamedTuple):
     initial_price: float
     drift: float
     volatility: float
     horizon: int
     seed: int
 
-    def __post_init__(self):
-        if self.initial_price <= 0:
-            raise ValueError(f"initial_price must be > 0, got {self.initial_price!r}")
-        if self.volatility < 0:
-            raise ValueError(f"volatility must be >= 0, got {self.volatility!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+
+class PricePathParams(_PricePathParamsFields):
+    """Geometric-Brownian annual price path parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, initial_price: float, drift: float, volatility: float, horizon: int, seed: int):
+        if initial_price <= 0:
+            raise ValueError(f"initial_price must be > 0, got {initial_price!r}")
+        if volatility < 0:
+            raise ValueError(f"volatility must be >= 0, got {volatility!r}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon!r}")
+        return super().__new__(cls, initial_price, drift, volatility, horizon, seed)
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
+class OutcomeRow(NamedTuple):
     period: int
     price: float
     gross_revenue: float
@@ -101,8 +115,7 @@ class OutcomeRow:
     status: str
 
 
-@dataclass(frozen=True)
-class ConcessionOutcome:
+class ConcessionOutcome(NamedTuple):
     final_state: ConcessionState
     duration: int | None  # periods until expiry; None if still active
     rows: tuple[OutcomeRow, ...]
@@ -207,8 +220,7 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
     period = state.current_year + 1
     accrued = state.accrued_pv + counted / _compound(state.announced_rate.value, period)
     status = ConcessionStatus.EXPIRED if accrued >= state.vpi_target else ConcessionStatus.ACTIVE
-    return replace(
-        state,
+    return state._replace(
         current_year=period,
         accrued_pv=accrued,
         counted_revenue_log=state.counted_revenue_log + ((gross_revenue, voluntary_tax, counted),),
@@ -219,7 +231,7 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
 def expropriate(state: ConcessionState) -> ConcessionState:
     if not state.active:
         raise StateMachineError(f"cannot expropriate a concession in status {state.status.value!r}")
-    return replace(state, status=ConcessionStatus.EXPROPRIATED)
+    return state._replace(status=ConcessionStatus.EXPROPRIATED)
 
 
 def expropriation_indemnity(state: ConcessionState, at_expropriation_date: bool = False) -> float:
@@ -237,14 +249,30 @@ def expropriation_indemnity(state: ConcessionState, at_expropriation_date: bool 
 
 
 def generate_price_path(params: PricePathParams) -> np.ndarray:
-    """Seeded geometric-Brownian annual prices; index 0 is the initial price."""
+    """Seeded geometric-Brownian annual prices; index 0 is the initial price.
+
+    Raises ValueError when a price is not a finite float, as when a large
+    drift or shock overflows it. A volatility whose variance overflows gives
+    prices of 0.0 after the first, the limit of the path.
+    """
     import numpy as np
 
     rng = np.random.default_rng(params.seed)
     shocks = rng.standard_normal(params.horizon - 1)
-    log_steps = (params.drift - params.volatility**2 / 2.0) + params.volatility * shocks
-    log_prices = np.concatenate(([0.0], np.cumsum(log_steps)))
-    return params.initial_price * np.exp(log_prices)
+    try:
+        half_variance = params.volatility**2 / 2.0
+    except OverflowError:
+        half_variance = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_steps = (params.drift - half_variance) + params.volatility * shocks
+        log_prices = np.concatenate(([0.0], np.cumsum(log_steps)))
+        prices = params.initial_price * np.exp(log_prices)
+    finite = np.isfinite(prices)
+    if not finite.all():
+        step = int(finite.argmin())
+        value = prices[step].item()
+        raise ValueError(f"price path (seed {params.seed}) has a non-finite price at step {step}: {value!r}")
+    return prices
 
 
 TaxPolicy = Callable[[int, float], float]
@@ -265,8 +293,7 @@ def _requested_taxes(tax_policy, gross: np.ndarray):
     return np.array([float(schedule.get(period, 0.0)) for period in range(1, gross.shape[1] + 1)])
 
 
-@dataclass(frozen=True)
-class AccrualBatch:
+class AccrualBatch(NamedTuple):
     """Concession runs accrued side by side, one row per price path.
 
     The arrays are ``(runs, periods)``. Run ``i`` lasts ``stepped[i]``
@@ -373,8 +400,7 @@ def simulate_concession(
         OutcomeRow(period, *values, status=(status if period == stepped else ConcessionStatus.ACTIVE).value)
         for period, values in enumerate(zip(prices, gross, tax, counted, accrued), start=1)
     )
-    final_state = replace(
-        state,
+    final_state = state._replace(
         current_year=stepped,
         accrued_pv=batch.final_accrued(0),
         counted_revenue_log=tuple(zip(gross, tax, counted)),

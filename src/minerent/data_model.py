@@ -10,8 +10,8 @@ physical quantities that the reconstruction module backfills later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 MINE_COLUMNS = (
     "year",
@@ -61,8 +61,7 @@ class SchemaError(DataFileError):
     """Structural violation: bad header, duplicate year, bad metadata."""
 
 
-@dataclass(frozen=True)
-class MineYearRecord:
+class MineYearRecord(NamedTuple):
     """One mine-year of financial line items plus physical quantities."""
 
     year: int
@@ -93,8 +92,7 @@ class MineYearRecord:
         }
 
 
-@dataclass(frozen=True)
-class PhysicalYear:
+class PhysicalYear(NamedTuple):
     """Pre-history year: tonnages observed, financials not yet reconstructed.
 
     ``taxes_paid`` is only populated for mines whose actual tax payments are
@@ -107,8 +105,7 @@ class PhysicalYear:
     taxes_paid: float | None = None
 
 
-@dataclass(frozen=True)
-class MineDataset:
+class MineDataset(NamedTuple):
     """All loaded data for one mine, records sorted by year."""
 
     mine_id: str
@@ -145,16 +142,14 @@ class MineDataset:
         return sum(per_year.values()) / len(per_year)
 
 
-@dataclass(frozen=True)
-class MarketYear:
+class MarketYear(NamedTuple):
     year: int
     copper_price: float  # USD per tonne
     gdp: float  # million USD
     exploration_spend_pct_gdp: float
 
 
-@dataclass(frozen=True)
-class MarketSeries:
+class MarketSeries(NamedTuple):
     """Per-year copper price, GDP, and exploration spend share."""
 
     entries: tuple[MarketYear, ...]
@@ -174,31 +169,33 @@ class MarketSeries:
         return tuple(ent.year for ent in self.entries)
 
 
-@dataclass(frozen=True)
-class DiscountSpec:
-    """Cost-of-capital parameters: additive CAPM plus a sovereign premium."""
-
+class _DiscountSpecFields(NamedTuple):
     risk_free: float
     beta: float
     equity_premium: float
     country_risk: float
 
-    def __post_init__(self):
-        for name in ("risk_free", "beta", "equity_premium", "country_risk"):
-            value = getattr(self, name)
+
+class DiscountSpec(_DiscountSpecFields):
+    """Cost-of-capital parameters: additive CAPM plus a sovereign premium."""
+
+    __slots__ = ()
+
+    def __new__(cls, risk_free: float, beta: float, equity_premium: float, country_risk: float):
+        self = super().__new__(cls, risk_free, beta, equity_premium, country_risk)
+        for name, value in zip(cls._fields, self):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     locator: str
     rule: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[ValidationIssue, ...]
     warnings: tuple[ValidationIssue, ...]
 

@@ -10,8 +10,8 @@ capitalized forward to each mine's opening year.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from statistics import fmean
+import math
+from typing import Iterable, NamedTuple
 
 from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord
 
@@ -33,8 +33,7 @@ class MarketCoverageError(ReconstructionError):
     """The market series does not cover a year needed for reconstruction."""
 
 
-@dataclass(frozen=True)
-class BaselineStats:
+class BaselineStats(NamedTuple):
     """Averages over the baseline window used to backfill earlier years."""
 
     avg_unit_cost: float  # million USD per tonne
@@ -46,8 +45,7 @@ class BaselineStats:
     baseline_years: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ExplorationImputation:
+class ExplorationImputation(NamedTuple):
     """Exploration spend allocated per mine, capitalized to each t=0.
 
     ``yearly_allocations`` keeps the pre-capitalization shares per spend
@@ -65,6 +63,12 @@ class ExplorationImputation:
     total_campaigns: int | None = None
     probability_inverse: float | None = None
     warnings: tuple[str, ...] = ()
+
+
+def _mean(values: Iterable[float]) -> float:
+    """Exactly rounded sum over the count: what ``statistics.fmean`` computes."""
+    values = list(values)
+    return math.fsum(values) / len(values)
 
 
 def compute_baseline_stats(
@@ -85,17 +89,17 @@ def compute_baseline_stats(
 
     with_cost = [rec for rec in usable if rec.operating_cost > 0]
     return BaselineStats(
-        avg_unit_cost=fmean(rec.operating_cost / rec.production for rec in producing),
-        gav_ratio=fmean(rec.admin_sales_expense / rec.operating_cost for rec in with_cost)
+        avg_unit_cost=_mean(rec.operating_cost / rec.production for rec in producing),
+        gav_ratio=_mean(rec.admin_sales_expense / rec.operating_cost for rec in with_cost)
         if with_cost
         else 0.0,
-        avg_nonoperating=fmean(
+        avg_nonoperating=_mean(
             rec.pretax_result - (rec.revenue - rec.operating_cost - rec.admin_sales_expense)
             for rec in usable
         ),
-        avg_fixed_asset_additions=fmean(rec.fixed_asset_additions for rec in usable),
-        avg_dep_amort=fmean(rec.depreciation_amortization for rec in usable),
-        avg_net_loan_payments=fmean(rec.net_loan_payments for rec in usable),
+        avg_fixed_asset_additions=_mean(rec.fixed_asset_additions for rec in usable),
+        avg_dep_amort=_mean(rec.depreciation_amortization for rec in usable),
+        avg_net_loan_payments=_mean(rec.net_loan_payments for rec in usable),
         baseline_years=(window[0], window[1]),
     )
 
@@ -193,7 +197,7 @@ def reconstruct_dataset(
         for phys in mine.physical_history
     ]
     merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
-    return replace(mine, records=merged, physical_history=())
+    return mine._replace(records=merged, physical_history=())
 
 
 def impute_exploration(

@@ -9,9 +9,8 @@ compounded forward to a valuation year at the sovereign-fund rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .data_model import DiscountSpec, MarketSeries, MineDataset
 from .reconstruction import (
@@ -37,8 +36,7 @@ MOMENTO_TOLERANCE = 1e-9
 DEFAULT_VALUATION_YEAR = 2012
 
 
-@dataclass(frozen=True)
-class RvpSeries:
+class RvpSeries(NamedTuple):
     """Per-year rent-in-present-value trajectory for one mine at one rate."""
 
     mine_id: str
@@ -66,7 +64,7 @@ def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate 
         momento_x=None,
         rent_pv=max(final, 0.0),
     )
-    return replace(series, momento_x=momento_x(series))
+    return series._replace(momento_x=momento_x(series))
 
 
 def momento_x(series: RvpSeries) -> int | None:
@@ -111,20 +109,22 @@ def analyze_mine(
     rate: Rate | float,
     exploration: ExplorationImputation,
     valuation_year: int = DEFAULT_VALUATION_YEAR,
-    baseline_window: tuple[int, int] = DEFAULT_BASELINE_WINDOW,
-    audit: list[str] | None = None,
 ) -> RvpSeries:
-    """Full single-mine pipeline: reconstruct, invest, discount, value rent."""
-    full = reconstruct_dataset(mine, market, baseline_window, audit)
-    flows = mine_cash_flows(full)
-    investment = initial_investment(full, exploration)
+    """Single-mine pipeline on a reconstructed mine: invest, discount, value rent.
+
+    Raises ValueError when the mine still has physical history; run
+    ``reconstruct_dataset`` on it first.
+    """
+    if mine.physical_history:
+        raise ValueError(f"{mine.mine_id}: physical history is not reconstructed")
+    flows = mine_cash_flows(mine)
+    investment = initial_investment(mine, exploration)
     series = rvp_series(flows, investment, rate, mine_id=mine.mine_id)
     forward = rent_forward_value(flows, series.momento_x, market.fund_rate, valuation_year)
-    return replace(series, rent_forward=forward, valuation_year=valuation_year)
+    return series._replace(rent_forward=forward, valuation_year=valuation_year)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     """Per-mine results under each labeled discount rate."""
 
     rate_labels: tuple[str, ...]
@@ -163,9 +163,7 @@ def sensitivity_report(
         rate = discount_rate(spec) if isinstance(spec, DiscountSpec) else as_rate(spec)
         exploration = impute_exploration(market, full_mines, rate.value, window=imputation_window)
         for mine in full_mines:
-            series[(mine.mine_id, label)] = analyze_mine(
-                mine, market, rate, exploration, valuation_year, baseline_window
-            )
+            series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
     return SensitivityReport(
         rate_labels=tuple(labels),
         mine_ids=tuple(m.mine_id for m in full_mines),

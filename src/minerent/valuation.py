@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+import warnings
+from typing import NamedTuple
 
 from .data_model import DiscountSpec, MineDataset, MineYearRecord
-
-logger = logging.getLogger(__name__)
 
 #: Named cost-of-capital configurations shipped with the engine.
 PRESETS: dict[str, DiscountSpec] = {
@@ -17,36 +15,43 @@ PRESETS: dict[str, DiscountSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class Rate:
-    """Annual rate as a dimensionless fraction; must be finite and > -1."""
-
+class _RateFields(NamedTuple):
     value: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.value) or self.value <= -1:
-            raise ValueError(f"rate must be finite and > -1, got {self.value!r}")
+
+class Rate(_RateFields):
+    """Annual rate as a dimensionless fraction; must be finite and > -1."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float):
+        if not math.isfinite(value) or value <= -1:
+            raise ValueError(f"rate must be finite and > -1, got {value!r}")
+        return super().__new__(cls, value)
 
 
 def as_rate(rate: Rate | float) -> Rate:
     return rate if isinstance(rate, Rate) else Rate(float(rate))
 
 
-@dataclass(frozen=True)
-class CashFlowSeries:
-    """End-of-year flows anchored at ``base_year`` (the t=0 outlay date)."""
-
+class _CashFlowSeriesFields(NamedTuple):
     base_year: int
     flows: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        flows = tuple((int(year), float(amount)) for year, amount in self.flows)
-        object.__setattr__(self, "flows", flows)
+
+class CashFlowSeries(_CashFlowSeriesFields):
+    """End-of-year flows anchored at ``base_year`` (the t=0 outlay date)."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_year: int, flows):
+        flows = tuple((int(year), float(amount)) for year, amount in flows)
         years = [year for year, _ in flows]
         if years != sorted(set(years)):
             raise ValueError("flow years must be strictly increasing")
-        if years and years[0] < self.base_year:
-            raise ValueError(f"base_year {self.base_year} is after first flow year {years[0]}")
+        if years and years[0] < base_year:
+            raise ValueError(f"base_year {base_year} is after first flow year {years[0]}")
+        return super().__new__(cls, base_year, flows)
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -57,19 +62,23 @@ class CashFlowSeries:
         return tuple(amount for _, amount in self.flows)
 
 
-@dataclass(frozen=True)
-class InitialInvestment:
-    """Up-front outlay: first-year paid-in capital plus imputed exploration."""
-
+class _InitialInvestmentFields(NamedTuple):
     extraction: float
     exploration: float
     total: float
 
-    def __post_init__(self):
-        if not math.isclose(self.total, self.extraction + self.exploration, rel_tol=1e-12, abs_tol=1e-12):
+
+class InitialInvestment(_InitialInvestmentFields):
+    """Up-front outlay: first-year paid-in capital plus imputed exploration."""
+
+    __slots__ = ()
+
+    def __new__(cls, extraction: float, exploration: float, total: float):
+        if not math.isclose(total, extraction + exploration, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError("total must equal extraction + exploration")
-        if self.total <= 0:
-            raise ValueError(f"total initial investment must be > 0, got {self.total}")
+        if total <= 0:
+            raise ValueError(f"total initial investment must be > 0, got {total}")
+        return super().__new__(cls, extraction, exploration, total)
 
 
 def discount_rate(spec: DiscountSpec) -> Rate:
@@ -111,7 +120,7 @@ def initial_investment(mine: MineDataset, exploration) -> InitialInvestment:
     if mine.mine_id in exploration.allocations:
         imputed = exploration.allocations[mine.mine_id]
     else:
-        logger.warning("no exploration imputation for mine %s; treated as 0", mine.mine_id)
+        warnings.warn(f"no exploration imputation for mine {mine.mine_id}; treated as 0", stacklevel=2)
         imputed = 0.0
     extraction = mine.capital_paid_first_year
     return InitialInvestment(extraction=extraction, exploration=imputed, total=extraction + imputed)

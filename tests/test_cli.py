@@ -355,6 +355,9 @@ class TestSimulateConcession:
             ("quantity_t_per_year=-10", "quantity_t_per_year must be >= 0"),
             ("vpi=-5", "vpi must be > 0"),
             ("vpi=nan", "vpi must be finite"),
+            # initial_price * exp(drift * 9): math.exp overflows, then the product does
+            ("drift=1000", "drift overflows the price forecast initial_price * exp(drift * (horizon - 1))"),
+            ("drift=78.5", "drift overflows the price forecast initial_price * exp(drift * (horizon - 1))"),
         ],
     )
     def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
@@ -364,11 +367,12 @@ class TestSimulateConcession:
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(text)
         lineno = text.splitlines().index(line) + 1
-        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {scenario}:{lineno}: {message}, got {float(value)!r}"]
-        assert not (tmp_path / "out").exists()
+        for command in ("simulate-concession", "auction"):
+            code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: {scenario}:{lineno}: {message}, got {float(value)!r}"]
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, row, message",
@@ -459,8 +463,10 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    result = _fresh_python("import minerent.cli, sys; assert 'numpy' not in sys.modules, 'numpy imported'")
+# numpy is needed by price paths only; the others cost start-up time and serve no command.
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "logging", "statistics"])
+def test_cli_import_leaves_module_unloaded(module):
+    result = _fresh_python(f"import minerent.cli, sys; assert {module!r} not in sys.modules, '{module} imported'")
     assert result.returncode == 0, result.stderr
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +67,7 @@ class TestEquilibriumBid:
 
     def test_cost_annotation_does_not_move_the_bid(self):
         plain = bidder(30.0, 0.12, [9.0] * 12)
-        padded = dataclasses.replace(plain, reported_operating_cost=1e9)
+        padded = plain._replace(reported_operating_cost=1e9)
         announced = Rate(0.07)
         assert equilibrium_bid(plain, announced) == equilibrium_bid(padded, announced)
 
@@ -254,6 +254,24 @@ class TestGeneratePricePath:
         second = generate_price_path(params)
         assert first.tolist() == second.tolist()
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PricePathParams(2000.0, 1000.0, 0.0, horizon=10, seed=1),  # exp overflows
+            PricePathParams(1.0, 709.0, 1.0, horizon=2, seed=3),  # forecast finite, the shock overflows it
+            PricePathParams(1.0, 0.0, 1e308, horizon=50, seed=0),  # inf - inf in the log-price sum
+        ],
+    )
+    def test_non_finite_price_rejected_without_runtime_warning(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite price"):
+                generate_price_path(params)
+
+    def test_overflowing_variance_drives_prices_to_zero(self):
+        path = generate_price_path(PricePathParams(1.0, 0.0, 1e200, horizon=5, seed=1))
+        assert path.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             PricePathParams(0.0, 0.0, 0.1, horizon=5, seed=1)
@@ -369,7 +387,7 @@ class TestAccrualKernel:
 
         outcome = simulate_concession(vpi, paths[0], 10_000.0, Rate(rate), policy)
         state, rows = stepped_run(vpi, paths[0], 10_000.0, rate, policy)
-        assert repr([dataclasses.astuple(row) for row in outcome.rows]) == repr(rows)
+        assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
         assert repr(outcome.final_state) == repr(state)
         assert outcome.warning == batch.warning(0)
 
@@ -390,7 +408,7 @@ class TestAccrualKernel:
         outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
         state, rows = stepped_run(vpi, prices, 10_000.0, rate, policy)
         # repr compares bit for bit, telling -0.0 from 0.0 as the artifacts do.
-        assert repr([dataclasses.astuple(row) for row in outcome.rows]) == repr(rows)
+        assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
         assert repr(outcome.final_state) == repr(state)
         assert outcome.duration == (state.current_year if not state.active else None)
         assert (outcome.warning is None) == (not state.active)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minerent import (
+    BaselineStats,
     BaselineUnavailableError,
     MarketCoverageError,
     PhysicalYear,
@@ -76,6 +79,51 @@ class TestBaselineStats:
     def test_empty_window_raises(self):
         with pytest.raises(BaselineUnavailableError):
             compute_baseline_stats(baseline_records(), window=(1990, 1995))
+
+    # Money spans 1e-3..1e16, so a plain left-to-right sum drops low bits that fsum keeps.
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e16, max_value=1e16),
+                st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e16)),
+                st.floats(min_value=-1e16, max_value=1e16),
+                st.floats(min_value=1.0, max_value=1e9),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example(rows=[(1e16, 1e16, 1e16, 1.0), (1.0, 1.0, 1.0, 1.0), (-1e16, 1e3, -1e16, 1.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_means_equal_statistics_fmean(self, rows):
+        records = [
+            make_record(
+                2001 + i,
+                revenue=money,
+                operating_cost=cost,
+                admin_sales_expense=money / 3,
+                pretax_result=other,
+                depreciation_amortization=other,
+                fixed_asset_additions=money,
+                net_loan_payments=-other,
+                production=production,
+            )
+            for i, (money, cost, other, production) in enumerate(rows)
+        ]
+        with_cost = [rec for rec in records if rec.operating_cost > 0]
+        fmean = statistics.fmean
+        expected = BaselineStats(
+            avg_unit_cost=fmean(rec.operating_cost / rec.production for rec in records),
+            gav_ratio=fmean(rec.admin_sales_expense / rec.operating_cost for rec in with_cost) if with_cost else 0.0,
+            avg_nonoperating=fmean(
+                rec.pretax_result - (rec.revenue - rec.operating_cost - rec.admin_sales_expense) for rec in records
+            ),
+            avg_fixed_asset_additions=fmean(rec.fixed_asset_additions for rec in records),
+            avg_dep_amort=fmean(rec.depreciation_amortization for rec in records),
+            avg_net_loan_payments=fmean(rec.net_loan_payments for rec in records),
+            baseline_years=(2001, 2005),
+        )
+        assert repr(compute_baseline_stats(records, window=(2001, 2005))) == repr(expected)
 
 
 def reconstruction_mine(**kwargs):

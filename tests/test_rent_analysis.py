@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +10,12 @@ from minerent import (
     CashFlowSeries,
     InitialInvestment,
     Rate,
+    analyze_mine,
+    impute_exploration,
     momento_x,
     present_value,
     rent_forward_value,
+    reconstruct_dataset,
     rvp_series,
     sensitivity_report,
     write_plot_data,
@@ -224,7 +225,7 @@ class TestSensitivityReport:
         report = sensitivity_report([mine], market, [("one", Rate(0.12)), ("two", Rate(0.12))])
         one = report.cell("edge", "one")
         two = report.cell("edge", "two")
-        assert one == dataclasses.replace(two, rate=one.rate)
+        assert one == two._replace(rate=one.rate)
 
     def test_momento_ordering_across_rates(self, corpus_mines, corpus_market):
         report = sensitivity_report(
@@ -241,6 +242,22 @@ class TestSensitivityReport:
         mine, market = sensitivity_fixture()
         with pytest.raises(ValueError):
             sensitivity_report([mine], market, [("x", Rate(0.1)), ("x", Rate(0.2))])
+
+
+class TestAnalyzeMine:
+    def test_reconstructed_mine_matches_report_cell(self, corpus_mines, corpus_market):
+        rate = Rate(0.1216899)
+        report = sensitivity_report(corpus_mines, corpus_market, [("base", rate)])
+        full = [reconstruct_dataset(mine, corpus_market) for mine in corpus_mines]
+        exploration = impute_exploration(corpus_market, full, rate.value)
+        for mine in full:
+            assert analyze_mine(mine, corpus_market, rate, exploration) == report.cell(mine.mine_id, "base")
+
+    def test_unreconstructed_mine_rejected(self, corpus_mines, corpus_market):
+        mine = next(mine for mine in corpus_mines if mine.physical_history)
+        exploration = impute_exploration(corpus_market, corpus_mines, 0.12)
+        with pytest.raises(ValueError, match="physical history is not reconstructed"):
+            analyze_mine(mine, corpus_market, Rate(0.12), exploration)
 
 
 class TestWriters:
