@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from typing import NamedTuple
 from . import __version__
 from .concession_sim import (
     AuctionError,
-    Bidder,
     PricePathParams,
     accrue_concessions,
     equilibrium_bid,
@@ -27,7 +25,6 @@ from .concession_sim import (
     simulate_concession,
 )
 from .data_model import (
-    USD_PER_MUSD,
     DataFileError,
     DiscountSpec,
     load_market_series,
@@ -43,7 +40,8 @@ from .rent_analysis import (
     write_plot_data,
     write_summary_table,
 )
-from .valuation import PRESETS, CashFlowSeries, Rate
+from .scenario import Scenario, load_scenario
+from .valuation import PRESETS, Rate
 
 SUMMARY_TABLE_NAME = "summary_cuadro1.csv"
 SUMMARY_JSON_NAME = "summary_cuadro1.json"
@@ -57,10 +55,6 @@ AUCTION_TABLE_NAME = "auction_result.csv"
 FORMATS = ("table", "json")
 
 
-class ScenarioError(DataFileError):
-    """Unparseable or inconsistent concession scenario file."""
-
-
 class RunConfig(NamedTuple):
     mines_dir: Path | None = None
     market_path: Path | None = None
@@ -69,22 +63,6 @@ class RunConfig(NamedTuple):
     rates: tuple[tuple[str, DiscountSpec], ...] = ()
     valuation_year: int = DEFAULT_VALUATION_YEAR
     formats: frozenset[str] = frozenset(FORMATS)
-
-
-class Scenario(NamedTuple):
-    announced_rate: float
-    quantity: float
-    vpi: float | None
-    bidders: tuple[tuple[str, float, float], ...]  # (bidder_id, i0, cost_of_capital)
-    explicit_path: tuple[float, ...] | None
-    initial_price: float | None
-    drift: float
-    volatility: float
-    horizon: int | None
-    seed: int
-    replications: int
-    tax_constant: float
-    tax_schedule: dict[int, float] | None
 
 
 def _fail(message: str, code: int) -> int:
@@ -160,6 +138,9 @@ def cmd_analyze(config: RunConfig) -> int:
         )
     except (ReconstructionError, ValueError) as exc:
         return _fail(str(exc), 1)
+    except OverflowError:
+        # (1 + rate) ** years, for a huge custom rate or an opening year thousands of years off.
+        return _fail("a discount factor (1 + rate) ** years overflows a float", 1)
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,240 +208,15 @@ def cmd_reconstruct(config: RunConfig) -> int:
     return 0
 
 
-_SCENARIO_SCALARS = {
-    "announced_rate",
-    "quantity_t_per_year",
-    "vpi",
-    "initial_price",
-    "drift",
-    "volatility",
-    "horizon",
-    "seed",
-    "replications",
-    "tax_per_year",
-}
-# Every scenario number must be finite. Some fields must also be integers,
-# and some must satisfy ``value <op> bound``. The price-path generator takes
-# seed + replication, which numpy requires to be >= 0.
-_SCENARIO_INTEGERS = {"horizon", "replications", "seed", "period"}
-_SCENARIO_BOUNDS = {
-    "announced_rate": (">", -1),
-    "cost_of_capital": (">", -1),
-    "vpi": (">", 0),
-    "i0": (">", 0),
-    "initial_price": (">", 0),
-    "volatility": (">=", 0),
-    "quantity_t_per_year": (">=", 0),
-    "price_usd_per_t": (">=", 0),
-    "horizon": (">=", 1),
-    "replications": (">=", 1),
-    "seed": (">=", 0),
-    "period": (">=", 1),
-}
-_SCENARIO_SECTIONS = {
-    "bidders": ("bidder_id", "i0", "cost_of_capital"),
-    "price_path": ("period", "price_usd_per_t"),
-    "tax_schedule": ("period", "tax"),
-}
-
-
-def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
-    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
-    if not math.isfinite(number):
-        problem = "must be finite"
-    elif key in _SCENARIO_INTEGERS and not number.is_integer():
-        problem = "must be an integer"
-    elif not (number > bound if op == ">" else number >= bound):
-        problem = f"must be {op} {bound}"
-    else:
-        return number
-    raise ScenarioError(f"{key} {problem}, got {number!r}", path, line)
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse a concession scenario: key=value lines plus optional sections.
-
-    Sections are ``[bidders]``, ``[price_path]``, and ``[tax_schedule]``,
-    each a small header+rows table. Either ``vpi`` or a bidders table must
-    be present, and either an explicit price path or ``initial_price`` with
-    ``horizon``. A number that is not finite, not an integer where one is
-    required, or out of its field's bound raises ScenarioError naming the line.
-    """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    scalars: dict[str, float] = {}
-    scalar_lines: dict[str, int] = {}
-    tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
-    section: str | None = None
-    header_pending = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SCENARIO_SECTIONS:
-                raise ScenarioError(f"unknown section {section!r}", path, lineno)
-            header_pending = True
-            continue
-        if section is None:
-            if "=" not in line:
-                raise ScenarioError("expected key=value line", path, lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCENARIO_SCALARS:
-                raise ScenarioError(f"unknown key {key!r}", path, lineno)
-            if key in scalars:
-                raise ScenarioError(f"duplicate key {key!r}", path, lineno)
-            scalars[key] = _scenario_number(value, key, path, lineno)
-            scalar_lines[key] = lineno
-            continue
-        expected = ",".join(_SCENARIO_SECTIONS[section])
-        if header_pending:
-            if line != expected:
-                raise ScenarioError(f"section [{section}] must start with header {expected!r}", path, lineno)
-            header_pending = False
-            continue
-        fields = line.split(",")
-        if len(fields) != len(_SCENARIO_SECTIONS[section]):
-            raise ScenarioError(
-                f"expected {len(_SCENARIO_SECTIONS[section])} columns, got {len(fields)}", path, lineno
-            )
-        tables[section].append((lineno, fields))
-
-    if "announced_rate" not in scalars:
-        raise ScenarioError("missing required key 'announced_rate'", path)
-    if "quantity_t_per_year" not in scalars:
-        raise ScenarioError("missing required key 'quantity_t_per_year'", path)
-
-    bidders = []
-    seen_bidders = set()
-    for lineno, fields in tables["bidders"]:
-        bidder_id = fields[0].strip()
-        if not bidder_id:
-            raise ScenarioError("bidder_id must be non-empty", path, lineno)
-        if bidder_id in seen_bidders:
-            raise ScenarioError(f"duplicate bidder_id {bidder_id!r}", path, lineno)
-        seen_bidders.add(bidder_id)
-        bidders.append(
-            (
-                bidder_id,
-                _scenario_number(fields[1], "i0", path, lineno),
-                _scenario_number(fields[2], "cost_of_capital", path, lineno),
-            )
-        )
-
-    explicit_path: tuple[float, ...] | None = None
-    if tables["price_path"]:
-        by_period: dict[int, float] = {}
-        for lineno, fields in tables["price_path"]:
-            period = int(_scenario_number(fields[0], "period", path, lineno))
-            if period in by_period:
-                raise ScenarioError(f"duplicate period {period}", path, lineno)
-            by_period[period] = _scenario_number(fields[1], "price_usd_per_t", path, lineno)
-        periods = sorted(by_period)
-        if periods != list(range(1, len(periods) + 1)):
-            raise ScenarioError(f"price path periods must run 1..n, got {periods}", path)
-        explicit_path = tuple(by_period[p] for p in periods)
-
-    tax_schedule: dict[int, float] | None = None
-    if tables["tax_schedule"]:
-        tax_schedule = {}
-        for lineno, fields in tables["tax_schedule"]:
-            period = int(_scenario_number(fields[0], "period", path, lineno))
-            if period in tax_schedule:
-                raise ScenarioError(f"duplicate period {period}", path, lineno)
-            tax_schedule[period] = _scenario_number(fields[1], "tax", path, lineno)
-
-    vpi = scalars.get("vpi")
-    if vpi is None and not bidders:
-        raise ScenarioError("scenario needs either 'vpi' or a [bidders] section", path)
-    initial_price = scalars.get("initial_price")
-    horizon = scalars.get("horizon")
-    if explicit_path is None and (initial_price is None or horizon is None):
-        raise ScenarioError(
-            "scenario needs either a [price_path] section or initial_price and horizon", path
-        )
-    drift = scalars.get("drift", 0.0)
-    if explicit_path is None:
-        # The forecast peaks at the last period; it can only overflow for a drift > 0.
-        try:
-            forecast = initial_price * math.exp(drift * (horizon - 1))
-        except OverflowError:
-            forecast = math.inf
-        if not math.isfinite(forecast):
-            raise ScenarioError(
-                "drift overflows the price forecast initial_price * exp(drift * (horizon - 1)), "
-                f"got {drift!r}",
-                path,
-                scalar_lines["drift"],
-            )
-
-    return Scenario(
-        announced_rate=scalars["announced_rate"],
-        quantity=scalars["quantity_t_per_year"],
-        vpi=vpi,
-        bidders=tuple(bidders),
-        explicit_path=explicit_path,
-        initial_price=initial_price,
-        drift=drift,
-        volatility=scalars.get("volatility", 0.0),
-        horizon=int(horizon) if horizon is not None else None,
-        seed=int(scalars.get("seed", 0)),
-        replications=int(scalars.get("replications", 1)),
-        tax_constant=scalars.get("tax_per_year", 0.0),
-        tax_schedule=tax_schedule,
-    )
-
-
-def _bidding_prices(scenario: Scenario) -> list[float]:
-    """Deterministic expected price path the bidders forecast over."""
-    if scenario.explicit_path is not None:
-        return list(scenario.explicit_path)
-    return [
-        scenario.initial_price * math.exp(scenario.drift * t) for t in range(scenario.horizon)
-    ]
-
-
-def _scenario_bidders(scenario: Scenario) -> list[Bidder]:
-    prices = _bidding_prices(scenario)
-    flows = CashFlowSeries(
-        base_year=0,
-        flows=tuple(
-            (t + 1, price * scenario.quantity / USD_PER_MUSD) for t, price in enumerate(prices)
-        ),
-    )
-    return [
-        Bidder(
-            bidder_id=bidder_id,
-            investment=investment,
-            cost_of_capital=Rate(cost),
-            expected_revenue_path=flows,
-        )
-        for bidder_id, investment, cost in scenario.bidders
-    ]
-
-
 def _auction(scenario: Scenario) -> tuple[dict[str, float | None], str, float]:
     """Every bidder's equilibrium bid (None for no bid), the winner and the winning VPI.
 
-    Raises AuctionError when no bidder can bid.
+    Raises AuctionError when no bidder can bid, ValueError when a bid overflows a float.
     """
     rate = Rate(scenario.announced_rate)
-    bids = {bidder.bidder_id: equilibrium_bid(bidder, rate) for bidder in _scenario_bidders(scenario)}
+    bids = {bidder.bidder_id: equilibrium_bid(bidder, rate) for bidder in scenario.auction_bidders()}
     winner_id, winning_vpi = run_auction(bids)
     return bids, winner_id, winning_vpi
-
-
-def _tax_policy(scenario: Scenario):
-    if scenario.tax_schedule is not None:
-        return scenario.tax_schedule
-    return scenario.tax_constant
 
 
 def _write_outcome_table(outcome, path: Path) -> None:
@@ -508,13 +264,14 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     if vpi is None:
         try:
             _, _, vpi = _auction(scenario)
-        except AuctionError as exc:
+        except (AuctionError, ValueError) as exc:
             return _fail(str(exc), 1)
 
-    if scenario.explicit_path is not None:
-        paths = [scenario.explicit_path] * scenario.replications
-    else:
-        try:
+    rate, tax_policy = Rate(scenario.announced_rate), scenario.tax_policy()
+    try:
+        if scenario.explicit_path is not None:
+            paths = [scenario.explicit_path] * scenario.replications
+        else:
             paths = [
                 generate_price_path(
                     PricePathParams(
@@ -527,10 +284,10 @@ def cmd_simulate_concession(config: RunConfig) -> int:
                 )
                 for replication in range(scenario.replications)
             ]
-        except ValueError as exc:
-            return _fail(f"{config.scenario_path}: {exc}", 1)
-    rate, tax_policy = Rate(scenario.announced_rate), _tax_policy(scenario)
-    batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
+        # Each raises ValueError when a price, a revenue or an accrued PV overflows a float.
+        batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
+    except ValueError as exc:
+        return _fail(f"{config.scenario_path}: {exc}", 1)
     for replication in range(scenario.replications):
         warning = batch.warning(replication)
         if warning:
@@ -584,7 +341,7 @@ def cmd_auction(config: RunConfig) -> int:
 
     try:
         bids, winner_id, winning_vpi = _auction(scenario)
-    except AuctionError as exc:
+    except (AuctionError, ValueError) as exc:
         return _fail(str(exc), 1)
 
     try:

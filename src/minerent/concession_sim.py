@@ -74,7 +74,6 @@ class ConcessionState(NamedTuple):
     announced_rate: Rate
     current_year: int
     accrued_pv: float
-    counted_revenue_log: tuple[tuple[float, float, float], ...]  # (gross, tax, counted)
     status: ConcessionStatus
 
     @property
@@ -147,6 +146,14 @@ def _compound(rate: float, period: int) -> float:
         return math.inf
 
 
+def _discounted(amount: float, rate: float, period: int) -> float:
+    """``amount / _compound(rate, period)``, or its limit where a negative rate's power underflows to 0.0."""
+    factor = _compound(rate, period)
+    if factor:
+        return amount / factor
+    return math.inf if amount else 0.0
+
+
 def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | None:
     """The bidder's LPVR bid: what the concession accrues by its earliest repaying stop.
 
@@ -158,6 +165,8 @@ def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | Non
     investment by less than period k's discounted revenue. Returns None when
     even the full path cannot repay the investment. The whole path is
     validated first, so a negative revenue after period k still raises.
+    Raises ValueError when the bid overflows a float, as it can at a
+    negative announced rate.
     """
     path = bidder.expected_revenue_path
     _check_revenue_path(path)
@@ -166,9 +175,11 @@ def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | Non
     accrued = own_pv = 0.0
     for year, amount in path.flows:
         offset = year - path.base_year
-        accrued += amount / _compound(announced, offset)
-        own_pv += amount / _compound(own, offset)
+        accrued += _discounted(amount, announced, offset)
+        own_pv += _discounted(amount, own, offset)
         if own_pv >= bidder.investment:
+            if not math.isfinite(accrued):
+                raise ValueError(f"bidder {bidder.bidder_id!r}: bid overflows a float")
             return accrued
     return None
 
@@ -201,7 +212,6 @@ def new_concession(vpi_target: float, announced_rate: Rate | float) -> Concessio
         announced_rate=as_rate(announced_rate),
         current_year=0,
         accrued_pv=0.0,
-        counted_revenue_log=(),
         status=ConcessionStatus.ACTIVE,
     )
 
@@ -223,7 +233,6 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
     return state._replace(
         current_year=period,
         accrued_pv=accrued,
-        counted_revenue_log=state.counted_revenue_log + ((gross_revenue, voluntary_tax, counted),),
         status=status,
     )
 
@@ -289,8 +298,7 @@ def _requested_taxes(tax_policy, gross: np.ndarray):
         return np.array(taxes, dtype=float).reshape(gross.shape)
     if isinstance(tax_policy, (int, float)):
         return float(tax_policy)
-    schedule = dict(tax_policy) if isinstance(tax_policy, dict) else dict(enumerate(tax_policy, start=1))
-    return np.array([float(schedule.get(period, 0.0)) for period in range(1, gross.shape[1] + 1)])
+    return np.array([float(tax_policy.get(period, 0.0)) for period in range(1, gross.shape[1] + 1)])
 
 
 class AccrualBatch(NamedTuple):
@@ -332,7 +340,7 @@ def accrue_concessions(
     price_paths: Sequence[Sequence[float]],
     quantity_per_year: float,
     announced_rate: Rate | float,
-    tax_policy: TaxPolicy | dict[int, float] | Sequence[float] | float | None = None,
+    tax_policy: TaxPolicy | dict[int, float] | float | None = None,
 ) -> AccrualBatch:
     """Accrue one concession per price path, all paths in one vectorised pass.
 
@@ -344,20 +352,30 @@ def accrue_concessions(
     semantics. A callable or scheduled tax policy is evaluated for every
     period of every path, including periods after expiry. As the loop does,
     raises ValueError for a tax outside [0, gross] (a negative price, or a
-    NaN tax) only at or before the run's stop period.
+    NaN tax) only at or before the run's stop period. Raises ValueError for
+    a gross revenue that is not finite, as when price × quantity overflows,
+    and for an accrued PV that overflows a float by the run's stop period.
     """
     import numpy as np
 
     rate = as_rate(announced_rate).value
     prices = np.array(price_paths, dtype=float)
     periods = prices.shape[1]
-    gross = prices * quantity_per_year / USD_PER_MUSD
+    with np.errstate(over="ignore", invalid="ignore"):
+        gross = prices * quantity_per_year / USD_PER_MUSD
+    nonfinite = ~np.isfinite(gross)
+    if nonfinite.any():
+        run, column = np.argwhere(nonfinite)[0]
+        value = gross[run, column].item()
+        raise ValueError(f"gross revenue is not finite in run {run}, period {column + 1}: {value!r}")
     requested = _requested_taxes(tax_policy, gross)
     tax = np.where(0.0 > requested, 0.0, requested)
     tax = np.where(gross < tax, gross, tax)
     counted = gross - tax
     factors = np.array([_compound(rate, period) for period in range(1, periods + 1)])
-    accrued = np.cumsum(counted / factors, axis=1)
+    # A negative rate's factor can underflow to 0.0; the check below rejects what that breaks.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        accrued = np.cumsum(counted / factors, axis=1)
     # The loop starts from +0.0, so where the running sum is -0.0 it reads +0.0.
     accrued += 0.0
     hit = accrued >= vpi
@@ -365,10 +383,15 @@ def accrue_concessions(
     first_hit = hit.argmax(axis=1) if periods else 0
     stepped = np.where(expired, first_hit + 1, periods)
 
-    invalid = (np.arange(periods) < stepped[:, None]) & ~((0.0 <= tax) & (tax <= gross))
+    in_run = np.arange(periods) < stepped[:, None]
+    invalid = in_run & ~((0.0 <= tax) & (tax <= gross))
     if invalid.any():
         run, column = np.argwhere(invalid)[0]
         raise _tax_error(tax[run, column].item(), gross[run, column].item())
+    overflow = in_run & ~np.isfinite(accrued)
+    if overflow.any():
+        run, column = np.argwhere(overflow)[0]
+        raise ValueError(f"accrued PV overflows a float in run {run}, period {column + 1}")
     return AccrualBatch(vpi, prices, gross, tax, counted, accrued, stepped, expired)
 
 
@@ -377,7 +400,7 @@ def simulate_concession(
     price_path: Sequence[float] | np.ndarray,
     quantity_per_year: float,
     announced_rate: Rate | float,
-    tax_policy: TaxPolicy | dict[int, float] | Sequence[float] | float | None = None,
+    tax_policy: TaxPolicy | dict[int, float] | float | None = None,
 ) -> ConcessionOutcome:
     """Drive the concession over a price path until expiry or path end.
 
@@ -403,7 +426,6 @@ def simulate_concession(
     final_state = state._replace(
         current_year=stepped,
         accrued_pv=batch.final_accrued(0),
-        counted_revenue_log=tuple(zip(gross, tax, counted)),
         status=status,
     )
     return ConcessionOutcome(final_state=final_state, duration=batch.duration(0), rows=rows, warning=batch.warning(0))

@@ -115,13 +115,6 @@ class MineDataset(NamedTuple):
     records: tuple[MineYearRecord, ...]
     escondida_tax_rule: bool = False
     physical_history: tuple[PhysicalYear, ...] = ()
-    load_warnings: tuple[str, ...] = ()
-
-    def record_for(self, year: int) -> MineYearRecord | None:
-        for rec in self.records:
-            if rec.year == year:
-                return rec
-        return None
 
     def physical_for(self, year: int) -> PhysicalYear | None:
         for phys in self.physical_history:
@@ -160,9 +153,6 @@ class MarketSeries(NamedTuple):
             if ent.year == year:
                 return ent
         return None
-
-    def covers(self, year: int) -> bool:
-        return self.entry(year) is not None
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -318,7 +308,6 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     records.sort(key=lambda rec: rec.year)
     physical.sort(key=lambda phys: phys.year)
     first_reported = records[0].year if records else None
-    warnings = () if records else (NO_HISTORY_WARNING,)
 
     return MineDataset(
         mine_id=meta["mine_id"],
@@ -328,7 +317,6 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
         records=tuple(records),
         escondida_tax_rule=tax_rule_text == "true",
         physical_history=tuple(physical),
-        load_warnings=warnings,
     )
 
 
@@ -379,7 +367,7 @@ def load_market_series(path: str | Path) -> MarketSeries:
     text = path.read_text(encoding="utf-8")
     expected_header = ",".join(MARKET_COLUMNS)
 
-    fund_rate = DEFAULT_FUND_RATE
+    fund_rate: float | None = None
     entries: list[MarketYear] = []
     seen_years: dict[int, int] = {}
     header_seen = False
@@ -394,8 +382,11 @@ def load_market_series(path: str | Path) -> MarketSeries:
                 continue
             if "=" in line:
                 key, _, value = line.partition("=")
-                if key.strip() != "fund_rate":
-                    raise SchemaError(f"unknown metadata key {key.strip()!r}", path, lineno)
+                key = key.strip()
+                if key != "fund_rate":
+                    raise SchemaError(f"unknown metadata key {key!r}", path, lineno)
+                if fund_rate is not None:
+                    raise SchemaError(f"duplicate metadata key {key!r}", path, lineno)
                 fund_rate = _parse_number(value.strip(), "fund_rate", path, lineno)
                 continue
             raise SchemaError("expected metadata line or header row", path, lineno)
@@ -422,7 +413,7 @@ def load_market_series(path: str | Path) -> MarketSeries:
     if not header_seen:
         raise SchemaError("missing header row", path)
     entries.sort(key=lambda ent: ent.year)
-    return MarketSeries(entries=tuple(entries), fund_rate=fund_rate)
+    return MarketSeries(entries=tuple(entries), fund_rate=DEFAULT_FUND_RATE if fund_rate is None else fund_rate)
 
 
 def _check_physical_row(

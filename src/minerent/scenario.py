@@ -1,0 +1,276 @@
+"""Concession scenario files: the format, its checks, and what it implies.
+
+A scenario is ``key=value`` lines plus optional ``[bidders]``,
+``[price_path]`` and ``[tax_schedule]`` sections, each a header row and
+comma-separated rows. This module owns that format: it parses and checks a
+file into a :class:`Scenario`, and derives from one the auction's bidders,
+with their price forecast, and the voluntary-tax policy. It builds data
+only; running the auction or the concession is the caller's job.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+from typing import NamedTuple
+
+from .concession_sim import Bidder
+from .data_model import USD_PER_MUSD, DataFileError
+from .valuation import CashFlowSeries, Rate
+
+
+class ScenarioError(DataFileError):
+    """Unparseable or inconsistent concession scenario file."""
+
+
+def _forecast_price(initial_price: float, drift: float, t: float) -> float:
+    """The bidders' expected price t periods after the first, inf where it overflows a float."""
+    try:
+        return initial_price * math.exp(drift * t)
+    except OverflowError:
+        return math.inf
+
+
+class Scenario(NamedTuple):
+    announced_rate: float
+    quantity: float
+    vpi: float | None
+    bidders: tuple[tuple[str, float, float], ...]  # (bidder_id, i0, cost_of_capital)
+    explicit_path: tuple[float, ...] | None
+    initial_price: float | None
+    drift: float
+    volatility: float
+    horizon: int | None
+    seed: int
+    replications: int
+    tax_constant: float
+    tax_schedule: dict[int, float] | None
+
+    def auction_bidders(self) -> list[Bidder]:
+        """The ``[bidders]`` rows, all forecasting revenue from one expected price path.
+
+        That path is the ``[price_path]`` if given, else the deterministic
+        ``initial_price * exp(drift * t)``.
+        """
+        if self.explicit_path is not None:
+            prices = self.explicit_path
+        else:
+            prices = [_forecast_price(self.initial_price, self.drift, t) for t in range(self.horizon)]
+        flows = CashFlowSeries(
+            base_year=0,
+            flows=tuple((t + 1, price * self.quantity / USD_PER_MUSD) for t, price in enumerate(prices)),
+        )
+        return [
+            Bidder(
+                bidder_id=bidder_id,
+                investment=investment,
+                cost_of_capital=Rate(cost),
+                expected_revenue_path=flows,
+            )
+            for bidder_id, investment, cost in self.bidders
+        ]
+
+    def tax_policy(self) -> dict[int, float] | float:
+        """The ``[tax_schedule]`` if given, else the constant ``tax_per_year``."""
+        return self.tax_constant if self.tax_schedule is None else self.tax_schedule
+
+
+_SCENARIO_SCALARS = {
+    "announced_rate",
+    "quantity_t_per_year",
+    "vpi",
+    "initial_price",
+    "drift",
+    "volatility",
+    "horizon",
+    "seed",
+    "replications",
+    "tax_per_year",
+}
+# Every scenario number must be finite. Some fields must also be integers,
+# and some must satisfy ``value <op> bound``. The price-path generator takes
+# seed + replication, which numpy requires to be >= 0.
+_SCENARIO_INTEGERS = {"horizon", "replications", "seed", "period"}
+_SCENARIO_BOUNDS = {
+    "announced_rate": (">", -1),
+    "cost_of_capital": (">", -1),
+    "vpi": (">", 0),
+    "i0": (">", 0),
+    "initial_price": (">", 0),
+    "volatility": (">=", 0),
+    "quantity_t_per_year": (">=", 0),
+    "price_usd_per_t": (">=", 0),
+    "horizon": (">=", 1),
+    "replications": (">=", 1),
+    "seed": (">=", 0),
+    "period": (">=", 1),
+}
+_SCENARIO_SECTIONS = {
+    "bidders": ("bidder_id", "i0", "cost_of_capital"),
+    "price_path": ("period", "price_usd_per_t"),
+    "tax_schedule": ("period", "tax"),
+}
+
+
+def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
+    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
+    if not math.isfinite(number):
+        problem = "must be finite"
+    elif key in _SCENARIO_INTEGERS and not number.is_integer():
+        problem = "must be an integer"
+    elif not (number > bound if op == ">" else number >= bound):
+        problem = f"must be {op} {bound}"
+    else:
+        return number
+    raise ScenarioError(f"{key} {problem}, got {number!r}", path, line)
+
+
+def _period_values(section: str, rows: list[tuple[int, list[str]]], path: Path) -> dict[int, float]:
+    """A ``period,value`` section as a dict; a period given twice raises ScenarioError."""
+    value_key = _SCENARIO_SECTIONS[section][1]
+    values: dict[int, float] = {}
+    for lineno, fields in rows:
+        period = int(_scenario_number(fields[0], "period", path, lineno))
+        if period in values:
+            raise ScenarioError(f"duplicate period {period}", path, lineno)
+        values[period] = _scenario_number(fields[1], value_key, path, lineno)
+    return values
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse a concession scenario: key=value lines plus optional sections.
+
+    Sections are ``[bidders]``, ``[price_path]``, and ``[tax_schedule]``,
+    each a small header+rows table. Either ``vpi`` or a bidders table must
+    be present, and either an explicit price path or ``initial_price`` with
+    ``horizon``. A number that is not finite, not an integer where one is
+    required, or out of its field's bound raises ScenarioError naming the
+    line, as does a ``drift`` or ``quantity_t_per_year`` that overflows the
+    forecast price or revenue.
+    """
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    scalars: dict[str, float] = {}
+    scalar_lines: dict[str, int] = {}
+    tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
+    section: str | None = None
+    header_pending = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _SCENARIO_SECTIONS:
+                raise ScenarioError(f"unknown section {section!r}", path, lineno)
+            header_pending = True
+            continue
+        if section is None:
+            if "=" not in line:
+                raise ScenarioError("expected key=value line", path, lineno)
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in _SCENARIO_SCALARS:
+                raise ScenarioError(f"unknown key {key!r}", path, lineno)
+            if key in scalars:
+                raise ScenarioError(f"duplicate key {key!r}", path, lineno)
+            scalars[key] = _scenario_number(value, key, path, lineno)
+            scalar_lines[key] = lineno
+            continue
+        expected = ",".join(_SCENARIO_SECTIONS[section])
+        if header_pending:
+            if line != expected:
+                raise ScenarioError(f"section [{section}] must start with header {expected!r}", path, lineno)
+            header_pending = False
+            continue
+        fields = line.split(",")
+        if len(fields) != len(_SCENARIO_SECTIONS[section]):
+            raise ScenarioError(
+                f"expected {len(_SCENARIO_SECTIONS[section])} columns, got {len(fields)}", path, lineno
+            )
+        tables[section].append((lineno, fields))
+
+    if "announced_rate" not in scalars:
+        raise ScenarioError("missing required key 'announced_rate'", path)
+    if "quantity_t_per_year" not in scalars:
+        raise ScenarioError("missing required key 'quantity_t_per_year'", path)
+
+    bidders = []
+    seen_bidders = set()
+    for lineno, fields in tables["bidders"]:
+        bidder_id = fields[0].strip()
+        if not bidder_id:
+            raise ScenarioError("bidder_id must be non-empty", path, lineno)
+        if bidder_id in seen_bidders:
+            raise ScenarioError(f"duplicate bidder_id {bidder_id!r}", path, lineno)
+        seen_bidders.add(bidder_id)
+        bidders.append(
+            (
+                bidder_id,
+                _scenario_number(fields[1], "i0", path, lineno),
+                _scenario_number(fields[2], "cost_of_capital", path, lineno),
+            )
+        )
+
+    explicit_path: tuple[float, ...] | None = None
+    if tables["price_path"]:
+        by_period = _period_values("price_path", tables["price_path"], path)
+        periods = sorted(by_period)
+        if periods != list(range(1, len(periods) + 1)):
+            raise ScenarioError(f"price path periods must run 1..n, got {periods}", path)
+        explicit_path = tuple(by_period[p] for p in periods)
+    tax_schedule = _period_values("tax_schedule", tables["tax_schedule"], path) if tables["tax_schedule"] else None
+
+    vpi = scalars.get("vpi")
+    if vpi is None and not bidders:
+        raise ScenarioError("scenario needs either 'vpi' or a [bidders] section", path)
+    initial_price = scalars.get("initial_price")
+    horizon = scalars.get("horizon")
+    if explicit_path is None and (initial_price is None or horizon is None):
+        raise ScenarioError(
+            "scenario needs either a [price_path] section or initial_price and horizon", path
+        )
+    drift = scalars.get("drift", 0.0)
+    if explicit_path is None:
+        # The forecast peaks at the last period; it can only overflow for a drift > 0.
+        peak_price = _forecast_price(initial_price, drift, horizon - 1)
+        if not math.isfinite(peak_price):
+            raise ScenarioError(
+                "drift overflows the price forecast initial_price * exp(drift * (horizon - 1)), "
+                f"got {drift!r}",
+                path,
+                scalar_lines["drift"],
+            )
+        peak_price = max(initial_price, peak_price)
+    else:
+        peak_price = max(explicit_path)
+    # Revenue grows with the price, so the peak price bounds every period's revenue.
+    quantity = scalars["quantity_t_per_year"]
+    if not math.isfinite(peak_price * quantity / USD_PER_MUSD):
+        raise ScenarioError(
+            "quantity_t_per_year overflows the peak forecast revenue price * quantity_t_per_year / 1e6, "
+            f"got {quantity!r}",
+            path,
+            scalar_lines["quantity_t_per_year"],
+        )
+
+    return Scenario(
+        announced_rate=scalars["announced_rate"],
+        quantity=quantity,
+        vpi=vpi,
+        bidders=tuple(bidders),
+        explicit_path=explicit_path,
+        initial_price=initial_price,
+        drift=drift,
+        volatility=scalars.get("volatility", 0.0),
+        horizon=int(horizon) if horizon is not None else None,
+        seed=int(scalars.get("seed", 0)),
+        replications=int(scalars.get("replications", 1)),
+        tax_constant=scalars.get("tax_per_year", 0.0),
+        tax_schedule=tax_schedule,
+    )

@@ -222,7 +222,8 @@ def test_criterion_4d_indemnity_telescoping_and_overshoot():
                     break
                 previous = indemnity
         if state.status is ConcessionStatus.EXPIRED:
-            final_pv = state.counted_revenue_log[-1][2] / compound(rate, state.current_year)
+            # No tax: the counted revenue of the expiry period is its gross.
+            final_pv = float(grosses[state.current_year - 1]) / compound(rate, state.current_year)
             if not (vpi <= state.accrued_pv < vpi + final_pv + 1e-12):
                 failures.append(f"case {case}: overshoot bound violated")
     report(4, "property (d): indemnity telescoping and overshoot bound", failures)

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,20 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: valuation_year 2005 precedes last flow year")
 
+    @pytest.mark.parametrize(
+        "opening_year, rate_flags",
+        [("-2112", []), ("1995", ["--rf", "1e300", "--beta", "0", "--erp", "0", "--country", "0"])],
+    )
+    def test_discount_factor_overflow_is_one_error_line(self, tmp_path, capsys, opening_year, rate_flags):
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("opening_year=1995", f"opening_year={opening_year}"))
+        out = tmp_path / "out"
+        code = main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), *rate_flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: a discount factor (1 + rate) ** years overflows a float"]
+        assert not out.exists()
+
     def test_summary_numbers_match_bruteforce_oracle(self, tmp_path, corpus_mines, corpus_market):
         from oracle import pipeline_brute, rel_close
 
@@ -358,6 +373,11 @@ class TestSimulateConcession:
             # initial_price * exp(drift * 9): math.exp overflows, then the product does
             ("drift=1000", "drift overflows the price forecast initial_price * exp(drift * (horizon - 1))"),
             ("drift=78.5", "drift overflows the price forecast initial_price * exp(drift * (horizon - 1))"),
+            # 1000 * 1e306 overflows before the division by 1e6
+            (
+                "quantity_t_per_year=1e306",
+                "quantity_t_per_year overflows the peak forecast revenue price * quantity_t_per_year / 1e6",
+            ),
         ],
     )
     def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
@@ -395,6 +415,57 @@ class TestSimulateConcession:
         assert code == 1
         lineno = len(text.splitlines())
         assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:{lineno}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_seeded_revenue_overflow_is_one_error_line(self, tmp_path, capsys):
+        # The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e300\n"
+            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=3\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}: gross revenue is not finite in run 0, period 2: inf"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # At -0.9 discounting multiplies revenue by 10 a period: 10 * 10**308 overflows.
+            (
+                "simulate-concession",
+                CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=-0.9")
+                .replace("vpi=30", "vpi=1.7e308")
+                .replace("horizon=10", "horizon=1000"),
+                "{scenario}: accrued PV overflows a float in run 0, period 308",
+            ),
+            # 'far' repays its 1e200 near period 660; the -0.9 accrual overflows near period 308.
+            *(
+                (
+                    command,
+                    AUCTION_SCENARIO.replace("announced_rate=0.06", "announced_rate=-0.9").replace(
+                        "horizon=25", "horizon=1000"
+                    )
+                    + "far,1e200,-0.5\n",
+                    "bidder 'far': bid overflows a float",
+                )
+                for command in ("auction", "simulate-concession")
+            ),
+        ],
+    )
+    def test_discounting_overflow_is_one_error_line(self, tmp_path, capsys, command, text, message):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(scenario=scenario)]
         assert not (tmp_path / "out").exists()
 
     def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):

@@ -164,7 +164,6 @@ class TestStepConcession:
             accrued.append(state.accrued_pv)
         assert accrued == pytest.approx([5.4545, 10.4132, 14.9211, 19.0192, 22.7447], abs=1e-4)
         assert state.current_year == 5
-        assert state.counted_revenue_log[-1] == (11.0, 5.0, 6.0)
 
     def test_stepping_terminal_state_rejected(self):
         state = new_concession(5.0, Rate(0.0))
@@ -330,7 +329,7 @@ class TestSimulateConcession:
         outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate))
         state = outcome.final_state
         if state.status is ConcessionStatus.EXPIRED:
-            final_pv = state.counted_revenue_log[-1][2] / (1 + rate) ** state.current_year
+            final_pv = outcome.rows[-1].counted_revenue / (1 + rate) ** state.current_year
             assert vpi <= state.accrued_pv < vpi + final_pv + 1e-12
         else:
             assert state.accrued_pv < vpi

@@ -53,7 +53,6 @@ class TestLoadMineDataset:
         assert mine.first_reported_year == 2001
         assert [r.year for r in mine.records] == list(range(2001, 2012))
         assert all(not r.reconstructed for r in mine.records)
-        assert mine.load_warnings == ()
 
     def test_duplicate_year_names_line(self, tmp_path):
         path = tmp_path / "demo.csv"
@@ -64,13 +63,13 @@ class TestLoadMineDataset:
         assert "duplicate year 2005" in str(excinfo.value)
         assert excinfo.value.line == len(META) + 1 + 3
 
-    def test_empty_records_section_warns(self, tmp_path):
+    def test_empty_records_section_warns(self, tmp_path, corpus_market):
         path = tmp_path / "demo.csv"
         write_mine_file(path, [])
         mine = load_mine_dataset(path)
         assert mine.records == ()
         assert mine.first_reported_year is None
-        assert NO_HISTORY_WARNING in mine.load_warnings
+        assert NO_HISTORY_WARNING in [w.message for w in validate_dataset(mine, corpus_market).warnings]
 
     def test_blank_exports_defaults_to_production(self, tmp_path):
         path = tmp_path / "demo.csv"
@@ -183,6 +182,16 @@ class TestMarketSeries:
         )
         with pytest.raises(SchemaError):
             load_market_series(path)
+
+    def test_duplicate_fund_rate_names_line(self, tmp_path):
+        path = tmp_path / "market.csv"
+        path.write_text(
+            "fund_rate=0.05\nfund_rate=0.9\n"
+            "year,copper_price_usd_per_t,gdp_usd_m,exploration_pct_gdp\n2001,1580,50000,0.003\n"
+        )
+        with pytest.raises(SchemaError) as excinfo:
+            load_market_series(path)
+        assert str(excinfo.value) == f"{path}:2: duplicate metadata key 'fund_rate'"
 
 
 class TestValidateDataset:

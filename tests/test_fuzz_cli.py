@@ -1,0 +1,162 @@
+"""Fuzzed input files through ``main()``: a clean exit code and clean stderr, whatever the text.
+
+Each strategy starts from a valid file and mutates a few of its lines:
+arbitrary text, a key or field set to an odd number, a line deleted or
+repeated. Whatever the result, a command must return 0, 1 or 2, raise
+nothing (a warning counts as raising), and write only ``error:`` and
+``warning:`` lines to stderr; a scenario that fails gives exactly one
+``error:`` line.
+
+``horizon`` and ``replications`` stay at or below 10**4 (and their product
+at or below 2 * 10**5): the engine holds every period of every replication
+in memory, so far larger values exhaust it instead of failing cleanly.
+Integers written into lines stay within 10**4 in size, and random text has
+no digits, for the same reason: the market contiguity check enumerates
+every year between the first and the last.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from minerent.cli import main
+
+from conftest import MARKET_FILE, MINES_DIR
+
+SCENARIO = """\
+announced_rate=0.06
+quantity_t_per_year=10000
+initial_price=2000
+drift=0.01
+volatility=0.2
+horizon=40
+seed=7
+replications=25
+tax_per_year=2
+[bidders]
+bidder_id,i0,cost_of_capital
+slim,90,0.12
+heavy,140,0.12
+[tax_schedule]
+period,tax
+3,1.5
+"""
+PRICE_PATH_SCENARIO = """\
+announced_rate=0.05
+quantity_t_per_year=10000
+vpi=30
+[price_path]
+period,price_usd_per_t
+1,1000
+2,1000
+3,1500
+"""
+MINE = (MINES_DIR / "alpha.csv").read_text()
+MARKET = MARKET_FILE.read_text()
+
+SIZE_CAP = 10**4
+CELL_CAP = 2 * 10**5
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-SIZE_CAP, SIZE_CAP).map(str),
+    st.sampled_from(["", "-0", "-1", "0.5", "1e308", "-1e308", "5e-324", "nan", "inf", "1_0", " 7 ", "0x10"]),
+)
+words = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=40)
+cells = st.one_of(numbers, words)
+
+
+@st.composite
+def mutated(draw, valid: str) -> str:
+    lines = valid.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        kind = draw(st.sampled_from(["text", "value", "cell", "delete", "repeat"]))
+        if not lines:
+            lines.append(draw(words))
+        elif kind == "text":
+            lines[at] = draw(words)
+        elif kind == "value":
+            lines[at] = f"{lines[at].partition('=')[0]}={draw(numbers)}"
+        elif kind == "cell":
+            fields = lines[at].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(cells)
+            lines[at] = ",".join(fields)
+        elif kind == "delete":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _scalar(text: str, key: str, default: float) -> float:
+    match = re.search(rf"^\s*{key}\s*=(.*)$", text, re.MULTILINE)
+    try:
+        return float(match.group(1)) if match else default
+    except ValueError:
+        return default
+
+
+def _small(text: str) -> bool:
+    horizon, replications = _scalar(text, "horizon", 1), _scalar(text, "replications", 1)
+    return abs(horizon) <= SIZE_CAP and abs(replications) <= SIZE_CAP and abs(horizon * replications) <= CELL_CAP
+
+
+def run_cli(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one in-process run; any warning raises."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (code, lines)
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    if code == 0:
+        assert not any(line.startswith("error: ") for line in lines), lines
+    else:
+        assert any(line.startswith("error: ") for line in lines), lines
+    return code, lines
+
+
+@FUZZ
+@given(
+    text=st.one_of(mutated(SCENARIO), mutated(PRICE_PATH_SCENARIO), st.text(max_size=200)),
+    command=st.sampled_from(["auction", "simulate-concession"]),
+)
+def test_scenario_slot(text, command):
+    assume(_small(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.txt"
+        scenario.write_text(text, encoding="utf-8")
+        code, lines = run_cli([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "out")])
+    if code:
+        assert sum(line.startswith("error: ") for line in lines) == 1, lines
+
+
+@FUZZ
+@given(text=st.one_of(mutated(MINE), st.text(max_size=200)), command=st.sampled_from(["analyze", "reconstruct"]))
+def test_mine_slot(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        mines = Path(tmp) / "mines"
+        shutil.copytree(MINES_DIR, mines)
+        (mines / "alpha.csv").write_text(text, encoding="utf-8")
+        run_cli([command, "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(Path(tmp) / "out")])
+
+
+@FUZZ
+@given(text=st.one_of(mutated(MARKET), st.text(max_size=200)), command=st.sampled_from(["analyze", "reconstruct"]))
+def test_market_slot(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        market = Path(tmp) / "market.csv"
+        market.write_text(text, encoding="utf-8")
+        run_cli([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(Path(tmp) / "out")])
