@@ -138,9 +138,6 @@ def cmd_analyze(config: RunConfig) -> int:
         )
     except (ReconstructionError, ValueError) as exc:
         return _fail(str(exc), 1)
-    except OverflowError:
-        # (1 + rate) ** years, for a huge custom rate or an opening year thousands of years off.
-        return _fail("a discount factor (1 + rate) ** years overflows a float", 1)
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,18 +233,7 @@ def _outcome_json(outcome, vpi: float) -> dict:
         "status": outcome.final_state.status.value,
         "accrued_pv": outcome.final_state.accrued_pv,
         "warning": outcome.warning,
-        "rows": [
-            {
-                "period": row.period,
-                "price": row.price,
-                "gross_revenue": row.gross_revenue,
-                "voluntary_tax": row.voluntary_tax,
-                "counted_revenue": row.counted_revenue,
-                "accrued_pv": row.accrued_pv,
-                "status": row.status,
-            }
-            for row in outcome.rows
-        ],
+        "rows": [row._asdict() for row in outcome.rows],
     }
 
 

@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .data_model import USD_PER_MUSD
-from .valuation import CashFlowSeries, Rate, as_rate
+from .valuation import CashFlowSeries, Rate, as_rate, compound, discount
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,27 +133,6 @@ def _check_revenue_path(path: CashFlowSeries) -> None:
             raise ValueError(f"revenue must be nonnegative, got {amount!r} at period {year - path.base_year}")
 
 
-def _compound(rate: float, period: int) -> float:
-    """``(1 + rate) ** period``, or infinity where that overflows a float.
-
-    A discounted term ``amount / _compound(rate, period)`` past the overflow
-    point is then exactly 0.0, its limit, instead of an ``OverflowError``;
-    below it the value is the plain power, bit for bit.
-    """
-    try:
-        return (1.0 + rate) ** period
-    except OverflowError:
-        return math.inf
-
-
-def _discounted(amount: float, rate: float, period: int) -> float:
-    """``amount / _compound(rate, period)``, or its limit where a negative rate's power underflows to 0.0."""
-    factor = _compound(rate, period)
-    if factor:
-        return amount / factor
-    return math.inf if amount else 0.0
-
-
 def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | None:
     """The bidder's LPVR bid: what the concession accrues by its earliest repaying stop.
 
@@ -175,8 +154,8 @@ def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | Non
     accrued = own_pv = 0.0
     for year, amount in path.flows:
         offset = year - path.base_year
-        accrued += _discounted(amount, announced, offset)
-        own_pv += _discounted(amount, own, offset)
+        accrued += discount(amount, announced, offset)
+        own_pv += discount(amount, own, offset)
         if own_pv >= bidder.investment:
             if not math.isfinite(accrued):
                 raise ValueError(f"bidder {bidder.bidder_id!r}: bid overflows a float")
@@ -228,7 +207,7 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
         raise _tax_error(voluntary_tax, gross_revenue)
     counted = gross_revenue - voluntary_tax
     period = state.current_year + 1
-    accrued = state.accrued_pv + counted / _compound(state.announced_rate.value, period)
+    accrued = state.accrued_pv + discount(counted, state.announced_rate.value, period)
     status = ConcessionStatus.EXPIRED if accrued >= state.vpi_target else ConcessionStatus.ACTIVE
     return state._replace(
         current_year=period,
@@ -247,13 +226,14 @@ def expropriation_indemnity(state: ConcessionState, at_expropriation_date: bool 
     """Unearned part of the VPI target; zero once the concession expired.
 
     Expressed in present value at concession start by default; with
-    ``at_expropriation_date`` it is compounded to the current year.
+    ``at_expropriation_date`` it is compounded to the current year, which
+    gives infinity where ``compound`` overflows a float.
     """
     if state.status is ConcessionStatus.EXPIRED:
         return 0.0
     indemnity = state.vpi_target - state.accrued_pv
     if at_expropriation_date:
-        indemnity *= (1.0 + state.announced_rate.value) ** state.current_year
+        indemnity *= compound(state.announced_rate.value, state.current_year)
     return indemnity
 
 
@@ -372,12 +352,12 @@ def accrue_concessions(
     tax = np.where(0.0 > requested, 0.0, requested)
     tax = np.where(gross < tax, gross, tax)
     counted = gross - tax
-    factors = np.array([_compound(rate, period) for period in range(1, periods + 1)])
-    # A negative rate's factor can underflow to 0.0; the check below rejects what that breaks.
+    factors = np.array([compound(rate, period) for period in range(1, periods + 1)])
+    # A zero counted revenue adds +0.0: ``discount``'s limit over a factor underflowed
+    # to 0.0, and what -0.0 adds to a loop that starts from +0.0.
+    terms = np.zeros_like(counted)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        accrued = np.cumsum(counted / factors, axis=1)
-    # The loop starts from +0.0, so where the running sum is -0.0 it reads +0.0.
-    accrued += 0.0
+        accrued = np.cumsum(np.divide(counted, factors, out=terms, where=counted != 0), axis=1)
     hit = accrued >= vpi
     expired = hit.any(axis=1)
     first_hit = hit.argmax(axis=1) if periods else 0

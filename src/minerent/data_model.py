@@ -495,11 +495,13 @@ def validate_dataset(mine: MineDataset, market: MarketSeries) -> ValidationRepor
             )
         if not math.isfinite(ent.gdp):
             err(locator, "money-finite", f"gdp is not finite: {ent.gdp}")
-    if market.entries:
-        years = [ent.year for ent in market.entries]
-        missing = sorted(set(range(min(years), max(years) + 1)) - set(years))
-        if missing:
-            err("market", "market-contiguous", f"non-contiguous market coverage: missing {missing}")
+    years = sorted({ent.year for ent in market.entries})
+    missing = years[-1] - years[0] + 1 - len(years) if years else 0
+    if missing:
+        # Counted and listed from the rows, never from the span of years they cover.
+        gaps = [f"{a + 1}" if b - a == 2 else f"{a + 1}-{b - 1}" for a, b in zip(years, years[1:]) if b - a > 1]
+        shown = ", ".join(gaps[:3]) + (", ..." if len(gaps) > 3 else "")
+        err("market", "market-contiguous", f"non-contiguous market coverage: {missing} year(s) missing: {shown}")
     if not (math.isfinite(market.fund_rate) and market.fund_rate > -1):
         err("market", "fund-rate-range", f"fund_rate must be finite and > -1, got {market.fund_rate}")
 

@@ -14,6 +14,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord
+from .valuation import finite_compound
 
 DEFAULT_BASELINE_WINDOW = (2001, 2005)
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
@@ -56,7 +57,6 @@ class ExplorationImputation(NamedTuple):
 
     allocations: dict[str, float]
     yearly_allocations: dict[int, dict[str, float]]
-    cohort_window_years: int
     total_private_spend: float
     rate: float
     successful_campaigns: int | None = None
@@ -185,13 +185,12 @@ def reconstruct_year(
 def reconstruct_dataset(
     mine: MineDataset,
     market: MarketSeries,
-    baseline_window: tuple[int, int] = DEFAULT_BASELINE_WINDOW,
     audit: list[str] | None = None,
 ) -> MineDataset:
     """Backfill every physical-history year, returning a full dataset."""
     if not mine.physical_history:
         return mine
-    baseline = compute_baseline_stats(mine.records, baseline_window)
+    baseline = compute_baseline_stats(mine.records)
     rebuilt = [
         reconstruct_year(mine, phys.year, market, baseline, audit)
         for phys in mine.physical_history
@@ -205,18 +204,16 @@ def impute_exploration(
     cohort: list[MineDataset] | tuple[MineDataset, ...],
     r: float,
     window: tuple[int, int] = DEFAULT_IMPUTATION_WINDOW,
-    private_share: float = PRIVATE_EXPLORATION_SHARE,
-    cohort_window_years: int = DEFAULT_COHORT_WINDOW_YEARS,
     successful_campaigns: int | None = None,
     total_campaigns: int | None = None,
 ) -> ExplorationImputation:
     """Prorate national exploration spend across the mine cohort.
 
     For each spend year, the private share of national spend (GDP times the
-    exploration share) is split among mines within ``cohort_window_years``
-    of their opening year, in proportion to mean production; each share is
-    then capitalized forward at ``r`` to the mine's opening year. Spend
-    years with no eligible mine are left unallocated with a warning.
+    exploration share) is split among mines within the cohort window of
+    their opening year, in proportion to mean production; each share is then
+    capitalized forward at ``r`` to the mine's opening year (ValueError where
+    that overflows). A spend year with no eligible mine is left unallocated, with a warning.
     """
     mines = sorted(cohort, key=lambda m: m.mine_id)
     mean_production = {m.mine_id: m.mean_production() for m in mines}
@@ -230,9 +227,9 @@ def impute_exploration(
             continue
         entry = market.entry(year)
         national = entry.gdp * entry.exploration_spend_pct_gdp
-        private = private_share * national
+        private = PRIVATE_EXPLORATION_SHARE * national
         total_private += private
-        eligible = [m for m in mines if m.opening_year - cohort_window_years <= year <= m.opening_year]
+        eligible = [m for m in mines if m.opening_year - DEFAULT_COHORT_WINDOW_YEARS <= year <= m.opening_year]
         pool = sum(mean_production[m.mine_id] for m in eligible)
         if not eligible or pool <= 0:
             warnings.append(f"spend-year {year}: no eligible mine; {private!r} left unallocated")
@@ -242,7 +239,7 @@ def impute_exploration(
         }
         yearly[year] = shares
         for m in eligible:
-            allocations[m.mine_id] += shares[m.mine_id] * (1.0 + r) ** (m.opening_year - year)
+            allocations[m.mine_id] += shares[m.mine_id] * finite_compound(r, m.opening_year - year)
 
     probability_inverse = None
     if successful_campaigns is not None and total_campaigns is not None:
@@ -253,7 +250,6 @@ def impute_exploration(
     return ExplorationImputation(
         allocations=allocations,
         yearly_allocations=yearly,
-        cohort_window_years=cohort_window_years,
         total_private_spend=total_private,
         rate=r,
         successful_campaigns=successful_campaigns,

@@ -13,19 +13,15 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .data_model import DiscountSpec, MarketSeries, MineDataset
-from .reconstruction import (
-    DEFAULT_BASELINE_WINDOW,
-    DEFAULT_IMPUTATION_WINDOW,
-    ExplorationImputation,
-    impute_exploration,
-    reconstruct_dataset,
-)
+from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_dataset
 from .valuation import (
     CashFlowSeries,
     InitialInvestment,
     Rate,
     as_rate,
+    discount,
     discount_rate,
+    finite_compound,
     initial_investment,
     mine_cash_flows,
 )
@@ -49,12 +45,14 @@ class RvpSeries(NamedTuple):
 
 
 def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float, mine_id: str = "") -> RvpSeries:
-    """Cumulative discounted cash flow minus the initial investment, per year."""
+    """Cumulative discounted cash flow minus the initial investment, per year; ValueError where a factor overflows."""
     r = as_rate(rate)
+    if flows.flows:
+        finite_compound(r.value, flows.years[-1] - flows.base_year)  # the largest factor overflows first
     cumulative = 0.0
     points: list[tuple[int, float]] = []
     for year, amount in flows.flows:
-        cumulative += amount / (1.0 + r.value) ** (year - flows.base_year)
+        cumulative += discount(amount, r.value, year - flows.base_year)
         points.append((year, cumulative - investment.total))
     final = points[-1][1] if points else 0.0
     series = RvpSeries(
@@ -84,7 +82,7 @@ def rent_forward_value(
     """Nominal flows after year ``x``, compounded forward to ``valuation_year``.
 
     Returns 0 when ``x`` is absent (no rent appropriated) or when no flow
-    lies strictly after ``x``.
+    lies strictly after ``x``. ValueError where a factor overflows.
     """
     if x is None:
         return 0.0
@@ -95,7 +93,7 @@ def rent_forward_value(
     rate = as_rate(fund_rate).value
     return sum(
         (
-            amount * (1.0 + rate) ** (valuation_year - year)
+            amount * finite_compound(rate, valuation_year - year)
             for year, amount in flows.flows
             if year > x
         ),
@@ -141,8 +139,6 @@ def sensitivity_report(
     market: MarketSeries,
     specs: Sequence[tuple[str, DiscountSpec | Rate | float]],
     valuation_year: int = DEFAULT_VALUATION_YEAR,
-    baseline_window: tuple[int, int] = DEFAULT_BASELINE_WINDOW,
-    imputation_window: tuple[int, int] = DEFAULT_IMPUTATION_WINDOW,
     audit: list[str] | None = None,
 ) -> SensitivityReport:
     """Run the whole pipeline under each labeled rate.
@@ -157,11 +153,11 @@ def sensitivity_report(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate rate labels: {labels}")
 
-    full_mines = [reconstruct_dataset(m, market, baseline_window, audit) for m in mines]
+    full_mines = [reconstruct_dataset(m, market, audit) for m in mines]
     series: dict[tuple[str, str], RvpSeries] = {}
     for label, spec in specs:
         rate = discount_rate(spec) if isinstance(spec, DiscountSpec) else as_rate(spec)
-        exploration = impute_exploration(market, full_mines, rate.value, window=imputation_window)
+        exploration = impute_exploration(market, full_mines, rate.value)
         for mine in full_mines:
             series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
     return SensitivityReport(

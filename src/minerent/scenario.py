@@ -19,6 +19,11 @@ from .data_model import USD_PER_MUSD, DataFileError
 from .valuation import CashFlowSeries, Rate
 
 
+# Bound on periods × replications, the cells the concession engine holds at once. At the
+# bound one never-expiring replication, all of whose rows are written, peaks near 700 MB RSS.
+MAX_SIMULATED_PERIODS = 300_000
+
+
 class ScenarioError(DataFileError):
     """Unparseable or inconsistent concession scenario file."""
 
@@ -150,7 +155,8 @@ def load_scenario(path: str | Path) -> Scenario:
     ``horizon``. A number that is not finite, not an integer where one is
     required, or out of its field's bound raises ScenarioError naming the
     line, as does a ``drift`` or ``quantity_t_per_year`` that overflows the
-    forecast price or revenue.
+    forecast price or revenue, or periods (``horizon`` or ``[price_path]``
+    rows) × ``replications`` above ``MAX_SIMULATED_PERIODS``.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -235,6 +241,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             "scenario needs either a [price_path] section or initial_price and horizon", path
         )
+    replications = scalars.get("replications", 1)
+    cells = (horizon if explicit_path is None else len(explicit_path)) * replications
+    if cells > MAX_SIMULATED_PERIODS:
+        line = scalar_lines["horizon"] if explicit_path is None else scalar_lines.get("replications")
+        raise ScenarioError(f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {cells!r}", path, line)
     drift = scalars.get("drift", 0.0)
     if explicit_path is None:
         # The forecast peaks at the last period; it can only overflow for a drift > 0.
@@ -270,7 +281,7 @@ def load_scenario(path: str | Path) -> Scenario:
         volatility=scalars.get("volatility", 0.0),
         horizon=int(horizon) if horizon is not None else None,
         seed=int(scalars.get("seed", 0)),
-        replications=int(scalars.get("replications", 1)),
+        replications=int(replications),
         tax_constant=scalars.get("tax_per_year", 0.0),
         tax_schedule=tax_schedule,
     )

@@ -81,6 +81,32 @@ class InitialInvestment(_InitialInvestmentFields):
         return super().__new__(cls, extraction, exploration, total)
 
 
+def compound(rate: float, t: int) -> float:
+    """``(1 + rate) ** t`` as a plain float power, or infinity where that overflows a float."""
+    try:
+        return (1.0 + rate) ** t
+    except OverflowError:
+        return math.inf
+
+
+def discount(amount: float, rate: float, t: int) -> float:
+    """``amount / compound(rate, t)``, or its limit: a zero where the factor overflows and, where a
+    negative rate underflows it to 0.0, 0.0 for a zero amount, else an infinity of the amount's sign.
+    """
+    factor = compound(rate, t)
+    if factor:
+        return amount / factor
+    return math.copysign(math.inf, amount) if amount else 0.0
+
+
+def finite_compound(rate: float, t: int) -> float:
+    """``compound(rate, t)``, or ValueError where it overflows: the rent analysis reports finite values only."""
+    factor = compound(rate, t)
+    if math.isinf(factor):
+        raise ValueError("a discount factor (1 + rate) ** years overflows a float")
+    return factor
+
+
 def discount_rate(spec: DiscountSpec) -> Rate:
     """Additive cost of capital: risk_free + beta * equity_premium + country_risk."""
     return Rate(spec.risk_free + spec.beta * spec.equity_premium + spec.country_risk)
@@ -127,6 +153,6 @@ def initial_investment(mine: MineDataset, exploration) -> InitialInvestment:
 
 
 def present_value(series: CashFlowSeries, rate: Rate | float) -> float:
-    """Sum of flows discounted end-of-year: flow / (1+r)^(year - base_year)."""
+    """Sum of flows discounted end-of-year: flow / (1+r)^(year - base_year), with ``discount``'s limits."""
     r = as_rate(rate).value
-    return sum(amount / (1.0 + r) ** (year - series.base_year) for year, amount in series.flows)
+    return sum(discount(amount, r, year - series.base_year) for year, amount in series.flows)

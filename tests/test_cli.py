@@ -83,6 +83,18 @@ class TestLoadAndValidate:
             "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)"
         ]
 
+    def test_far_market_year_is_one_short_error_line(self, tmp_path, capsys, command):
+        # The gap 2013..999999 is counted and shown as one range, not listed year by year.
+        market = tmp_path / "market.csv"
+        market.write_text(MARKET_FILE.read_text() + "1000000,7950.0,235637.23,0.0014\n")
+        code = main([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: market: [market-contiguous] non-contiguous market coverage: 997987 year(s) missing: 2013-999999"
+        ]
+        assert len(err[0]) < 1024
+
 
 class TestAnalyze:
     def test_corpus_run_produces_artifacts(self, tmp_path):
@@ -208,15 +220,22 @@ class TestAnalyze:
         assert len(err) == 1 and err[0].startswith("error: valuation_year 2005 precedes last flow year")
 
     @pytest.mark.parametrize(
-        "opening_year, rate_flags",
-        [("-2112", []), ("1995", ["--rf", "1e300", "--beta", "0", "--erp", "0", "--country", "0"])],
+        "opening_year, rate_flags, fund_rate",
+        [
+            ("-2112", [], "0.0507"),
+            ("1995", ["--rf", "1e300", "--beta", "0", "--erp", "0", "--country", "0"], "0.0507"),
+            # Compounding rent forward from 2010 to 2012 at 1e300 overflows.
+            ("1995", [], "1e300"),
+        ],
     )
-    def test_discount_factor_overflow_is_one_error_line(self, tmp_path, capsys, opening_year, rate_flags):
+    def test_discount_factor_overflow_is_one_error_line(self, tmp_path, capsys, opening_year, rate_flags, fund_rate):
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         alpha.write_text(alpha.read_text().replace("opening_year=1995", f"opening_year={opening_year}"))
+        market = tmp_path / "market.csv"
+        market.write_text(MARKET_FILE.read_text().replace("fund_rate=0.0507", f"fund_rate={fund_rate}"))
         out = tmp_path / "out"
-        code = main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), *rate_flags, "--out", str(out)])
+        code = main(["analyze", "--mines", str(mines), "--market", str(market), *rate_flags, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: a discount factor (1 + rate) ** years overflows a float"]
         assert not out.exists()
@@ -378,6 +397,7 @@ class TestSimulateConcession:
                 "quantity_t_per_year=1e306",
                 "quantity_t_per_year overflows the peak forecast revenue price * quantity_t_per_year / 1e6",
             ),
+            ("horizon=1e12", "periods * replications must be <= 300000"),
         ],
     )
     def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
@@ -467,6 +487,21 @@ class TestSimulateConcession:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(scenario=scenario)]
         assert not (tmp_path / "out").exists()
+
+    def test_zero_revenue_past_discount_underflow_adds_nothing(self, tmp_path, capsys):
+        # (1 - 0.9) ** t underflows to 0.0 past t = 323; the zero revenue there adds 0.0, not 0 / 0.
+        scenario = tmp_path / "scenario.txt"
+        rows = "".join(f"{period},0\n" for period in range(2, 401))
+        scenario.write_text(
+            "announced_rate=-0.9\nquantity_t_per_year=10000\nvpi=30\n"
+            f"[price_path]\nperiod,price_usd_per_t\n1,1.0\n{rows}"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("warning: replication 0: concession still active after 400 periods")
+        outcome = json.loads((out / "concession_outcome.json").read_text())
+        assert len(outcome["rows"]) == 400
+        assert {repr(row["accrued_pv"]) for row in outcome["rows"]} == {"0.10000000000000002"}
 
     def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):
         # (1.06) ** t overflows a float past t = 12180; later periods add 0.0.

@@ -399,6 +399,7 @@ class TestAccrualKernel:
             ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
             ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
             ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
+            ([1.0] + [0.0] * 399, -0.9, 30.0),  # discount factors underflow to 0.0 past period 323
             ([], 0.05, 10.0),
         ],
     )

@@ -7,12 +7,14 @@ nothing (a warning counts as raising), and write only ``error:`` and
 ``warning:`` lines to stderr; a scenario that fails gives exactly one
 ``error:`` line.
 
-``horizon`` and ``replications`` stay at or below 10**4 (and their product
-at or below 2 * 10**5): the engine holds every period of every replication
-in memory, so far larger values exhaust it instead of failing cleanly.
-Integers written into lines stay within 10**4 in size, and random text has
-no digits, for the same reason: the market contiguity check enumerates
-every year between the first and the last.
+A scenario runs only with ``horizon`` and ``replications`` at or below
+10**4 (and their product at or below 2 * 10**5), which keeps each example
+fast, or with a product above ``MAX_SIMULATED_PERIODS``, which
+``load_scenario`` must reject before the engine allocates anything; the
+sampled numbers include such over-bound values. Other integers written
+into lines stay within 10**4 in size, and random text has no digits: these
+caps date from a market contiguity check that enumerated every year
+between the first and the last, and are not yet widened.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from minerent.cli import main
+from minerent.scenario import MAX_SIMULATED_PERIODS
 
 from conftest import MARKET_FILE, MINES_DIR
 
@@ -71,6 +74,8 @@ numbers = st.one_of(
     st.floats().map(repr),
     st.integers(-SIZE_CAP, SIZE_CAP).map(str),
     st.sampled_from(["", "-0", "-1", "0.5", "1e308", "-1e308", "5e-324", "nan", "inf", "1_0", " 7 ", "0x10"]),
+    # Over the scenario bound on their own, as a horizon or as a replication count.
+    st.sampled_from(["1e12", str(MAX_SIMULATED_PERIODS + 1)]),
 )
 words = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=40)
 cells = st.one_of(numbers, words)
@@ -109,6 +114,8 @@ def _scalar(text: str, key: str, default: float) -> float:
 
 def _small(text: str) -> bool:
     horizon, replications = _scalar(text, "horizon", 1), _scalar(text, "replications", 1)
+    if horizon * replications > MAX_SIMULATED_PERIODS:
+        return True  # rejected by load_scenario
     return abs(horizon) <= SIZE_CAP and abs(replications) <= SIZE_CAP and abs(horizon * replications) <= CELL_CAP
 
 
@@ -133,6 +140,8 @@ def run_cli(argv: list[str]) -> tuple[int, list[str]]:
     text=st.one_of(mutated(SCENARIO), mutated(PRICE_PATH_SCENARIO), st.text(max_size=200)),
     command=st.sampled_from(["auction", "simulate-concession"]),
 )
+@example(text=SCENARIO.replace("horizon=40", "horizon=1e12"), command="auction")
+@example(text=SCENARIO.replace("replications=25", f"replications={MAX_SIMULATED_PERIODS + 1}"), command="simulate-concession")
 def test_scenario_slot(text, command):
     assume(_small(text))
     with tempfile.TemporaryDirectory() as tmp:

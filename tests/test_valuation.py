@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import math
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minerent import (
@@ -19,6 +23,7 @@ from minerent import (
     present_value,
 )
 from minerent.reconstruction import ExplorationImputation
+from minerent.valuation import compound, discount, finite_compound
 
 from conftest import make_mine, make_record
 
@@ -27,7 +32,6 @@ def imputation(allocations):
     return ExplorationImputation(
         allocations=allocations,
         yearly_allocations={},
-        cohort_window_years=5,
         total_private_spend=sum(allocations.values()),
         rate=0.1,
     )
@@ -186,6 +190,10 @@ class TestPresentValue:
     def test_empty_series(self):
         assert present_value(CashFlowSeries(2000, ()), 0.1) == 0.0
 
+    def test_underflowed_factor_gives_infinity(self):
+        # (1 - 0.9) ** 400 underflows to 0.0
+        assert present_value(CashFlowSeries(0, ((400, 1.0),)), -0.9) == math.inf
+
     def test_rate_must_exceed_minus_one(self):
         with pytest.raises(ValueError):
             present_value(CashFlowSeries(2000, ((2001, 1.0),)), -1.0)
@@ -217,3 +225,66 @@ class TestPresentValue:
             CashFlowSeries(base, right_flows), rate
         )
         assert total == pytest.approx(split, rel=1e-9, abs=1e-8)
+
+
+class TestCompoundAndDiscount:
+    @given(
+        rate=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
+        t=st.integers(min_value=0, max_value=20_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compound_is_the_plain_power(self, rate, t):
+        try:
+            power = (1.0 + rate) ** t
+        except OverflowError:
+            power = math.inf
+        assume(math.isfinite(power) and power != 0.0)
+        assert repr(compound(rate, t)) == repr(power)
+        assert repr(discount(3.0, rate, t)) == repr(3.0 / power)
+
+    @pytest.mark.parametrize(
+        "amount, rate, t, expected",
+        [
+            # 1.1 ** 10000 overflows: the term is a zero of the amount's sign.
+            (1.0, 0.1, 10_000, "0.0"),
+            (-1.0, 0.1, 10_000, "-0.0"),
+            # 0.1 ** 400 underflows to 0.0: an infinity of the amount's sign, or 0.0.
+            (1.0, -0.9, 400, "inf"),
+            (-1.0, -0.9, 400, "-inf"),
+            (0.0, -0.9, 400, "0.0"),
+            (-0.0, -0.9, 400, "0.0"),
+        ],
+    )
+    def test_discount_limits(self, amount, rate, t, expected):
+        assert repr(discount(amount, rate, t)) == expected
+
+    def test_compound_limits(self):
+        assert compound(0.1, 10_000) == math.inf
+        assert compound(-0.9, 400) == 0.0
+        assert finite_compound(-0.9, 400) == 0.0
+        with pytest.raises(ValueError, match=r"a discount factor \(1 \+ rate\) \*\* years overflows a float"):
+            finite_compound(0.1, 10_000)
+
+
+def _one_plus_power_sites(source: str) -> list[int]:
+    """Lines holding ``(1 + x) ** y`` or ``(1.0 + x) ** y``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and isinstance(node.left.left, ast.Constant)
+        and node.left.left.value == 1
+    ]
+
+
+def test_only_valuation_turns_a_rate_into_a_factor():
+    """``valuation.compound`` is the one place that writes ``(1 + r) ** t``; the rest call it."""
+    package = Path(compound.__code__.co_filename).parent
+    sites = {
+        path.name: _one_plus_power_sites(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))
+    }
+    assert sites.pop("valuation.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
