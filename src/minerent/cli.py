@@ -88,14 +88,15 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict,
 def _load_and_validate(config: RunConfig):
     """Load the market and every mine in the directory, then validate them.
 
-    Prints each distinct warning and error once. Returns ``(market,
-    mine_paths, mines)``, the paths as sorted strings, or the exit code: 1
-    for invalid content, a ``mine_id`` shared by two files or an empty
-    directory, 2 for an unreadable file.
+    Prints the run's one validation report, sorted by locator. Returns
+    ``(market, mine_paths, mines)``, the paths as sorted strings, or the exit
+    code: 1 for invalid content, a ``mine_id`` shared by two files or an
+    empty directory, 2 for an unreadable file or a missing directory.
     """
     try:
         market = load_market_series(config.market_path)
-        mine_paths = sorted(map(str, config.mines_dir.glob("*.csv")))
+        # iterdir, unlike glob, raises when the directory is missing.
+        mine_paths = sorted(str(path) for path in config.mines_dir.iterdir() if path.name.endswith(".csv"))
         mines = [load_mine_dataset(path) for path in mine_paths]
         owners: dict[str, str] = {}
         for path, mine in zip(mine_paths, mines):
@@ -108,20 +109,12 @@ def _load_and_validate(config: RunConfig):
     if not mines:
         return _fail(f"no mine datasets found in {config.mines_dir}", 1)
 
-    errors, warnings, seen = [], [], set()
-    for mine in mines:
-        report = validate_dataset(mine, market)
-        for kept, issues in ((errors, report.errors), (warnings, report.warnings)):
-            for issue in issues:
-                key = (issue.locator, issue.rule, issue.message)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(issue)
-    for issue in warnings:
+    report = validate_dataset(mines, market)
+    for issue in report.warnings:
         print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
-    for issue in errors:
+    for issue in report.errors:
         print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
-    return 1 if errors else (market, mine_paths, mines)
+    return 1 if report.errors else (market, mine_paths, mines)
 
 
 def cmd_analyze(config: RunConfig) -> int:

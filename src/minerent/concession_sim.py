@@ -163,15 +163,12 @@ def equilibrium_bid(bidder: Bidder, announced_rate: Rate | float) -> float | Non
     return None
 
 
-def run_auction(
-    bids: dict[str, float | None] | Sequence[tuple[str, float | None]],
-) -> tuple[str, float]:
+def run_auction(bids: dict[str, float | None]) -> tuple[str, float]:
     """Winner is the smallest VPI demand; ties break on bidder id.
 
     A None bid is no bid; raises AuctionError when no bid is left.
     """
-    items = bids.items() if isinstance(bids, dict) else bids
-    feasible = [(bidder_id, bid) for bidder_id, bid in items if bid is not None]
+    feasible = [(bidder_id, bid) for bidder_id, bid in bids.items() if bid is not None]
     if not feasible:
         raise AuctionError("auction failed: no feasible bids")
     return min(feasible, key=lambda item: (item[1], item[0]))

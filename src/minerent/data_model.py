@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 MINE_COLUMNS = (
     "year",
@@ -201,11 +201,55 @@ def _parse_number(text: str, column: str, path: Path, line: int) -> float:
         raise ParseError(f"non-numeric value {text!r} in column {column}", path, line) from None
 
 
-def _parse_year(text: str, path: Path, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"non-numeric year {text!r}", path, line) from None
+def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, ...]):
+    """Read a ``key=value`` metadata block and the exact header row of a table file.
+
+    Returns ``(meta, rows)``. ``meta`` maps each key to ``(value, line)``.
+    ``rows`` lazily yields ``(line, year, fields)`` for each row after the
+    header, so a loader's own row errors still come in file order. Raises
+    :class:`SchemaError` for an unknown or duplicate key, a stray line before
+    the header, a missing header or a duplicate year, and :class:`ParseError`
+    for a wrong column count or a non-numeric year; each names its line.
+    """
+    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    expected_header = ",".join(columns)
+    meta: dict[str, tuple[str, int]] = {}
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line == expected_header:
+            break
+        if "=" not in line:
+            raise SchemaError("expected metadata line or header row", path, lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in metadata_keys:
+            raise SchemaError(f"unknown metadata key {key!r}", path, lineno)
+        if key in meta:
+            raise SchemaError(f"duplicate metadata key {key!r}", path, lineno)
+        meta[key] = (value.strip(), lineno)
+    else:
+        raise SchemaError("missing header row", path)
+
+    def rows():
+        seen_years: dict[int, int] = {}
+        for lineno, raw in lines:
+            fields = raw.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(columns):
+                raise ParseError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
+            try:
+                year = int(fields[0])
+            except ValueError:
+                raise ParseError(f"non-numeric year {fields[0]!r}", path, lineno) from None
+            if year in seen_years:
+                raise SchemaError(f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno)
+            seen_years[year] = lineno
+            yield lineno, year, fields
+
+    return meta, rows()
 
 
 def load_mine_dataset(path: str | Path) -> MineDataset:
@@ -222,46 +266,12 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     for duplicate years, bad headers, or bad metadata; both name the line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    expected_header = ",".join(MINE_COLUMNS)
-
-    meta: dict[str, str] = {}
+    meta_lines, rows = _read_table(path, MINE_COLUMNS, MINE_METADATA_KEYS)
+    meta = {key: value for key, (value, _) in meta_lines.items()}
     records: list[MineYearRecord] = []
     physical: list[PhysicalYear] = []
-    seen_years: dict[int, int] = {}
-    header_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line == expected_header:
-                header_seen = True
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in MINE_METADATA_KEYS:
-                    raise SchemaError(f"unknown metadata key {key!r}", path, lineno)
-                if key in meta:
-                    raise SchemaError(f"duplicate metadata key {key!r}", path, lineno)
-                meta[key] = value
-                continue
-            raise SchemaError("expected metadata line or header row", path, lineno)
-
-        fields = line.split(",")
-        if len(fields) != len(MINE_COLUMNS):
-            raise ParseError(
-                f"expected {len(MINE_COLUMNS)} columns, got {len(fields)}", path, lineno
-            )
-        year = _parse_year(fields[0], path, lineno)
-        if year in seen_years:
-            raise SchemaError(
-                f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno
-            )
-        seen_years[year] = lineno
-
+    for lineno, year, fields in rows:
         if fields[10] == "":
             raise ParseError("production_t is required", path, lineno)
         production = _parse_number(fields[10], "production_t", path, lineno)
@@ -289,8 +299,6 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
                 lineno,
             )
 
-    if not header_seen:
-        raise SchemaError("missing header row", path)
     for key in ("mine_id", "opening_year", "capital_paid_first_year"):
         if key not in meta:
             raise SchemaError(f"missing metadata key {key!r}", path)
@@ -364,68 +372,33 @@ def write_mine_dataset(dataset: MineDataset, path: str | Path) -> None:
 def load_market_series(path: str | Path) -> MarketSeries:
     """Parse the market file: optional ``fund_rate=`` line, header, rows."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    expected_header = ",".join(MARKET_COLUMNS)
-
-    fund_rate: float | None = None
-    entries: list[MarketYear] = []
-    seen_years: dict[int, int] = {}
-    header_seen = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line == expected_header:
-                header_seen = True
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key != "fund_rate":
-                    raise SchemaError(f"unknown metadata key {key!r}", path, lineno)
-                if fund_rate is not None:
-                    raise SchemaError(f"duplicate metadata key {key!r}", path, lineno)
-                fund_rate = _parse_number(value.strip(), "fund_rate", path, lineno)
-                continue
-            raise SchemaError("expected metadata line or header row", path, lineno)
-        fields = line.split(",")
-        if len(fields) != len(MARKET_COLUMNS):
-            raise ParseError(
-                f"expected {len(MARKET_COLUMNS)} columns, got {len(fields)}", path, lineno
-            )
-        year = _parse_year(fields[0], path, lineno)
-        if year in seen_years:
-            raise SchemaError(
-                f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno
-            )
-        seen_years[year] = lineno
-        entries.append(
-            MarketYear(
-                year=year,
-                copper_price=_parse_number(fields[1], MARKET_COLUMNS[1], path, lineno),
-                gdp=_parse_number(fields[2], MARKET_COLUMNS[2], path, lineno),
-                exploration_spend_pct_gdp=_parse_number(fields[3], MARKET_COLUMNS[3], path, lineno),
-            )
-        )
-
-    if not header_seen:
-        raise SchemaError("missing header row", path)
+    meta, rows = _read_table(path, MARKET_COLUMNS, ("fund_rate",))
+    fund_rate = DEFAULT_FUND_RATE
+    if "fund_rate" in meta:
+        text, line = meta["fund_rate"]
+        fund_rate = _parse_number(text, "fund_rate", path, line)
+    entries = [
+        MarketYear(year, *(_parse_number(fields[i], MARKET_COLUMNS[i], path, lineno) for i in (1, 2, 3)))
+        for lineno, year, fields in rows
+    ]
     entries.sort(key=lambda ent: ent.year)
-    return MarketSeries(entries=tuple(entries), fund_rate=DEFAULT_FUND_RATE if fund_rate is None else fund_rate)
+    return MarketSeries(entries=tuple(entries), fund_rate=fund_rate)
 
 
 def _check_physical_row(
     mine_id: str, year: int, production: float, exports: float, err, warn
 ) -> None:
     locator = f"{mine_id}:{year}"
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        err(locator, "year-window", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    if not (math.isfinite(production) and math.isfinite(exports)):
+        # The comparisons below would let NaN and inf through.
+        err(locator, "tonnage-finite", f"production and exports must be finite, got {production} and {exports}")
+        return
     if production < 0:
         err(locator, "production-nonnegative", f"production must be nonnegative, got {production}")
     if exports < 0:
         err(locator, "exports-nonnegative", f"exports must be nonnegative, got {exports}")
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        err(locator, "year-window", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     if exports > 1.10 * production:
         warn(
             locator,
@@ -434,10 +407,11 @@ def _check_physical_row(
         )
 
 
-def validate_dataset(mine: MineDataset, market: MarketSeries) -> ValidationReport:
-    """Check every invariant; violations are reported, never raised.
+def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> ValidationReport:
+    """Check every invariant of the run's mines and market; violations are reported, never raised.
 
-    The report is order-insensitive: issues are sorted by locator and rule.
+    The market is checked once, however many mines there are. The report is
+    order-insensitive: issues are sorted by locator, rule and message.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -448,38 +422,39 @@ def validate_dataset(mine: MineDataset, market: MarketSeries) -> ValidationRepor
     def warn(locator, rule, message):
         warnings.append(ValidationIssue(locator, rule, message))
 
-    if not (math.isfinite(mine.capital_paid_first_year) and mine.capital_paid_first_year > 0):
-        err(
-            mine.mine_id,
-            "capital-paid-positive",
-            f"capital_paid_first_year must be > 0, got {mine.capital_paid_first_year}",
-        )
-    if mine.first_reported_year is not None and mine.first_reported_year < mine.opening_year:
-        err(
-            mine.mine_id,
-            "first-reported-after-opening",
-            f"first_reported_year {mine.first_reported_year} precedes opening_year {mine.opening_year}",
-        )
-    if not mine.records:
-        warn(mine.mine_id, "no-history", NO_HISTORY_WARNING)
+    for mine in mines:
+        if not (math.isfinite(mine.capital_paid_first_year) and mine.capital_paid_first_year > 0):
+            err(
+                mine.mine_id,
+                "capital-paid-positive",
+                f"capital_paid_first_year must be > 0, got {mine.capital_paid_first_year}",
+            )
+        if mine.first_reported_year is not None and mine.first_reported_year < mine.opening_year:
+            err(
+                mine.mine_id,
+                "first-reported-after-opening",
+                f"first_reported_year {mine.first_reported_year} precedes opening_year {mine.opening_year}",
+            )
+        if not mine.records:
+            warn(mine.mine_id, "no-history", NO_HISTORY_WARNING)
 
-    all_years = [rec.year for rec in mine.records] + [phys.year for phys in mine.physical_history]
-    if len(set(all_years)) != len(all_years):
-        dupes = sorted({year for year in all_years if all_years.count(year) > 1})
-        err(mine.mine_id, "duplicate-year", f"duplicate years: {dupes}")
-    if [rec.year for rec in mine.records] != sorted(rec.year for rec in mine.records):
-        err(mine.mine_id, "records-sorted", "records are not sorted by year")
+        all_years = [rec.year for rec in mine.records] + [phys.year for phys in mine.physical_history]
+        if len(set(all_years)) != len(all_years):
+            dupes = sorted({year for year in all_years if all_years.count(year) > 1})
+            err(mine.mine_id, "duplicate-year", f"duplicate years: {dupes}")
+        if [rec.year for rec in mine.records] != sorted(rec.year for rec in mine.records):
+            err(mine.mine_id, "records-sorted", "records are not sorted by year")
 
-    for rec in mine.records:
-        locator = f"{mine.mine_id}:{rec.year}"
-        _check_physical_row(mine.mine_id, rec.year, rec.production, rec.exports, err, warn)
-        for name, value in rec.money_fields().items():
-            if not math.isfinite(value):
-                err(locator, "money-finite", f"{name} is not finite: {value}")
-    for phys in mine.physical_history:
-        _check_physical_row(mine.mine_id, phys.year, phys.production, phys.exports, err, warn)
-        if phys.taxes_paid is not None and not math.isfinite(phys.taxes_paid):
-            err(f"{mine.mine_id}:{phys.year}", "money-finite", "taxes_paid is not finite")
+        for rec in mine.records:
+            locator = f"{mine.mine_id}:{rec.year}"
+            _check_physical_row(mine.mine_id, rec.year, rec.production, rec.exports, err, warn)
+            for name, value in rec.money_fields().items():
+                if not math.isfinite(value):
+                    err(locator, "money-finite", f"{name} is not finite: {value}")
+        for phys in mine.physical_history:
+            _check_physical_row(mine.mine_id, phys.year, phys.production, phys.exports, err, warn)
+            if phys.taxes_paid is not None and not math.isfinite(phys.taxes_paid):
+                err(f"{mine.mine_id}:{phys.year}", "money-finite", "taxes_paid is not finite")
 
     if not market.entries:
         err("market", "market-empty", "market series has no entries")

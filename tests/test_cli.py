@@ -95,6 +95,24 @@ class TestLoadAndValidate:
         ]
         assert len(err[0]) < 1024
 
+    @pytest.mark.parametrize("year", [1997, 2003])  # a pre-history row, a reported row
+    @pytest.mark.parametrize("column", ["production_t", "exports_t"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_tonnage_is_one_error_line(self, tmp_path, capsys, command, year, column, value):
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        lines = alpha.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{year},"))
+        fields = lines[at].split(",")
+        fields[-2 if column == "production_t" else -1] = value
+        lines[at] = ",".join(fields)
+        alpha.write_text("\n".join(lines) + "\n")
+        assert self.run(command, mines, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: alpha:{year}: [tonnage-finite] "), err
+        assert value in err[0]
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnalyze:
     def test_corpus_run_produces_artifacts(self, tmp_path):
@@ -188,6 +206,16 @@ class TestAnalyze:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mines", ["absent", "file.csv"])
+    def test_missing_mines_dir_is_io_error(self, tmp_path, capsys, mines):
+        (tmp_path / "file.csv").write_text("")
+        code = main(
+            ["analyze", "--mines", str(tmp_path / mines), "--market", str(MARKET_FILE), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / mines) in err[0], err
 
     def test_invalid_mine_content_is_validation_error(self, tmp_path, capsys):
         mines = tmp_path / "mines"

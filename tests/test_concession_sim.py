@@ -124,7 +124,7 @@ class TestRunAuction:
     def test_no_bid_entries_are_ignored(self):
         assert run_auction({"A": None, "B": 1400.0, "C": None}) == ("B", 1400.0)
         with pytest.raises(AuctionError, match="no feasible bids"):
-            run_auction([("A", None)])
+            run_auction({"A": None})
 
     def test_efficient_bidder_wins(self):
         revenues = [150.0] * 20

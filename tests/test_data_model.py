@@ -69,7 +69,7 @@ class TestLoadMineDataset:
         mine = load_mine_dataset(path)
         assert mine.records == ()
         assert mine.first_reported_year is None
-        assert NO_HISTORY_WARNING in [w.message for w in validate_dataset(mine, corpus_market).warnings]
+        assert NO_HISTORY_WARNING in [w.message for w in validate_dataset([mine], corpus_market).warnings]
 
     def test_blank_exports_defaults_to_production(self, tmp_path):
         path = tmp_path / "demo.csv"
@@ -164,7 +164,7 @@ class TestRoundTrip:
         market = make_market()
         a, b = load_mine_dataset(straight), load_mine_dataset(shuffled)
         assert a == b
-        assert validate_dataset(a, market) == validate_dataset(b, market)
+        assert validate_dataset([a], market) == validate_dataset([b], market)
 
 
 class TestMarketSeries:
@@ -197,13 +197,13 @@ class TestMarketSeries:
 class TestValidateDataset:
     def test_clean_dataset_empty_report(self, corpus_mines, corpus_market):
         for mine in corpus_mines:
-            report = validate_dataset(mine, corpus_market)
+            report = validate_dataset([mine], corpus_market)
             assert report.ok
             assert report.errors == ()
 
     def test_negative_production_flagged(self, corpus_market):
         mine = make_mine(records=[make_record(2001, production=-5.0, exports=0.0)])
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert len(report.errors) == 1
         assert report.errors[0].rule == "production-nonnegative"
 
@@ -213,37 +213,42 @@ class TestValidateDataset:
         )
         market = MarketSeries(entries=entries)
         mine = make_mine(records=[make_record(2001)])
-        report = validate_dataset(mine, market)
+        report = validate_dataset([mine], market)
         gaps = [e for e in report.errors if e.rule == "market-contiguous"]
         assert len(gaps) == 1
         assert "non-contiguous market coverage" in gaps[0].message
         assert "1997" in gaps[0].message
 
+    def test_market_checked_once_for_many_mines(self):
+        market = MarketSeries(entries=(MarketYear(2001, -1.0, 50000.0, 0.003),))
+        mines = [make_mine(mine_id=f"m{i}", records=[make_record(2001)]) for i in range(3)]
+        assert [issue.locator for issue in validate_dataset(mines, market).errors] == ["market:2001"]
+
     def test_exports_draw_down_is_warning(self, corpus_market):
         mine = make_mine(records=[make_record(2001, production=100.0, exports=120.0)])
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert report.ok
         assert any(w.rule == "exports-exceed-production" for w in report.warnings)
         # 10% over production is still within tolerance
         mine = make_mine(records=[make_record(2001, production=100.0, exports=110.0)])
-        assert not validate_dataset(mine, corpus_market).warnings
+        assert not validate_dataset([mine], corpus_market).warnings
 
     def test_year_window(self, corpus_market):
         mine = make_mine(records=[make_record(1983)], opening_year=1980)
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert any(e.rule == "year-window" for e in report.errors)
 
     def test_nonfinite_money_flagged(self, corpus_market):
         mine = make_mine(records=[make_record(2001, revenue=float("nan"))])
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert any(e.rule == "money-finite" for e in report.errors)
 
     def test_capital_paid_must_be_positive(self, corpus_market):
         mine = make_mine(records=[make_record(2001)], capital_paid_first_year=0.0)
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert any(e.rule == "capital-paid-positive" for e in report.errors)
 
     def test_no_history_warning(self, corpus_market):
         mine = make_mine(records=())
-        report = validate_dataset(mine, corpus_market)
+        report = validate_dataset([mine], corpus_market)
         assert any(w.rule == "no-history" for w in report.warnings)

@@ -19,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
+DATA = ROOT / "tests" / "data"
 
 README_SCENARIO = """\
 announced_rate=0.06
@@ -68,16 +69,40 @@ def test_every_import_site_resolves():
                 "concession_sim.simulate_concession": 1,
             },
         ),
+        (
+            # One validation pass per run: the market is checked once, not once per mine.
+            "analyze",
+            {
+                "cli.main": 1,
+                "data_model.load_market_series": 1,
+                "data_model.load_mine_dataset": 3,
+                "data_model.validate_dataset": 1,
+                "rent_analysis.sensitivity_report": 1,
+                "reconstruction.reconstruct_dataset": 3,
+                "reconstruction.impute_exploration": 2,
+                "rent_analysis.analyze_mine": 6,
+                "valuation.mine_cash_flows": 6,
+                "valuation.initial_investment": 6,
+                "rent_analysis.rvp_series": 6,
+                "rent_analysis.rent_forward_value": 6,
+                "rent_analysis.write_plot_data": 6,
+                "rent_analysis.write_summary_table": 1,
+                "rent_analysis.summary_rows": 1,
+            },
+        ),
     ],
 )
 def test_traced_run_records_layer_spans(tmp_path, command, spans):
-    scenario = tmp_path / "scenario.txt"
-    scenario.write_text(README_SCENARIO)
+    if command == "analyze":
+        inputs = ["--mines", str(DATA / "mines"), "--market", str(DATA / "market.csv")]
+    else:
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(README_SCENARIO)
+        inputs = ["--scenario", str(scenario)]
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, str(TRACE_CHILD), str(spans_path), "0", "--", command,
-         "--scenario", str(scenario), "--out", str(tmp_path / "out")],
+        [sys.executable, str(TRACE_CHILD), str(spans_path), "0", "--", command, *inputs, "--out", str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
