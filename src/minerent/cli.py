@@ -8,6 +8,7 @@ byte-identical artifacts, so run manifests carry no timestamps. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -209,25 +210,48 @@ def _auction(scenario: Scenario) -> tuple[dict[str, float | None], str, float]:
     return bids, winner_id, winning_vpi
 
 
-def _write_outcome_table(outcome, path: Path) -> None:
-    lines = ["period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status"]
-    lines.extend(
-        f"{row.period},{row.price!r},{row.gross_revenue!r},{row.voluntary_tax!r},"
-        f"{row.counted_revenue!r},{row.accrued_pv!r},{row.status}"
-        for row in outcome.rows
-    )
-    _write_text(path, "\n".join(lines) + "\n")
+_OUTCOME_HEADER = "period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status\n"
+# One row object as json.dumps(indent=2, sort_keys=True) writes it, filled with a CSV line's cells.
+_OUTCOME_ROW_JSON = (
+    '    {{\n      "accrued_pv": {5},\n      "counted_revenue": {4},\n      "gross_revenue": {2},\n'
+    '      "period": {0},\n      "price": {1},\n      "status": "{6}",\n      "voluntary_tax": {3}\n    }}'
+)
 
 
-def _outcome_json(outcome, vpi: float) -> dict:
-    return {
+def _write_outcome(outcome, vpi: float, out_dir: Path, formats: frozenset[str]) -> None:
+    """Stream replication 0's rows into the outcome table and JSON, formatting each row once.
+
+    Every float in a row is finite, where json writes its ``repr``, and a
+    status is ``active`` or ``expired``, so each row's CSV cells also fill
+    its JSON object. The encoder writes the frame around the rows.
+    """
+    frame = {
         "vpi_target": vpi,
         "duration": outcome.duration,
         "status": outcome.final_state.status.value,
         "accrued_pv": outcome.final_state.accrued_pv,
         "warning": outcome.warning,
-        "rows": [row._asdict() for row in outcome.rows],
+        "rows": [],
     }
+    head, _, tail = json.dumps(frame, sort_keys=True, indent=2).partition('"rows": []')
+    with contextlib.ExitStack() as stack:
+        table = doc = None
+        if "table" in formats:
+            table = stack.enter_context(open(out_dir / OUTCOME_TABLE_NAME, "w", encoding="utf-8"))
+            table.write(_OUTCOME_HEADER)
+        if "json" in formats:
+            doc = stack.enter_context(open(out_dir / OUTCOME_JSON_NAME, "w", encoding="utf-8"))
+            doc.write(head + '"rows": [')
+        separator = "\n"
+        for row in outcome.rows:
+            cells = (str(row.period), *map(repr, row[1:6]), row.status)
+            if table is not None:
+                table.write(",".join(cells) + "\n")
+            if doc is not None:
+                doc.write(separator + _OUTCOME_ROW_JSON.format(*cells))
+                separator = ",\n"
+        if doc is not None:
+            doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
 
 
 def cmd_simulate_concession(config: RunConfig) -> int:
@@ -276,13 +300,7 @@ def cmd_simulate_concession(config: RunConfig) -> int:
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        if "table" in config.formats:
-            _write_outcome_table(outcome, config.out_dir / OUTCOME_TABLE_NAME)
-        if "json" in config.formats:
-            _write_text(
-                config.out_dir / OUTCOME_JSON_NAME,
-                json.dumps(_outcome_json(outcome, vpi), sort_keys=True, indent=2) + "\n",
-            )
+        _write_outcome(outcome, vpi, config.out_dir, config.formats)
         if scenario.replications > 1:
             lines = ["replication,duration"]
             for replication in range(scenario.replications):

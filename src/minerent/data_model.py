@@ -470,6 +470,8 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             )
         if not math.isfinite(ent.gdp):
             err(locator, "money-finite", f"gdp is not finite: {ent.gdp}")
+        elif ent.gdp < 0:
+            err(locator, "gdp-nonnegative", f"gdp must be >= 0, got {ent.gdp}")
     years = sorted({ent.year for ent in market.entries})
     missing = years[-1] - years[0] + 1 - len(years) if years else 0
     if missing:

@@ -115,7 +115,7 @@ def reconstruct_year(
 
     Physical quantities come from the mine's physical history; only
     financials are reconstructed. Refuses years that already have a
-    reported record.
+    reported record, and a money field that overflows a float.
     """
     if mine.first_reported_year is None:
         raise ReconstructionError(f"{mine.mine_id}: no reported history to reconstruct from")
@@ -165,7 +165,7 @@ def reconstruct_year(
             ]
         )
 
-    return MineYearRecord(
+    record = MineYearRecord(
         year=year,
         revenue=revenue,
         operating_cost=operating_cost,
@@ -180,6 +180,12 @@ def reconstruct_year(
         exports=phys.exports,
         reconstructed=True,
     )
+    overflowed = [name for name, value in record.money_fields().items() if not math.isfinite(value)]
+    if overflowed:
+        raise ReconstructionError(
+            f"{mine.mine_id} {year}: reconstructed {', '.join(overflowed)} not finite at copper price {price!r}"
+        )
+    return record
 
 
 def reconstruct_dataset(

@@ -20,7 +20,7 @@ from .valuation import CashFlowSeries, Rate
 
 
 # Bound on periods × replications, the cells the concession engine holds at once. At the
-# bound one never-expiring replication, all of whose rows are written, peaks near 700 MB RSS.
+# bound one never-expiring replication, all of whose rows are written, peaks near 175 MB RSS.
 MAX_SIMULATED_PERIODS = 300_000
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import minerent.cli
 from minerent.cli import main
 
 from conftest import MARKET_FILE, MINES_DIR
@@ -111,6 +112,25 @@ class TestLoadAndValidate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: alpha:{year}: [tonnage-finite] "), err
         assert value in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_market_price_is_one_error_line(self, tmp_path, capsys, command):
+        # 1e308 passes price-positive, but price * production overflows in alpha's pre-history year.
+        market = tmp_path / "market.csv"
+        market.write_text(MARKET_FILE.read_text().replace("1997,2280.0,69310.31,", "1997,1e308,70000.0,"))
+        assert main([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha 1997: reconstructed revenue, pretax_result not finite at copper price 1e+308"
+        ]
+        assert not (tmp_path / "out").exists()  # so no file holds an inf
+
+    def test_negative_gdp_is_one_error_line(self, tmp_path, capsys, command):
+        market = tmp_path / "market.csv"
+        market.write_text(MARKET_FILE.read_text().replace("1992,2280.0,46094.5,", "1992,2280.0,-46094.5,"))
+        assert main([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: market:1992: [gdp-nonnegative] gdp must be >= 0, got -46094.5"
+        ]
         assert not (tmp_path / "out").exists()
 
 
@@ -546,6 +566,58 @@ class TestSimulateConcession:
         outcome = json.loads((out / "concession_outcome.json").read_text())
         assert outcome["rows"][12179]["accrued_pv"] == outcome["rows"][-1]["accrued_pv"] == outcome["accrued_pv"]
         assert outcome["accrued_pv"] == pytest.approx(10.0 / 0.06, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "text, duration",
+        [
+            pytest.param(CONSTANT_SCENARIO.replace("vpi=30", "vpi=5"), 1, id="expires-at-period-1"),
+            pytest.param(MONTE_CARLO_SCENARIO, 10, id="expires-mid-path"),
+            pytest.param(CONSTANT_SCENARIO.replace("vpi=30", "vpi=1000"), None, id="never-expires"),
+            pytest.param(CONSTANT_SCENARIO + "[tax_schedule]\nperiod,tax\n2,1.5\n3,100\n", 5, id="tax-schedule"),
+            pytest.param(
+                "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=15\n"
+                "[price_path]\nperiod,price_usd_per_t\n1,0\n2,1000\n3,0\n4,0.0\n5,1500\n6,1e-300\n",
+                5,
+                id="price-path-with-zeros",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("formats", ["table", "json", "table,json"])
+    def test_outcome_files_match_json_dumps(self, tmp_path, monkeypatch, text, duration, formats):
+        # The oracle is the writer the streaming one replaced: one dict per row through json.dumps.
+        runs, simulate = [], minerent.cli.simulate_concession
+
+        def recorded(vpi, *args):
+            runs.append((vpi, simulate(vpi, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(minerent.cli, "simulate_concession", recorded)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out), "--format", formats]) == 0
+        [(vpi, outcome)] = runs
+        assert outcome.duration == duration
+        lines = ["period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status"]
+        lines.extend(
+            f"{row.period},{row.price!r},{row.gross_revenue!r},{row.voluntary_tax!r},"
+            f"{row.counted_revenue!r},{row.accrued_pv!r},{row.status}"
+            for row in outcome.rows
+        )
+        document = {
+            "vpi_target": vpi,
+            "duration": outcome.duration,
+            "status": outcome.final_state.status.value,
+            "accrued_pv": outcome.final_state.accrued_pv,
+            "warning": outcome.warning,
+            "rows": [row._asdict() for row in outcome.rows],
+        }
+        expected = {
+            "concession_outcome.csv": ("\n".join(lines) + "\n") if "table" in formats else None,
+            "concession_outcome.json": json.dumps(document, sort_keys=True, indent=2) + "\n" if "json" in formats else None,
+        }
+        written = {name: (out / name).read_text() if (out / name).exists() else None for name in expected}
+        assert written == expected
 
 
 class TestAuctionCommand:

@@ -5,8 +5,9 @@ arbitrary text (digits included), a key or field set to an odd number, a
 line deleted or repeated. Whatever the result, a command must return 0, 1
 or 2, raise nothing (a warning counts as raising), and write only
 ``error:`` and ``warning:`` lines to stderr; a scenario that fails gives
-exactly one ``error:`` line. A mine or market run that succeeds must write
-only finite numbers into the reconstructed mine files and the JSON summary.
+exactly one ``error:`` line, and one that succeeds writes the same rows into
+both outcome files. A mine or market run that succeeds must write only
+finite numbers into the reconstructed mine files and the JSON summary.
 
 Integers written into lines range up to 10**18 in size. A scenario runs
 only with ``horizon`` and ``replications`` at or below 10**4 (and their
@@ -154,6 +155,21 @@ def numbers_written(out: Path) -> list[float]:
     return found
 
 
+def outcome_files_agree(out: Path) -> None:
+    """The outcome JSON holds the CSV's rows, each float equal by ``repr``, and ends as its last row."""
+    table = (out / "concession_outcome.csv").read_text(encoding="utf-8").splitlines()[1:]
+    outcome = json.loads((out / "concession_outcome.json").read_text(encoding="utf-8"))
+    rows = outcome["rows"]
+    assert len(rows) == len(table) > 0
+    for line, row in zip(table, rows):
+        cells = [str(row["period"])]
+        cells += [repr(row[key]) for key in ("price", "gross_revenue", "voluntary_tax", "counted_revenue", "accrued_pv")]
+        assert line.split(",") == cells + [row["status"]], (line, row)
+    last = rows[-1]
+    assert outcome["status"] == last["status"]
+    assert outcome["duration"] == (last["period"] if last["status"] == "expired" else None)
+
+
 def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> None:
     code, _ = run_cli([command, "--mines", str(mines), "--market", str(market), "--out", str(out)])
     if code == 0:
@@ -174,6 +190,8 @@ def test_scenario_slot(text, command):
         scenario = Path(tmp) / "scenario.txt"
         scenario.write_text(text, encoding="utf-8")
         code, lines = run_cli([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "out")])
+        if code == 0 and command == "simulate-concession":
+            outcome_files_agree(Path(tmp) / "out")
     if code:
         assert sum(line.startswith("error: ") for line in lines) == 1, lines
 
