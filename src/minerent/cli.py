@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .concession_sim import (
@@ -56,16 +55,6 @@ AUCTION_TABLE_NAME = "auction_result.csv"
 FORMATS = ("table", "json")
 
 
-class RunConfig(NamedTuple):
-    mines_dir: Path | None = None
-    market_path: Path | None = None
-    scenario_path: Path | None = None
-    out_dir: Path | None = None
-    rates: tuple[tuple[str, DiscountSpec], ...] = ()
-    valuation_year: int = DEFAULT_VALUATION_YEAR
-    formats: frozenset[str] = frozenset(FORMATS)
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -86,7 +75,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict,
     _write_text(out_dir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_and_validate(config: RunConfig):
+def _load_and_validate(args: argparse.Namespace):
     """Load the market and every mine in the directory, then validate them.
 
     Prints the run's one validation report, sorted by locator. Returns
@@ -95,9 +84,9 @@ def _load_and_validate(config: RunConfig):
     empty directory, 2 for an unreadable file or a missing directory.
     """
     try:
-        market = load_market_series(config.market_path)
+        market = load_market_series(args.market)
         # iterdir, unlike glob, raises when the directory is missing.
-        mine_paths = sorted(str(path) for path in config.mines_dir.iterdir() if path.name.endswith(".csv"))
+        mine_paths = sorted(str(path) for path in args.mines.iterdir() if path.name.endswith(".csv"))
         mines = [load_mine_dataset(path) for path in mine_paths]
         owners: dict[str, str] = {}
         for path, mine in zip(mine_paths, mines):
@@ -108,7 +97,7 @@ def _load_and_validate(config: RunConfig):
     except OSError as exc:
         return _fail(str(exc), 2)
     if not mines:
-        return _fail(f"no mine datasets found in {config.mines_dir}", 1)
+        return _fail(f"no mine datasets found in {args.mines}", 1)
 
     report = validate_dataset(mines, market)
     for issue in report.warnings:
@@ -118,39 +107,41 @@ def _load_and_validate(config: RunConfig):
     return 1 if report.errors else (market, mine_paths, mines)
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """Reconstruct, build RVP series per rate, and emit summary artifacts."""
-    loaded = _load_and_validate(config)
+    try:
+        rates = _resolve_rates(args)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        return _fail(str(exc), 1)
+    loaded = _load_and_validate(args)
     if isinstance(loaded, int):
         return loaded
     market, mine_paths, mines = loaded
 
     audit: list[str] = []
     try:
-        report = sensitivity_report(
-            mines, market, config.rates, valuation_year=config.valuation_year, audit=audit
-        )
+        report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
     except (ReconstructionError, ValueError) as exc:
         return _fail(str(exc), 1)
 
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for (mine_id, label), series in sorted(report.series.items()):
-            write_plot_data(series, config.out_dir / f"{mine_id}_rvp_{label}.csv")
-        if "table" in config.formats:
-            write_summary_table(report, config.out_dir / SUMMARY_TABLE_NAME)
-        if "json" in config.formats:
+            write_plot_data(series, args.out / f"{mine_id}_rvp_{label}.csv")
+        if "table" in args.format:
+            write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
+        if "json" in args.format:
             _write_text(
-                config.out_dir / SUMMARY_JSON_NAME,
+                args.out / SUMMARY_JSON_NAME,
                 json.dumps(summary_rows(report), sort_keys=True, indent=2) + "\n",
             )
-        _write_text(config.out_dir / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
+        _write_text(args.out / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
         _write_manifest(
-            config.out_dir,
+            args.out,
             "analyze",
-            inputs={"market": str(config.market_path), "mines": mine_paths},
+            inputs={"market": str(args.market), "mines": mine_paths},
             parameters={
-                "formats": sorted(config.formats),
+                "formats": sorted(args.format),
                 "fund_rate": market.fund_rate,
                 "rates": {
                     label: {
@@ -159,9 +150,9 @@ def cmd_analyze(config: RunConfig) -> int:
                         "equity_premium": spec.equity_premium,
                         "country_risk": spec.country_risk,
                     }
-                    for label, spec in config.rates
+                    for label, spec in rates
                 },
-                "valuation_year": config.valuation_year,
+                "valuation_year": args.valuation_year,
             },
             seed=None,
         )
@@ -170,9 +161,9 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def cmd_reconstruct(config: RunConfig) -> int:
+def cmd_reconstruct(args: argparse.Namespace) -> int:
     """Backfill pre-history rows and write the completed datasets."""
-    loaded = _load_and_validate(config)
+    loaded = _load_and_validate(args)
     if isinstance(loaded, int):
         return loaded
     market, mine_paths, mines = loaded
@@ -183,14 +174,14 @@ def cmd_reconstruct(config: RunConfig) -> int:
     except ReconstructionError as exc:
         return _fail(str(exc), 1)
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for mine in completed:
-            write_mine_dataset(mine, config.out_dir / f"{mine.mine_id}_reconstructed.csv")
-        _write_text(config.out_dir / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
+            write_mine_dataset(mine, args.out / f"{mine.mine_id}_reconstructed.csv")
+        _write_text(args.out / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
         _write_manifest(
-            config.out_dir,
+            args.out,
             "reconstruct",
-            inputs={"market": str(config.market_path), "mines": mine_paths},
+            inputs={"market": str(args.market), "mines": mine_paths},
             parameters={},
             seed=None,
         )
@@ -254,10 +245,10 @@ def _write_outcome(outcome, vpi: float, out_dir: Path, formats: frozenset[str]) 
             doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
 
 
-def cmd_simulate_concession(config: RunConfig) -> int:
+def cmd_simulate_concession(args: argparse.Namespace) -> int:
     """Run the concession over one or many seeded price paths."""
     try:
-        scenario = load_scenario(config.scenario_path)
+        scenario = load_scenario(args.scenario)
     except DataFileError as exc:
         return _fail(str(exc), 1)
     except OSError as exc:
@@ -290,7 +281,7 @@ def cmd_simulate_concession(config: RunConfig) -> int:
         # Each raises ValueError when a price, a revenue or an accrued PV overflows a float.
         batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
     except ValueError as exc:
-        return _fail(f"{config.scenario_path}: {exc}", 1)
+        return _fail(f"{args.scenario}: {exc}", 1)
     for replication in range(scenario.replications):
         warning = batch.warning(replication)
         if warning:
@@ -299,21 +290,21 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     outcome = simulate_concession(vpi, paths[0], scenario.quantity, rate, tax_policy)
 
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_outcome(outcome, vpi, config.out_dir, config.formats)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_outcome(outcome, vpi, args.out, args.format)
         if scenario.replications > 1:
             lines = ["replication,duration"]
             for replication in range(scenario.replications):
                 duration = batch.duration(replication)
                 lines.append(f"{replication},{'' if duration is None else duration}")
-            _write_text(config.out_dir / HISTOGRAM_NAME, "\n".join(lines) + "\n")
+            _write_text(args.out / HISTOGRAM_NAME, "\n".join(lines) + "\n")
         _write_manifest(
-            config.out_dir,
+            args.out,
             "simulate-concession",
-            inputs={"scenario": str(config.scenario_path)},
+            inputs={"scenario": str(args.scenario)},
             parameters={
                 "announced_rate": scenario.announced_rate,
-                "formats": sorted(config.formats),
+                "formats": sorted(args.format),
                 "quantity_t_per_year": scenario.quantity,
                 "replications": scenario.replications,
                 "vpi": vpi,
@@ -325,16 +316,16 @@ def cmd_simulate_concession(config: RunConfig) -> int:
     return 0
 
 
-def cmd_auction(config: RunConfig) -> int:
+def cmd_auction(args: argparse.Namespace) -> int:
     """Compute equilibrium bids for the scenario's bidders and pick a winner."""
     try:
-        scenario = load_scenario(config.scenario_path)
+        scenario = load_scenario(args.scenario)
     except DataFileError as exc:
         return _fail(str(exc), 1)
     except OSError as exc:
         return _fail(str(exc), 2)
     if not scenario.bidders:
-        return _fail(f"{config.scenario_path}: auction requires a [bidders] section", 1)
+        return _fail(f"{args.scenario}: auction requires a [bidders] section", 1)
 
     try:
         bids, winner_id, winning_vpi = _auction(scenario)
@@ -342,17 +333,17 @@ def cmd_auction(config: RunConfig) -> int:
         return _fail(str(exc), 1)
 
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         lines = ["bidder_id,bid,winner"]
         for bidder_id in sorted(bids):
             bid = bids[bidder_id]
             bid_text = "no-bid" if bid is None else repr(bid)
             lines.append(f"{bidder_id},{bid_text},{'true' if bidder_id == winner_id else 'false'}")
-        _write_text(config.out_dir / AUCTION_TABLE_NAME, "\n".join(lines) + "\n")
+        _write_text(args.out / AUCTION_TABLE_NAME, "\n".join(lines) + "\n")
         _write_manifest(
-            config.out_dir,
+            args.out,
             "auction",
-            inputs={"scenario": str(config.scenario_path)},
+            inputs={"scenario": str(args.scenario)},
             parameters={
                 "announced_rate": scenario.announced_rate,
                 "winner": winner_id,
@@ -375,7 +366,7 @@ def _parse_formats(text: str) -> frozenset[str]:
     return formats
 
 
-def _resolve_rates(args) -> tuple[tuple[str, DiscountSpec], ...]:
+def _resolve_rates(args: argparse.Namespace) -> tuple[tuple[str, DiscountSpec], ...]:
     custom = [args.rf, args.beta, args.erp, args.country]
     rates: list[tuple[str, DiscountSpec]] = []
     for label in args.rate or []:
@@ -388,9 +379,6 @@ def _resolve_rates(args) -> tuple[tuple[str, DiscountSpec], ...]:
         rates.append(("custom", DiscountSpec(args.rf, args.beta, args.erp, args.country)))
     if not rates:
         rates = [(label, PRESETS[label]) for label in ("base", "conservative")]
-    labels = [label for label, _ in rates]
-    if len(set(labels)) != len(labels):
-        raise argparse.ArgumentTypeError(f"duplicate rate labels: {labels}")
     return tuple(rates)
 
 
@@ -440,26 +428,13 @@ def main(argv: list[str] | None = None) -> int:
     # whether a second core is free. Must be set before numpy is imported.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        try:
-            rates = _resolve_rates(args)
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            return _fail(str(exc), 1)
-        config = RunConfig(
-            mines_dir=args.mines,
-            market_path=args.market,
-            out_dir=args.out,
-            rates=rates,
-            valuation_year=args.valuation_year,
-            formats=args.format,
-        )
-        return cmd_analyze(config)
-    if args.command == "reconstruct":
-        return cmd_reconstruct(RunConfig(mines_dir=args.mines, market_path=args.market, out_dir=args.out))
-    if args.command == "simulate-concession":
-        config = RunConfig(scenario_path=args.scenario, out_dir=args.out, formats=args.format)
-        return cmd_simulate_concession(config)
-    return cmd_auction(RunConfig(scenario_path=args.scenario, out_dir=args.out))
+    commands = {
+        "analyze": cmd_analyze,
+        "reconstruct": cmd_reconstruct,
+        "simulate-concession": cmd_simulate_concession,
+        "auction": cmd_auction,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -40,15 +40,10 @@ class _BidderFields(NamedTuple):
     investment: float
     cost_of_capital: Rate
     expected_revenue_path: CashFlowSeries
-    reported_operating_cost: float = 0.0
 
 
 class Bidder(_BidderFields):
-    """Auction participant with a private revenue forecast.
-
-    ``reported_operating_cost`` is informational only: bids depend on the
-    investment, the rates, and the revenue path, never on reported costs.
-    """
+    """Auction participant with a private revenue forecast."""
 
     __slots__ = ()
 
@@ -58,13 +53,10 @@ class Bidder(_BidderFields):
         investment: float,
         cost_of_capital: Rate,
         expected_revenue_path: CashFlowSeries,
-        reported_operating_cost: float = 0.0,
     ):
         if not math.isfinite(investment) or investment <= 0:
             raise ValueError(f"investment must be finite and > 0, got {investment!r}")
-        return super().__new__(
-            cls, bidder_id, investment, cost_of_capital, expected_revenue_path, reported_operating_cost
-        )
+        return super().__new__(cls, bidder_id, investment, cost_of_capital, expected_revenue_path)
 
 
 class ConcessionState(NamedTuple):

@@ -110,11 +110,15 @@ class MineDataset(NamedTuple):
 
     mine_id: str
     opening_year: int
-    first_reported_year: int | None
     capital_paid_first_year: float
     records: tuple[MineYearRecord, ...]
     escondida_tax_rule: bool = False
     physical_history: tuple[PhysicalYear, ...] = ()
+
+    @property
+    def first_reported_year(self) -> int | None:
+        """Year of the first record that was reported, not reconstructed; None when there is none."""
+        return next((rec.year for rec in self.records if not rec.reconstructed), None)
 
     def physical_for(self, year: int) -> PhysicalYear | None:
         for phys in self.physical_history:
@@ -122,14 +126,10 @@ class MineDataset(NamedTuple):
                 return phys
         return None
 
-    def production_by_year(self) -> dict[int, float]:
-        out = {phys.year: phys.production for phys in self.physical_history}
-        out.update({rec.year: rec.production for rec in self.records})
-        return out
-
     def mean_production(self) -> float:
         """Arithmetic mean of annual production over every year on file."""
-        per_year = self.production_by_year()
+        per_year = {phys.year: phys.production for phys in self.physical_history}
+        per_year.update({rec.year: rec.production for rec in self.records})
         if not per_year:
             return 0.0
         return sum(per_year.values()) / len(per_year)
@@ -315,12 +315,10 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
 
     records.sort(key=lambda rec: rec.year)
     physical.sort(key=lambda phys: phys.year)
-    first_reported = records[0].year if records else None
 
     return MineDataset(
         mine_id=meta["mine_id"],
         opening_year=opening_year,
-        first_reported_year=first_reported,
         capital_paid_first_year=capital_paid,
         records=tuple(records),
         escondida_tax_rule=tax_rule_text == "true",

@@ -43,7 +43,6 @@ class BaselineStats(NamedTuple):
     avg_fixed_asset_additions: float
     avg_dep_amort: float
     avg_net_loan_payments: float
-    baseline_years: tuple[int, int]
 
 
 class ExplorationImputation(NamedTuple):
@@ -58,7 +57,6 @@ class ExplorationImputation(NamedTuple):
     allocations: dict[str, float]
     yearly_allocations: dict[int, dict[str, float]]
     total_private_spend: float
-    rate: float
     successful_campaigns: int | None = None
     total_campaigns: int | None = None
     probability_inverse: float | None = None
@@ -66,20 +64,22 @@ class ExplorationImputation(NamedTuple):
 
 
 def _mean(values: Iterable[float]) -> float:
-    """Exactly rounded sum over the count: what ``statistics.fmean`` computes."""
+    """Exactly rounded sum over the count: what ``statistics.fmean`` computes; NaN where the sum is not finite."""
     values = list(values)
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+        return math.nan
 
 
-def compute_baseline_stats(
-    records: tuple[MineYearRecord, ...] | list[MineYearRecord],
-    window: tuple[int, int] = DEFAULT_BASELINE_WINDOW,
-) -> BaselineStats:
-    """Per-field means over the reported years inside ``window``.
+def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRecord]) -> BaselineStats:
+    """Per-field means over the reported years inside ``DEFAULT_BASELINE_WINDOW``.
 
     Years with zero production are excluded from unit-cost averaging, and
-    zero-cost years from the admin/sales ratio.
+    zero-cost years from the admin/sales ratio. Raises ReconstructionError
+    naming each mean that is not finite.
     """
+    window = DEFAULT_BASELINE_WINDOW
     usable = [rec for rec in records if window[0] <= rec.year <= window[1]]
     if not usable:
         raise BaselineUnavailableError(f"no reported years in baseline window {window}")
@@ -88,7 +88,7 @@ def compute_baseline_stats(
         raise BaselineUnavailableError(f"no year with production > 0 in baseline window {window}")
 
     with_cost = [rec for rec in usable if rec.operating_cost > 0]
-    return BaselineStats(
+    stats = BaselineStats(
         avg_unit_cost=_mean(rec.operating_cost / rec.production for rec in producing),
         gav_ratio=_mean(rec.admin_sales_expense / rec.operating_cost for rec in with_cost)
         if with_cost
@@ -100,8 +100,11 @@ def compute_baseline_stats(
         avg_fixed_asset_additions=_mean(rec.fixed_asset_additions for rec in usable),
         avg_dep_amort=_mean(rec.depreciation_amortization for rec in usable),
         avg_net_loan_payments=_mean(rec.net_loan_payments for rec in usable),
-        baseline_years=(window[0], window[1]),
     )
+    overflowed = [name for name, value in zip(stats._fields, stats) if not math.isfinite(value)]
+    if overflowed:
+        raise ReconstructionError(f"baseline {', '.join(overflowed)} not finite")
+    return stats
 
 
 def reconstruct_year(
@@ -196,7 +199,10 @@ def reconstruct_dataset(
     """Backfill every physical-history year, returning a full dataset."""
     if not mine.physical_history:
         return mine
-    baseline = compute_baseline_stats(mine.records)
+    try:
+        baseline = compute_baseline_stats(mine.records)
+    except ReconstructionError as exc:
+        raise type(exc)(f"{mine.mine_id}: {exc}") from None
     rebuilt = [
         reconstruct_year(mine, phys.year, market, baseline, audit)
         for phys in mine.physical_history
@@ -257,7 +263,6 @@ def impute_exploration(
         allocations=allocations,
         yearly_allocations=yearly,
         total_private_spend=total_private,
-        rate=r,
         successful_campaigns=successful_campaigns,
         total_campaigns=total_campaigns,
         probability_inverse=probability_inverse,

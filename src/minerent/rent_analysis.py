@@ -9,6 +9,7 @@ compounded forward to a valuation year at the sovereign-fund rate.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -35,16 +36,13 @@ DEFAULT_VALUATION_YEAR = 2012
 class RvpSeries(NamedTuple):
     """Per-year rent-in-present-value trajectory for one mine at one rate."""
 
-    mine_id: str
-    rate: Rate
     points: tuple[tuple[int, float], ...]
     momento_x: int | None
     rent_pv: float
     rent_forward: float = 0.0
-    valuation_year: int = DEFAULT_VALUATION_YEAR
 
 
-def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float, mine_id: str = "") -> RvpSeries:
+def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float) -> RvpSeries:
     """Cumulative discounted cash flow minus the initial investment, per year; ValueError where a factor overflows."""
     r = as_rate(rate)
     if flows.flows:
@@ -55,13 +53,7 @@ def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate 
         cumulative += discount(amount, r.value, year - flows.base_year)
         points.append((year, cumulative - investment.total))
     final = points[-1][1] if points else 0.0
-    series = RvpSeries(
-        mine_id=mine_id,
-        rate=r,
-        points=tuple(points),
-        momento_x=None,
-        rent_pv=max(final, 0.0),
-    )
+    series = RvpSeries(points=tuple(points), momento_x=None, rent_pv=max(final, 0.0))
     return series._replace(momento_x=momento_x(series))
 
 
@@ -110,16 +102,19 @@ def analyze_mine(
 ) -> RvpSeries:
     """Single-mine pipeline on a reconstructed mine: invest, discount, value rent.
 
-    Raises ValueError when the mine still has physical history; run
-    ``reconstruct_dataset`` on it first.
+    Raises ValueError when the mine still has physical history (run
+    ``reconstruct_dataset`` on it first), and when an RVP point or the
+    forward rent is not finite, so no artifact holds an infinity.
     """
     if mine.physical_history:
         raise ValueError(f"{mine.mine_id}: physical history is not reconstructed")
     flows = mine_cash_flows(mine)
     investment = initial_investment(mine, exploration)
-    series = rvp_series(flows, investment, rate, mine_id=mine.mine_id)
+    series = rvp_series(flows, investment, rate)
     forward = rent_forward_value(flows, series.momento_x, market.fund_rate, valuation_year)
-    return series._replace(rent_forward=forward, valuation_year=valuation_year)
+    if not (math.isfinite(forward) and all(math.isfinite(value) for _, value in series.points)):
+        raise ValueError(f"{mine.mine_id}: an RVP point or the forward rent is not finite")
+    return series._replace(rent_forward=forward)
 
 
 class SensitivityReport(NamedTuple):

@@ -14,6 +14,7 @@ from minerent import (
     load_market_series,
     load_mine_dataset,
 )
+from minerent.data_model import MINE_COLUMNS
 
 DATA_DIR = Path(__file__).parent / "data"
 MINES_DIR = DATA_DIR / "mines"
@@ -64,12 +65,23 @@ def make_mine(
     return MineDataset(
         mine_id=mine_id,
         opening_year=opening_year,
-        first_reported_year=records[0].year if records else None,
         capital_paid_first_year=capital_paid_first_year,
         records=records,
         escondida_tax_rule=escondida_tax_rule,
         physical_history=tuple(sorted(physical_history, key=lambda p: p.year)),
     )
+
+
+def set_cells(text: str, column: str, value: str, years) -> str:
+    """A mine file's text with ``column`` set to ``value`` in the rows of ``years``."""
+    index = MINE_COLUMNS.index(column)
+    lines = text.splitlines()
+    for at, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) == len(MINE_COLUMNS) and fields[0].isdigit() and int(fields[0]) in years:
+            fields[index] = value
+            lines[at] = ",".join(fields)
+    return "\n".join(lines) + "\n"
 
 
 def make_market(

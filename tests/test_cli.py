@@ -15,7 +15,7 @@ import pytest
 import minerent.cli
 from minerent.cli import main
 
-from conftest import MARKET_FILE, MINES_DIR
+from conftest import MARKET_FILE, MINES_DIR, set_cells
 
 CONSTANT_SCENARIO = """\
 # constant-revenue concession: 10 million per year against a 30 million target
@@ -124,6 +124,15 @@ class TestLoadAndValidate:
         ]
         assert not (tmp_path / "out").exists()  # so no file holds an inf
 
+    def test_overflowing_baseline_mean_is_one_error_line(self, tmp_path, capsys, command):
+        # Each 1.5e308 is finite and valid, but their sum in the 2001-2005 mean is not.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(set_cells(alpha.read_text(), "fixed_asset_additions", "1.5e308", (2001, 2002)))
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: alpha: baseline avg_fixed_asset_additions not finite"]
+        assert not (tmp_path / "out").exists()
+
     def test_negative_gdp_is_one_error_line(self, tmp_path, capsys, command):
         market = tmp_path / "market.csv"
         market.write_text(MARKET_FILE.read_text().replace("1992,2280.0,46094.5,", "1992,2280.0,-46094.5,"))
@@ -207,6 +216,21 @@ class TestAnalyze:
         assert code == 1
         assert "custom rates" in capsys.readouterr().err
 
+    def test_duplicate_rate_labels_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "analyze",
+                "--mines", str(MINES_DIR),
+                "--market", str(MARKET_FILE),
+                "--rate", "base", "--rate", "base",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: duplicate rate labels: ['base', 'base']"]
+        assert not out.exists()
+
     def test_empty_mines_dir(self, tmp_path, capsys):
         empty = tmp_path / "mines"
         empty.mkdir()
@@ -287,6 +311,16 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: a discount factor (1 + rate) ** years overflows a float"]
         assert not out.exists()
+
+    def test_infinite_rent_is_one_error_line(self, tmp_path, capsys):
+        # Each 1.7e308 is a finite, valid cash-flow input; discounted and summed they reach -inf.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(set_cells(alpha.read_text(), "fixed_asset_additions", "1.7e308", range(2006, 2013)))
+        out = tmp_path / "out"
+        assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: alpha: an RVP point or the forward rent is not finite"]
+        assert not out.exists()  # so no file holds an inf
 
     def test_summary_numbers_match_bruteforce_oracle(self, tmp_path, corpus_mines, corpus_market):
         from oracle import pipeline_brute, rel_close

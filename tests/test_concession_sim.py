@@ -65,12 +65,6 @@ class TestEquilibriumBid:
     def test_infeasible_path_returns_no_bid(self):
         assert equilibrium_bid(bidder(1000.0, 0.2, [5.0] * 5), Rate(0.1)) is None
 
-    def test_cost_annotation_does_not_move_the_bid(self):
-        plain = bidder(30.0, 0.12, [9.0] * 12)
-        padded = plain._replace(reported_operating_cost=1e9)
-        announced = Rate(0.07)
-        assert equilibrium_bid(plain, announced) == equilibrium_bid(padded, announced)
-
     def test_negative_revenue_rejected(self):
         with pytest.raises(ValueError):
             equilibrium_bid(bidder(10.0, 0.1, [5.0, -1.0]), Rate(0.05))

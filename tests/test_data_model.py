@@ -9,7 +9,9 @@ import pytest
 from minerent import (
     MarketSeries,
     MarketYear,
+    MineDataset,
     ParseError,
+    PhysicalYear,
     SchemaError,
     load_market_series,
     load_mine_dataset,
@@ -252,3 +254,25 @@ class TestValidateDataset:
         mine = make_mine(records=())
         report = validate_dataset([mine], corpus_market)
         assert any(w.rule == "no-history" for w in report.warnings)
+
+    # The loader can produce neither case below, and make_mine sorts, so these datasets are built by hand.
+    def test_year_in_records_and_physical_history_flagged(self, corpus_market):
+        mine = MineDataset(
+            mine_id="twice",
+            opening_year=1995,
+            capital_paid_first_year=500.0,
+            records=(make_record(2001), make_record(2002)),
+            physical_history=(PhysicalYear(2001, 100_000.0, 100_000.0),),
+        )
+        report = validate_dataset([mine], corpus_market)
+        assert [(e.rule, e.message) for e in report.errors] == [("duplicate-year", "duplicate years: [2001]")]
+
+    def test_unsorted_records_flagged(self, corpus_market):
+        mine = MineDataset(
+            mine_id="shuffled",
+            opening_year=1995,
+            capital_paid_first_year=500.0,
+            records=(make_record(2002), make_record(2001)),
+        )
+        report = validate_dataset([mine], corpus_market)
+        assert [e.rule for e in report.errors] == ["records-sorted"]

@@ -6,8 +6,10 @@ line deleted or repeated. Whatever the result, a command must return 0, 1
 or 2, raise nothing (a warning counts as raising), and write only
 ``error:`` and ``warning:`` lines to stderr; a scenario that fails gives
 exactly one ``error:`` line, and one that succeeds writes the same rows into
-both outcome files. A mine or market run that succeeds must write only
-finite numbers into the reconstructed mine files and the JSON summary.
+both outcome files. A scenario strategy also writes only in-bound values,
+so that many runs succeed and reach that check. A mine or market run that
+succeeds must write only finite numbers into the reconstructed mine files,
+the RVP files and both summaries.
 
 Integers written into lines range up to 10**18 in size. A scenario runs
 only with ``horizon`` and ``replications`` at or below 10**4 (and their
@@ -36,7 +38,7 @@ from minerent.cli import main
 from minerent.data_model import MINE_COLUMNS
 from minerent.scenario import MAX_SIMULATED_PERIODS
 
-from conftest import MARKET_FILE, MINES_DIR
+from conftest import MARKET_FILE, MINES_DIR, set_cells
 
 SCENARIO = """\
 announced_rate=0.06
@@ -108,6 +110,32 @@ def mutated(draw, valid: str) -> str:
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+# Values each scenario key accepts; the ranges keep most auctions feasible and every run small.
+IN_BOUNDS = {
+    "announced_rate": st.floats(0.0, 0.3),
+    "quantity_t_per_year": st.floats(5e3, 1e5),
+    "vpi": st.floats(1e-3, 1e3),
+    "initial_price": st.floats(1e3, 1e4),
+    "drift": st.floats(-0.05, 0.1),
+    "volatility": st.floats(0.0, 1.0),
+    "horizon": st.integers(1, 200),
+    "seed": st.integers(0, 2**63),
+    "replications": st.integers(1, 50),
+    "tax_per_year": st.floats(0.0, 10.0),
+}
+
+
+@st.composite
+def in_bounds(draw, valid: str) -> str:
+    """``valid`` with one to three of its ``key=value`` lines set to an accepted value."""
+    lines = valid.splitlines()
+    keyed = [at for at, line in enumerate(lines) if line.partition("=")[0] in IN_BOUNDS]
+    for at in draw(st.lists(st.sampled_from(keyed), min_size=1, max_size=3)):
+        key = lines[at].partition("=")[0]
+        lines[at] = f"{key}={draw(IN_BOUNDS[key])!r}"
+    return "\n".join(lines) + "\n"
+
+
 def _scalar(text: str, key: str, default: float) -> float:
     match = re.search(rf"^\s*{key}\s*=(.*)$", text, re.MULTILINE)
     try:
@@ -140,13 +168,19 @@ def run_cli(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def numbers_written(out: Path) -> list[float]:
-    """Every number in the reconstructed mine files and the JSON summary under ``out``."""
+    """Every number in the reconstructed mine files, the RVP files and both summaries under ``out``."""
     found: list[float] = []
     for path in out.glob("*_reconstructed.csv"):
         lines = path.read_text(encoding="utf-8").splitlines()
         header = lines.index(",".join(MINE_COLUMNS))
         found += [float(line.partition("=")[2]) for line in lines[:header] if line.startswith("capital_paid_first_year=")]
         found += [float(cell) for line in lines[header + 1:] for cell in line.split(",") if cell]
+    for path in out.glob("*_rvp_*.csv"):  # year,rvp
+        found += [float(cell) for line in path.read_text(encoding="utf-8").splitlines()[1:] for cell in line.split(",")]
+    table = out / "summary_cuadro1.csv"
+    if table.exists():  # mine_id, then numbers, with "-" for an absent momento x
+        lines = table.read_text(encoding="utf-8").splitlines()[1:]
+        found += [float(cell) for line in lines for cell in line.split(",")[1:] if cell != "-"]
     summary = out / "summary_cuadro1.json"
     if summary.exists():
         # The parser hands over each number's text, NaN and Infinity included.
@@ -179,7 +213,12 @@ def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> None:
 
 @FUZZ
 @given(
-    text=st.one_of(mutated(SCENARIO), mutated(PRICE_PATH_SCENARIO), st.text(max_size=200)),
+    text=st.one_of(
+        mutated(SCENARIO),
+        mutated(PRICE_PATH_SCENARIO),
+        st.text(max_size=200),
+        st.sampled_from([SCENARIO, PRICE_PATH_SCENARIO]).flatmap(in_bounds),
+    ),
     command=st.sampled_from(["auction", "simulate-concession"]),
 )
 @example(text=SCENARIO.replace("horizon=40", "horizon=1e12"), command="auction")
@@ -199,6 +238,8 @@ def test_scenario_slot(text, command):
 @FUZZ
 @given(text=st.one_of(mutated(MINE), st.text(max_size=200)), command=st.sampled_from(["analyze", "reconstruct"]))
 @example(text=MINE.replace("1997,,,,,,,,,,360000.0,", "1997,,,,,,,,,,nan,"), command="reconstruct")
+@example(text=set_cells(MINE, "fixed_asset_additions", "1.5e308", (2001, 2002)), command="reconstruct")
+@example(text=set_cells(MINE, "fixed_asset_additions", "1.7e308", range(2006, 2013)), command="analyze")
 def test_mine_slot(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         mines = Path(tmp) / "mines"

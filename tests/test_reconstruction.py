@@ -33,7 +33,7 @@ def baseline_records():
 
 class TestBaselineStats:
     def test_avg_unit_cost_is_mean_of_ratios(self):
-        stats = compute_baseline_stats(baseline_records(), window=(2001, 2005))
+        stats = compute_baseline_stats(baseline_records())
         assert stats.avg_unit_cost == pytest.approx((200 / 100 + 220 / 110) / 2)
         assert stats.avg_unit_cost == pytest.approx(2.0)
 
@@ -42,7 +42,7 @@ class TestBaselineStats:
             make_record(2001, admin_sales_expense=20.0, operating_cost=200.0),
             make_record(2002, admin_sales_expense=30.0, operating_cost=300.0),
         ]
-        stats = compute_baseline_stats(records, window=(2001, 2005))
+        stats = compute_baseline_stats(records)
         assert stats.gav_ratio == pytest.approx(0.10)
 
     def test_single_year_window_is_verbatim(self):
@@ -55,7 +55,7 @@ class TestBaselineStats:
             fixed_asset_additions=17.0,
             net_loan_payments=3.0,
         )
-        stats = compute_baseline_stats([rec], window=(2003, 2003))
+        stats = compute_baseline_stats([rec])
         assert stats.avg_unit_cost == pytest.approx(150.0 / 60.0)
         assert stats.gav_ratio == pytest.approx(12.0 / 150.0)
         assert stats.avg_dep_amort == 9.0
@@ -64,7 +64,7 @@ class TestBaselineStats:
 
     def test_zero_production_years_excluded_from_unit_cost(self):
         records = baseline_records() + [make_record(2003, operating_cost=50.0, production=0.0)]
-        stats = compute_baseline_stats(records, window=(2001, 2005))
+        stats = compute_baseline_stats(records)
         assert stats.avg_unit_cost == pytest.approx(2.0)
 
     def test_nonoperating_mean(self):
@@ -72,13 +72,31 @@ class TestBaselineStats:
             make_record(2001, revenue=100.0, operating_cost=40.0, admin_sales_expense=4.0, pretax_result=58.0),
             make_record(2002, revenue=100.0, operating_cost=40.0, admin_sales_expense=4.0, pretax_result=52.0),
         ]
-        stats = compute_baseline_stats(records, window=(2001, 2005))
+        stats = compute_baseline_stats(records)
         # per-year nonoperating: 58-56=2 and 52-56=-4
         assert stats.avg_nonoperating == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "first, second, field",
+        [
+            # Two finite years whose sum leaves the float range.
+            (dict(fixed_asset_additions=1.5e308), dict(fixed_asset_additions=1.5e308), "avg_fixed_asset_additions"),
+            # Nonoperating results of +inf and -inf, whose exact sum is undefined.
+            (
+                dict(revenue=-1.7e308, pretax_result=1.7e308),
+                dict(revenue=1.7e308, pretax_result=-1.7e308),
+                "avg_nonoperating",
+            ),
+        ],
+    )
+    def test_mean_out_of_float_range_names_the_field(self, first, second, field):
+        with pytest.raises(ReconstructionError, match=f"^baseline {field} not finite$"):
+            compute_baseline_stats([make_record(2001, **first), make_record(2002, **second)])
+
     def test_empty_window_raises(self):
+        shifted = [rec._replace(year=rec.year - 11) for rec in baseline_records()]  # 1990 and 1991
         with pytest.raises(BaselineUnavailableError):
-            compute_baseline_stats(baseline_records(), window=(1990, 1995))
+            compute_baseline_stats(shifted)
 
     # Money spans 1e-3..1e16, so a plain left-to-right sum drops low bits that fsum keeps.
     @given(
@@ -121,9 +139,8 @@ class TestBaselineStats:
             avg_fixed_asset_additions=fmean(rec.fixed_asset_additions for rec in records),
             avg_dep_amort=fmean(rec.depreciation_amortization for rec in records),
             avg_net_loan_payments=fmean(rec.net_loan_payments for rec in records),
-            baseline_years=(2001, 2005),
         )
-        assert repr(compute_baseline_stats(records, window=(2001, 2005))) == repr(expected)
+        assert repr(compute_baseline_stats(records)) == repr(expected)
 
 
 def reconstruction_mine(**kwargs):

@@ -33,7 +33,6 @@ def imputation(allocations):
         allocations=allocations,
         yearly_allocations={},
         total_private_spend=sum(allocations.values()),
-        rate=0.1,
     )
 
 
