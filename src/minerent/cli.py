@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -262,32 +263,37 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
             return _fail(str(exc), 1)
 
     rate, tax_policy = Rate(scenario.announced_rate), scenario.tax_policy()
+    others = range(1, scenario.replications)
     try:
         if scenario.explicit_path is not None:
-            paths = [scenario.explicit_path] * scenario.replications
+            first = scenario.explicit_path
+            rest = itertools.repeat(first, len(others))
         else:
-            paths = [
-                generate_price_path(
-                    PricePathParams(
-                        initial_price=scenario.initial_price,
-                        drift=scenario.drift,
-                        volatility=scenario.volatility,
-                        horizon=scenario.horizon,
-                        seed=scenario.seed + replication,
-                    )
-                )
-                for replication in range(scenario.replications)
-            ]
+            params = PricePathParams(
+                initial_price=scenario.initial_price,
+                drift=scenario.drift,
+                volatility=scenario.volatility,
+                horizon=scenario.horizon,
+                seed=scenario.seed,
+            )
+            first = generate_price_path(params)
+            rest = (generate_price_path(params._replace(seed=params.seed + i)) for i in others)
+        # The kernel streams the paths, so only replication 0's is held whole.
         # Each raises ValueError when a price, a revenue or an accrued PV overflows a float.
-        batch = accrue_concessions(vpi, paths, scenario.quantity, rate, tax_policy)
+        batch = accrue_concessions(vpi, itertools.chain([first], rest), scenario.quantity, rate, tax_policy)
     except ValueError as exc:
         return _fail(f"{args.scenario}: {exc}", 1)
-    for replication in range(scenario.replications):
-        warning = batch.warning(replication)
-        if warning:
-            print(f"warning: replication {replication}: {warning}", file=sys.stderr)
+    warning = batch.warning(0)
+    if warning:
+        print(f"warning: replication 0: {warning}", file=sys.stderr)
+    active = int((~batch.expired).sum())
+    if active > (warning is not None):  # a replication other than 0 is still active
+        print(
+            f"warning: {active} of {scenario.replications} replications still active after {len(first)} periods",
+            file=sys.stderr,
+        )
     # Only replication 0's rows are written, so only its rows are built.
-    outcome = simulate_concession(vpi, paths[0], scenario.quantity, rate, tax_policy)
+    outcome = simulate_concession(vpi, first, scenario.quantity, rate, tax_policy)
 
     try:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -19,8 +19,9 @@ from .data_model import USD_PER_MUSD, DataFileError
 from .valuation import CashFlowSeries, Rate
 
 
-# Bound on periods × replications, the cells the concession engine holds at once. At the
-# bound one never-expiring replication, all of whose rows are written, peaks near 175 MB RSS.
+# Bound on periods × replications. The accrual kernel streams replications in fixed-size
+# blocks, so replication 0's rows, all built and written, set the bound: at it one
+# never-expiring replication of 300,000 periods peaks near 140 MB RSS.
 MAX_SIMULATED_PERIODS = 300_000
 
 

@@ -585,6 +585,30 @@ class TestSimulateConcession:
         assert len(outcome["rows"]) == 400
         assert {repr(row["accrued_pv"]) for row in outcome["rows"]} == {"0.10000000000000002"}
 
+    @pytest.mark.parametrize(
+        "vpi, replication_0_active, active",
+        [(30, False, 0), (120, False, 7), (300, True, 49)],
+        ids=["all-expire", "others-active", "replication-0-and-others-active"],
+    )
+    def test_active_replications_are_one_summary_line(self, tmp_path, capsys, vpi, replication_0_active, active):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(MONTE_CARLO_SCENARIO.replace("vpi=120", f"vpi={vpi}"))
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+        durations = (out / "duration_histogram.csv").read_text().splitlines()[1:]
+        assert sum(line.endswith(",") for line in durations) == active
+        outcome = json.loads((out / "concession_outcome.json").read_text())
+        want = []
+        if replication_0_active:
+            want.append(
+                "warning: replication 0: concession still active after 60 periods: "
+                f"accrued {outcome['accrued_pv']!r} of VPI target {float(vpi)!r}"
+            )
+            assert outcome["warning"] == want[0].removeprefix("warning: replication 0: ")
+        if active:
+            want.append(f"warning: {active} of 100 replications still active after 60 periods")
+        assert capsys.readouterr().err.splitlines() == want
+
     def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):
         # (1.06) ** t overflows a float past t = 12180; later periods add 0.0.
         scenario = tmp_path / "scenario.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from minerent import (
     simulate_concession,
     step_concession,
 )
+from minerent import concession_sim
 from minerent.cli import main
 
 from oracle import bid_brute, rel_close
@@ -430,3 +432,154 @@ class TestAccrualKernel:
             want.append(f"{replication},{'' if state.active else state.current_year}")
         assert lines == want
         assert any(line.endswith(",") for line in lines) and not all(line.endswith(",") for line in lines[1:])
+
+
+def seeded_paths(count, horizon=2000):
+    """Replications 0..count-1 of a seeded path, generated one at a time."""
+    for seed in range(count):
+        yield generate_price_path(PricePathParams(2000.0, 0.0, 0.15, horizon=horizon, seed=seed))
+
+
+class TestAccrualBlocks:
+    """The kernel streams its paths in blocks; no block boundary changes a value or an error."""
+
+    @pytest.fixture
+    def block_cells(self, monkeypatch):
+        def shrink(cells):
+            monkeypatch.setattr(concession_sim, "_BLOCK_CELLS", cells)
+
+        return shrink
+
+    @pytest.mark.parametrize("cells", [7, 1000])  # 1 and 3 runs of 300 periods per block
+    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
+    @pytest.mark.parametrize("rate", [0.0, 0.06, 0.15])
+    def test_seeded_paths_across_blocks(self, block_cells, cells, rate, tax):
+        block_cells(cells)
+        TestAccrualKernel().test_matches_stepper_on_seeded_paths(rate, tax)
+
+    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
+    @pytest.mark.parametrize(
+        "prices, rate, vpi",
+        [
+            ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
+            ([1000.0] * 6, 0.0, 30.0),
+            ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
+            ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
+            ([2000.0] * 5200, 0.15, 1e6),
+            ([1.0] + [0.0] * 399, -0.9, 30.0),
+            ([], 0.05, 10.0),
+        ],
+    )
+    def test_explicit_paths_across_blocks(self, block_cells, prices, rate, vpi, tax):
+        block_cells(7)
+        TestAccrualKernel().test_matches_stepper_on_explicit_paths(prices, rate, vpi, tax)
+        policy = TAX_POLICIES[tax]
+        state, _ = stepped_run(vpi, prices, 10_000.0, rate, policy)
+        batch = accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy)
+        for run in range(5):
+            assert batch.duration(run) == (state.current_year if not state.active else None)
+            assert repr(batch.final_accrued(run)) == repr(state.accrued_pv)
+
+    def test_many_one_period_runs(self, block_cells):
+        block_cells(7)
+        prices = [[float(price)] for price in range(0, 5000, 100)]
+        batch = accrue_concessions(20.0, prices, 10_000.0, Rate(0.06), 3.0)
+        assert len(batch.stepped) == 50
+        for run, path in enumerate(prices):
+            state, _ = stepped_run(20.0, path, 10_000.0, 0.06, 3.0)
+            assert batch.duration(run) == (state.current_year if not state.active else None)
+            assert repr(batch.final_accrued(run)) == repr(state.accrued_pv)
+        assert {batch.duration(run) for run in range(50)} == {None, 1}
+
+    def test_generator_matches_list(self, block_cells):
+        block_cells(5000)
+        streamed = accrue_concessions(150.0, seeded_paths(20, horizon=300), 10_000.0, Rate(0.06), 2.0)
+        listed = accrue_concessions(150.0, list(seeded_paths(20, horizon=300)), 10_000.0, Rate(0.06), 2.0)
+        assert streamed.stepped.tolist() == listed.stepped.tolist()
+        assert streamed.expired.tolist() == listed.expired.tolist()
+        assert repr(streamed.accrued_pv.tolist()) == repr(listed.accrued_pv.tolist())
+        assert len(streamed.stepped) == 20
+
+    def test_empty_input_is_an_empty_batch(self):
+        batch = accrue_concessions(10.0, iter([]), 10_000.0, Rate(0.06))
+        assert len(batch.stepped) == len(batch.expired) == len(batch.accrued_pv) == 0
+
+    @pytest.mark.parametrize("ragged_run", [1, 4])
+    def test_ragged_paths_raise(self, block_cells, ragged_run):
+        block_cells(6)  # two runs of three periods per block
+        paths = [[1000.0] * 3] * 5
+        paths[ragged_run] = [1000.0] * 2
+        with pytest.raises(ValueError, match=f"run {ragged_run} has 2, run 0 3"):
+            accrue_concessions(30.0, paths, 10_000.0, Rate(0.0))
+
+    OK = [1000.0] * 10
+    BAD_TAX = [1000.0, -1.0] + [1000.0] * 8
+    HUGE = [1e300] * 10
+
+    # Each batch's message is the one the whole-matrix kernel raised for it.
+    @pytest.mark.parametrize("cells", [10, 20, 30])  # 1, 2 and 3 runs per block
+    @pytest.mark.parametrize(
+        "paths, quantity, rate, vpi, message",
+        [
+            pytest.param(
+                [BAD_TAX, OK, OK[:3] + [1e305] + OK[4:]],
+                1e4, 0.0, 1e6,
+                "gross revenue is not finite in run 2, period 4: inf",
+                id="tax-then-gross",
+            ),
+            pytest.param(
+                [HUGE, OK, BAD_TAX],
+                1e6, -0.9, 1.7e308,
+                "voluntary tax must lie in [0, gross revenue], got -1.0 vs -1.0",
+                id="overflow-then-tax",
+            ),
+            pytest.param(
+                [OK, HUGE, OK, HUGE],
+                1e6, -0.9, 1.7e308,
+                "accrued PV overflows a float in run 1, period 9",
+                id="two-overflows",
+            ),
+            pytest.param(
+                [OK, OK[:3] + [1e305] + OK[4:], OK, [1e305] + OK[1:]],
+                1e4, 0.0, 1e6,
+                "gross revenue is not finite in run 1, period 4: inf",
+                id="two-gross",
+            ),
+            pytest.param(
+                [OK, BAD_TAX, OK, [-5.0] + OK[1:]],
+                1e4, 0.0, 1e6,
+                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
+                id="two-taxes",
+            ),
+        ],
+    )
+    def test_first_error_across_blocks(self, block_cells, cells, paths, quantity, rate, vpi, message):
+        block_cells(cells)
+        with pytest.raises(ValueError) as caught:
+            accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
+        assert str(caught.value) == message
+
+    def test_path_error_outranks_accrual_errors(self, block_cells):
+        block_cells(10)
+
+        def paths():
+            yield [1000.0, -1.0] + [1000.0] * 8
+            yield [1e305] * 10
+            raise ValueError("price path (seed 2) has a non-finite price at step 3: inf")
+
+        with pytest.raises(ValueError, match=r"^price path \(seed 2\)"):
+            accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
+
+    def test_memory_does_not_grow_with_runs(self):
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                accrue_concessions(300.0, seeded_paths(runs), 10_000.0, Rate(0.06), 2.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first calls allocate numpy's one-time state
+        small, large = peak(100), peak(400)
+        assert small < 2_000_000 and large < 2_000_000
+        assert large < small * 1.1
