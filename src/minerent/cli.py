@@ -65,6 +65,12 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _write_audit(path: Path, audit: list[str]) -> None:
+    """One line per audit entry, written as it goes; an empty audit gives an empty file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in audit)
+
+
 def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict, seed: int | None) -> None:
     manifest = {
         "command": command,
@@ -124,7 +130,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
     except (ReconstructionError, ValueError) as exc:
         return _fail(str(exc), 1)
+    del loaded, mines  # the report holds all the write phase needs; free the loaded records
 
+    # Each document goes straight into its file, so none is ever held whole.
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         for (mine_id, label), series in sorted(report.series.items()):
@@ -132,11 +140,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if "table" in args.format:
             write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
         if "json" in args.format:
-            _write_text(
-                args.out / SUMMARY_JSON_NAME,
-                json.dumps(summary_rows(report), sort_keys=True, indent=2) + "\n",
-            )
-        _write_text(args.out / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
+            with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
+                json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        _write_audit(args.out / AUDIT_LOG_NAME, audit)
         _write_manifest(
             args.out,
             "analyze",
@@ -178,7 +185,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         for mine in completed:
             write_mine_dataset(mine, args.out / f"{mine.mine_id}_reconstructed.csv")
-        _write_text(args.out / AUDIT_LOG_NAME, "\n".join(audit) + ("\n" if audit else ""))
+        _write_audit(args.out / AUDIT_LOG_NAME, audit)
         _write_manifest(
             args.out,
             "reconstruct",

@@ -33,12 +33,19 @@ MINE_METADATA_KEYS = ("mine_id", "opening_year", "capital_paid_first_year", "esc
 
 YEAR_MIN = 1984
 YEAR_MAX = 2012
+# Largest production or export figure accepted, in tonnes (world output is near 2e7 t a year);
+# far below the float range, so sums of tonnages over every year on file stay finite.
+TONNAGE_BOUND = 1e12
 DEFAULT_FUND_RATE = 0.0507
 
 # Prices are USD/tonne and quantities tonnes; money fields are million USD.
 USD_PER_MUSD = 1_000_000.0
 
 NO_HISTORY_WARNING = "no history; reconstruction required"
+
+# A mine_id becomes part of output file names and a summary CSV cell, so it may not
+# hold a path separator, a comma or a control character, nor be "." or "..".
+_MINE_ID_FORBIDDEN = frozenset("/\\,") | frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
 
 
 class DataFileError(Exception):
@@ -302,8 +309,15 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     for key in ("mine_id", "opening_year", "capital_paid_first_year"):
         if key not in meta:
             raise SchemaError(f"missing metadata key {key!r}", path)
-    if not meta["mine_id"]:
+    mine_id = meta["mine_id"]
+    if not mine_id:
         raise SchemaError("mine_id must be non-empty", path)
+    if mine_id in (".", "..") or not _MINE_ID_FORBIDDEN.isdisjoint(mine_id):
+        raise SchemaError(
+            f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character",
+            path,
+            meta_lines["mine_id"][1],
+        )
     try:
         opening_year = int(meta["opening_year"])
         capital_paid = float(meta["capital_paid_first_year"])
@@ -317,7 +331,7 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     physical.sort(key=lambda phys: phys.year)
 
     return MineDataset(
-        mine_id=meta["mine_id"],
+        mine_id=mine_id,
         opening_year=opening_year,
         capital_paid_first_year=capital_paid,
         records=tuple(records),
@@ -389,9 +403,14 @@ def _check_physical_row(
     locator = f"{mine_id}:{year}"
     if not YEAR_MIN <= year <= YEAR_MAX:
         err(locator, "year-window", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    if not (math.isfinite(production) and math.isfinite(exports)):
-        # The comparisons below would let NaN and inf through.
-        err(locator, "tonnage-finite", f"production and exports must be finite, got {production} and {exports}")
+    if not (abs(production) <= TONNAGE_BOUND and abs(exports) <= TONNAGE_BOUND):
+        # False for NaN too; the comparisons below would let NaN and inf through.
+        err(
+            locator,
+            "tonnage-range",
+            f"production and exports must be finite and at most {TONNAGE_BOUND:g} t in magnitude, "
+            f"got {production} and {exports}",
+        )
         return
     if production < 0:
         err(locator, "production-nonnegative", f"production must be nonnegative, got {production}")

@@ -195,9 +195,10 @@ def write_summary_table(report: SensitivityReport, path: str | Path) -> None:
             return repr(value)
         return str(value)
 
-    lines = [",".join(columns)]
-    lines.extend(",".join(fmt(row[col]) for col in columns) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(row[col]) for col in columns) + "\n")
 
 
 def write_plot_data(series: RvpSeries, path: str | Path) -> None:

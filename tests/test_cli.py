@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +16,8 @@ import pytest
 
 import minerent.cli
 from minerent.cli import main
+from minerent.data_model import MINE_COLUMNS
+from minerent.rent_analysis import summary_rows
 
 from conftest import MARKET_FILE, MINES_DIR, set_cells
 
@@ -58,6 +62,48 @@ def copy_mines(tmp_path):
     mines = tmp_path / "mines"
     shutil.copytree(MINES_DIR, mines)
     return mines
+
+
+def copy_mines_without_prehistory(tmp_path):
+    """The shipped mines with every pre-history row (blank financial columns) dropped."""
+    mines = tmp_path / "mines"
+    mines.mkdir()
+    for path in sorted(MINES_DIR.glob("*.csv")):
+        lines = [line for line in path.read_text().splitlines() if not line[:4].isdigit() or line.split(",")[1]]
+        (mines / path.name).write_text("\n".join(lines) + "\n")
+    return mines
+
+
+def scaled_mines(directory, count):
+    """``count`` copies of the shipped mines, each under a new id with every number scaled by a seeded factor."""
+    directory.mkdir()
+    templates = sorted(MINES_DIR.glob("*.csv"))
+    rng = random.Random(0)
+    for i in range(count):
+        template = templates[i % len(templates)]
+        mine_id, scale = f"{template.stem}-{i:04d}", rng.uniform(0.5, 2.0)
+        lines = template.read_text().splitlines()
+        header = lines.index(",".join(MINE_COLUMNS))
+        text = [f"mine_id={mine_id}"] + [line for line in lines[:header] if not line.startswith("mine_id=")]
+        text.append(lines[header])
+        for line in lines[header + 1:]:
+            year, *cells = line.split(",")
+            text.append(",".join([year] + [cell and repr(float(cell) * scale) for cell in cells]))
+        (directory / f"{mine_id}.csv").write_text("\n".join(text) + "\n")
+    return directory
+
+
+def joined_summary_table(report):
+    """The summary table as the writer before streaming made it: every line joined into one string."""
+    labels = report.rate_labels
+    columns = ["mine_id"]
+    columns += [f"momento_x_{label}" for label in labels]
+    columns += [f"rent_pv_at_t0_{label}" for label in labels]
+    columns += [f"rent_at_{report.valuation_year}_{label}" for label in labels]
+    fmt = lambda value: "-" if value is None else repr(value) if isinstance(value, float) else str(value)
+    lines = [",".join(columns)]
+    lines.extend(",".join(fmt(row[column]) for column in columns) for row in summary_rows(report))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
@@ -110,9 +156,38 @@ class TestLoadAndValidate:
         alpha.write_text("\n".join(lines) + "\n")
         assert self.run(command, mines, tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: alpha:{year}: [tonnage-finite] "), err
+        assert len(err) == 1 and err[0].startswith(f"error: alpha:{year}: [tonnage-range] "), err
         assert value in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_tonnage_past_bound_is_one_error_line_per_year(self, tmp_path, capsys, command):
+        # Each 1.7e308 is finite, but their sum in the mine's mean production is not.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        text = alpha.read_text()
+        for column in ("production_t", "exports_t"):
+            text = set_cells(text, column, "1.7e308", range(2006, 2012))
+        alpha.write_text(text)
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha:{year}: [tonnage-range] production and exports must be finite and at most 1e+12 t "
+            "in magnitude, got 1.7e+308 and 1.7e+308"
+            for year in range(2006, 2012)
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mine_id", ["../escaped", "sub/dir", "a,b", "..", "bell\x07"])
+    def test_mine_id_that_leaves_out_is_one_error_line(self, tmp_path, capsys, command, mine_id):
+        # The id is part of output file names, so "../escaped" would put escaped_* beside --out.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("mine_id=alpha\n", f"mine_id={mine_id}\n"))
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {alpha}:1: mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' "
+            "or a control character"
+        ]
+        assert [path.name for path in tmp_path.iterdir()] == ["mines"]  # no --out, nothing beside it
 
     def test_huge_market_price_is_one_error_line(self, tmp_path, capsys, command):
         # 1e308 passes price-positive, but price * production overflows in alpha's pre-history year.
@@ -379,6 +454,89 @@ class TestReconstruct:
         # alpha 1996-2000 and beta 1998-2000: eight reconstructed years, 8 lines each
         assert len(audit) == 8 * 8
         assert any(line.startswith("alpha 1996 revenue") for line in audit)
+
+
+class TestStreamedWriters:
+    """The summary and audit files are streamed; their bytes are those of the writers that joined them whole."""
+
+    @pytest.mark.parametrize("prehistory", [True, False], ids=["shipped", "no-prehistory"])
+    @pytest.mark.parametrize("formats", ["table", "json", "table,json"])
+    def test_analyze_files_match_joined_writers(self, tmp_path, monkeypatch, prehistory, formats):
+        runs, report_of = [], minerent.cli.sensitivity_report
+
+        def recorded(*args, audit, **kwargs):
+            runs.append((report_of(*args, audit=audit, **kwargs), audit))
+            return runs[-1][0]
+
+        monkeypatch.setattr(minerent.cli, "sensitivity_report", recorded)
+        mines = copy_mines(tmp_path) if prehistory else copy_mines_without_prehistory(tmp_path)
+        out = tmp_path / "out"
+        argv = ["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out), "--format", formats]
+        assert main(argv) == 0
+        [(report, audit)] = runs
+        assert bool(audit) == prehistory
+        expected = {
+            "summary_cuadro1.csv": joined_summary_table(report) if "table" in formats else None,
+            "summary_cuadro1.json": json.dumps(summary_rows(report), sort_keys=True, indent=2) + "\n"
+            if "json" in formats
+            else None,
+            "reconstruction_audit.log": "\n".join(audit) + ("\n" if audit else ""),
+        }
+        written = {name: (out / name).read_bytes().decode() if (out / name).exists() else None for name in expected}
+        assert written == expected
+
+    @pytest.mark.parametrize("prehistory", [True, False], ids=["shipped", "no-prehistory"])
+    def test_reconstruct_audit_matches_joined_writer(self, tmp_path, monkeypatch, prehistory):
+        audits, reconstruct = [], minerent.cli.reconstruct_dataset
+
+        def recorded(mine, market, audit):
+            audits.append(audit)
+            return reconstruct(mine, market, audit=audit)
+
+        monkeypatch.setattr(minerent.cli, "reconstruct_dataset", recorded)
+        mines = copy_mines(tmp_path) if prehistory else copy_mines_without_prehistory(tmp_path)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 0
+        audit = audits[-1]
+        assert all(each is audit for each in audits) and bool(audit) == prehistory
+        assert (out / "reconstruction_audit.log").read_bytes().decode() == "\n".join(audit) + ("\n" if audit else "")
+
+    def test_documents_are_never_held_whole(self, tmp_path, monkeypatch):
+        # The window opens where the first document, the summary table, is written. Its traced peak
+        # above the level there, less one list of summary rows (the documents' data, built for the
+        # table and again for the JSON), must stay below the size of the JSON summary: no writer
+        # holds a whole document. A writer that joins its document first holds several times that.
+        reports, window, report_of, table = [], [], minerent.cli.sensitivity_report, minerent.cli.write_summary_table
+
+        def recorded(*args, **kwargs):
+            reports.append(report_of(*args, **kwargs))
+            return reports[-1]
+
+        def opened(*args):
+            tracemalloc.reset_peak()
+            window.append(tracemalloc.get_traced_memory()[0])
+            table(*args)
+
+        monkeypatch.setattr(minerent.cli, "sensitivity_report", recorded)
+        monkeypatch.setattr(minerent.cli, "write_summary_table", opened)
+        # pathlib interns each file name; interning these first keeps a one-off growth of the
+        # interpreter's table of interned strings out of the window.
+        for name in (minerent.cli.SUMMARY_JSON_NAME, minerent.cli.AUDIT_LOG_NAME, minerent.cli.MANIFEST_NAME):
+            sys.intern(name)
+        mines = scaled_mines(tmp_path / "mines", 600)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            rows = summary_rows(reports[0])
+            rows_size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 600 and len(window) == 1
+        document = (out / "summary_cuadro1.json").stat().st_size
+        assert peak - window[0] - rows_size < document, (peak - window[0], rows_size, document)
 
 
 class TestSimulateConcession:

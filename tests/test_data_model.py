@@ -128,6 +128,25 @@ class TestLoadMineDataset:
         mine = load_mine_dataset(path)
         assert [r.year for r in mine.records] == [2001, 2003, 2005]
 
+    @pytest.mark.parametrize(
+        "mine_id", ["../escaped", "sub/dir", "back\\slash", "a,b", ".", "..", "tab\tinside", "nul\x00", "del\x7f", "c1\x9f"]
+    )
+    def test_mine_id_that_is_no_file_name_part_names_line(self, tmp_path, mine_id):
+        path = tmp_path / "demo.csv"
+        write_mine_file(path, [full_row(2001)], meta=["opening_year=1995", f"mine_id={mine_id}"] + META[2:])
+        with pytest.raises(SchemaError) as excinfo:
+            load_mine_dataset(path)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == (
+            f"{path}:2: mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character"
+        )
+
+    @pytest.mark.parametrize("mine_id", ["alpha", "alpha-0000", "a..b", ".hidden", "Mina Escondida", "ñandú_2"])
+    def test_file_name_safe_mine_id_loads(self, tmp_path, mine_id):
+        path = tmp_path / "demo.csv"
+        write_mine_file(path, [full_row(2001)], meta=[f"mine_id={mine_id}"] + META[1:])
+        assert load_mine_dataset(path).mine_id == mine_id
+
 
 class TestRoundTrip:
     def test_corpus_round_trips(self, tmp_path, corpus_mines):
@@ -208,6 +227,20 @@ class TestValidateDataset:
         report = validate_dataset([mine], corpus_market)
         assert len(report.errors) == 1
         assert report.errors[0].rule == "production-nonnegative"
+
+    @pytest.mark.parametrize(
+        "production, exports, rules",
+        [
+            (1e12, 1e12, []),
+            (1e12, 1.0000000000000002e12, ["tonnage-range"]),
+            (1.7e308, 1.7e308, ["tonnage-range"]),
+            (-1e12, 0.0, ["production-nonnegative"]),
+            (1e6, -2e12, ["tonnage-range"]),
+        ],
+    )
+    def test_tonnage_bound(self, corpus_market, production, exports, rules):
+        mine = make_mine(records=[make_record(2001, production=production, exports=exports)])
+        assert [issue.rule for issue in validate_dataset([mine], corpus_market).errors] == rules
 
     def test_market_gap_flagged(self):
         entries = tuple(

@@ -9,7 +9,10 @@ exactly one ``error:`` line, and one that succeeds writes the same rows into
 both outcome files. A scenario strategy also writes only in-bound values,
 so that many runs succeed and reach that check. A mine or market run that
 succeeds must write only finite numbers into the reconstructed mine files,
-the RVP files and both summaries.
+the RVP files and both summaries, and no run may write beside its output
+directory. A mine whose id could leave that directory or break the summary
+CSV (a ``/``, ``\\``, ``,`` or control character, or ``.`` or ``..``) must
+fail with exactly one ``error:`` line, exit code 1.
 
 Integers written into lines range up to 10**18 in size. A scenario runs
 only with ``horizon`` and ``replications`` at or below 10**4 (and their
@@ -204,11 +207,13 @@ def outcome_files_agree(out: Path) -> None:
     assert outcome["duration"] == (last["period"] if last["status"] == "expired" else None)
 
 
-def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> None:
-    code, _ = run_cli([command, "--mines", str(mines), "--market", str(market), "--out", str(out)])
+def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> tuple[int, list[str]]:
+    code, lines = run_cli([command, "--mines", str(mines), "--market", str(market), "--out", str(out)])
+    assert {path.name for path in out.parent.iterdir()} <= {mines.name, market.name, out.name}
     if code == 0:
         written = numbers_written(out)
         assert written and all(math.isfinite(value) for value in written), [v for v in written if not math.isfinite(v)]
+    return code, lines
 
 
 @FUZZ
@@ -246,6 +251,30 @@ def test_mine_slot(text, command):
         shutil.copytree(MINES_DIR, mines)
         (mines / "alpha.csv").write_text(text, encoding="utf-8")
         run_pipeline(command, mines, MARKET_FILE, Path(tmp) / "out")
+
+
+# Ids the loader rejects, each holding "/", "../", "\\", "," or NUL between two free parts, or "." or "..".
+id_parts = st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters=".-_ "), max_size=6)
+rejected_ids = st.one_of(
+    st.sampled_from([".", ".."]),
+    st.tuples(id_parts, st.sampled_from(["/", "../", "\\", ",", "\x00"]), id_parts).map("".join),
+)
+
+
+@FUZZ
+@given(mine_id=rejected_ids, command=st.sampled_from(["analyze", "reconstruct"]))
+@example(mine_id="../escaped", command="analyze")
+def test_mine_slot_rejected_id(mine_id, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        mines = Path(tmp) / "mines"
+        shutil.copytree(MINES_DIR, mines)
+        (mines / "alpha.csv").write_text(MINE.replace("mine_id=alpha\n", f"mine_id={mine_id}\n"), encoding="utf-8")
+        code, lines = run_pipeline(command, mines, MARKET_FILE, Path(tmp) / "out")
+    assert code == 1, lines
+    assert lines == [
+        f"error: {mines / 'alpha.csv'}:1: mine_id {mine_id.strip()!r} must not be '.' or '..' "
+        "nor contain '/', '\\', ',' or a control character"
+    ]
 
 
 @FUZZ
