@@ -33,9 +33,17 @@ MINE_METADATA_KEYS = ("mine_id", "opening_year", "capital_paid_first_year", "esc
 
 YEAR_MIN = 1984
 YEAR_MAX = 2012
-# Largest production or export figure accepted, in tonnes (world output is near 2e7 t a year);
-# far below the float range, so sums of tonnages over every year on file stay finite.
-TONNAGE_BOUND = 1e12
+# Magnitude bounds on every value the analysis reads (world copper output is near 2e7 t a year,
+# Chile's GDP near 3e5 M USD): they keep every sum, product and compounding factor far inside the
+# float range. A tonnage or money value is 0 or has floor <= |value| <= bound; the floors keep the
+# baseline's cost per tonne and admin expense per operating cost finite.
+TONNAGE_FLOOR, TONNAGE_BOUND = 1.0, 1e12  # t
+MONEY_FLOOR, MONEY_BOUND = 1e-6, 1e12  # million USD
+PRICE_BOUND = 1e9  # USD per tonne
+RATE_MAX = 1.0  # largest fund rate or resolved discount rate
+OPENING_YEAR_MIN = YEAR_MIN - 100
+VALUATION_YEAR_MAX = YEAR_MAX + 100
+_RANGES = {"tonnage-range": (TONNAGE_FLOOR, TONNAGE_BOUND, "t"), "money-range": (MONEY_FLOOR, MONEY_BOUND, "M USD")}
 DEFAULT_FUND_RATE = 0.0507
 
 # Prices are USD/tonne and quantities tonnes; money fields are million USD.
@@ -44,8 +52,10 @@ USD_PER_MUSD = 1_000_000.0
 NO_HISTORY_WARNING = "no history; reconstruction required"
 
 # A mine_id becomes part of output file names and a summary CSV cell, so it may not
-# hold a path separator, a comma or a control character, nor be "." or "..".
+# hold a path separator, a comma or a control character, nor be "." or "..", and its
+# longest name, "{mine_id}_rvp_conservative.csv", must fit a file system's 255 bytes.
 _MINE_ID_FORBIDDEN = frozenset("/\\,") | frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
+MINE_ID_MAX_BYTES = 200
 
 
 class DataFileError(Exception):
@@ -318,6 +328,9 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
             path,
             meta_lines["mine_id"][1],
         )
+    if (size := len(mine_id.encode("utf-8"))) > MINE_ID_MAX_BYTES:
+        message = f"mine_id is {size} bytes in UTF-8; at most {MINE_ID_MAX_BYTES} fit in an output file name"
+        raise SchemaError(message, path, meta_lines["mine_id"][1])
     try:
         opening_year = int(meta["opening_year"])
         capital_paid = float(meta["capital_paid_first_year"])
@@ -397,20 +410,21 @@ def load_market_series(path: str | Path) -> MarketSeries:
     return MarketSeries(entries=tuple(entries), fund_rate=fund_rate)
 
 
-def _check_physical_row(
-    mine_id: str, year: int, production: float, exports: float, err, warn
-) -> None:
-    locator = f"{mine_id}:{year}"
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        err(locator, "year-window", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    if not (abs(production) <= TONNAGE_BOUND and abs(exports) <= TONNAGE_BOUND):
-        # False for NaN too; the comparisons below would let NaN and inf through.
-        err(
-            locator,
-            "tonnage-range",
-            f"production and exports must be finite and at most {TONNAGE_BOUND:g} t in magnitude, "
-            f"got {production} and {exports}",
-        )
+def _check_range(err, locator: str, rule: str, fields: Iterable[tuple[str, float]]) -> bool:
+    """One ``rule`` error naming each ``(name, value)`` outside the rule's range; True when there is none."""
+    floor, bound, unit = _RANGES[rule]
+    bad = [f"{name}={value}" for name, value in fields if not (value == 0 or floor <= abs(value) <= bound)]
+    if bad:
+        limits = f"0 or between {floor:g} and {bound:g} {unit} in magnitude"
+        err(locator, rule, f"values must be {limits}, got {', '.join(bad)}")
+    return not bad
+
+
+def _check_physical_row(mine_id: str, row: MineYearRecord | PhysicalYear, err, warn) -> None:
+    locator, production, exports = f"{mine_id}:{row.year}", row.production, row.exports
+    if not YEAR_MIN <= row.year <= YEAR_MAX:
+        err(locator, "year-window", f"year {row.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    if not _check_range(err, locator, "tonnage-range", (("production", production), ("exports", exports))):
         return
     if production < 0:
         err(locator, "production-nonnegative", f"production must be nonnegative, got {production}")
@@ -428,7 +442,8 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
     """Check every invariant of the run's mines and market; violations are reported, never raised.
 
     The market is checked once, however many mines there are. The report is
-    order-insensitive: issues are sorted by locator, rule and message.
+    order-insensitive: issues are sorted by locator, rule and message. Within
+    the magnitude bounds it checks, every value the analysis derives is finite.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -440,12 +455,12 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
         warnings.append(ValidationIssue(locator, rule, message))
 
     for mine in mines:
-        if not (math.isfinite(mine.capital_paid_first_year) and mine.capital_paid_first_year > 0):
-            err(
-                mine.mine_id,
-                "capital-paid-positive",
-                f"capital_paid_first_year must be > 0, got {mine.capital_paid_first_year}",
-            )
+        capital = mine.capital_paid_first_year
+        if _check_range(err, mine.mine_id, "money-range", [("capital_paid_first_year", capital)]) and capital <= 0:
+            err(mine.mine_id, "capital-paid-positive", f"capital_paid_first_year must be > 0, got {capital}")
+        if not OPENING_YEAR_MIN <= mine.opening_year <= YEAR_MAX:
+            opening = f"opening_year {mine.opening_year} outside [{OPENING_YEAR_MIN}, {YEAR_MAX}]"
+            err(mine.mine_id, "opening-year-range", opening)
         if mine.first_reported_year is not None and mine.first_reported_year < mine.opening_year:
             err(
                 mine.mine_id,
@@ -463,31 +478,27 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             err(mine.mine_id, "records-sorted", "records are not sorted by year")
 
         for rec in mine.records:
-            locator = f"{mine.mine_id}:{rec.year}"
-            _check_physical_row(mine.mine_id, rec.year, rec.production, rec.exports, err, warn)
-            for name, value in rec.money_fields().items():
-                if not math.isfinite(value):
-                    err(locator, "money-finite", f"{name} is not finite: {value}")
+            _check_physical_row(mine.mine_id, rec, err, warn)
+            _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", rec.money_fields().items())
         for phys in mine.physical_history:
-            _check_physical_row(mine.mine_id, phys.year, phys.production, phys.exports, err, warn)
-            if phys.taxes_paid is not None and not math.isfinite(phys.taxes_paid):
-                err(f"{mine.mine_id}:{phys.year}", "money-finite", "taxes_paid is not finite")
+            _check_physical_row(mine.mine_id, phys, err, warn)
+            if phys.taxes_paid is not None:
+                _check_range(err, f"{mine.mine_id}:{phys.year}", "money-range", [("taxes_paid", phys.taxes_paid)])
 
     if not market.entries:
         err("market", "market-empty", "market series has no entries")
     for ent in market.entries:
         locator = f"market:{ent.year}"
-        if not (math.isfinite(ent.copper_price) and ent.copper_price > 0):
-            err(locator, "price-positive", f"copper price must be > 0, got {ent.copper_price}")
+        if not 0 < ent.copper_price <= PRICE_BOUND:
+            price = ent.copper_price
+            err(locator, "price-range", f"copper price must lie in (0, {PRICE_BOUND:g}] USD/t, got {price}")
         if not (0 <= ent.exploration_spend_pct_gdp < 1):
             err(
                 locator,
                 "exploration-pct-range",
                 f"exploration share of GDP must lie in [0, 1), got {ent.exploration_spend_pct_gdp}",
             )
-        if not math.isfinite(ent.gdp):
-            err(locator, "money-finite", f"gdp is not finite: {ent.gdp}")
-        elif ent.gdp < 0:
+        if _check_range(err, locator, "money-range", [("gdp", ent.gdp)]) and ent.gdp < 0:
             err(locator, "gdp-nonnegative", f"gdp must be >= 0, got {ent.gdp}")
     years = sorted({ent.year for ent in market.entries})
     missing = years[-1] - years[0] + 1 - len(years) if years else 0
@@ -496,8 +507,8 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
         gaps = [f"{a + 1}" if b - a == 2 else f"{a + 1}-{b - 1}" for a, b in zip(years, years[1:]) if b - a > 1]
         shown = ", ".join(gaps[:3]) + (", ..." if len(gaps) > 3 else "")
         err("market", "market-contiguous", f"non-contiguous market coverage: {missing} year(s) missing: {shown}")
-    if not (math.isfinite(market.fund_rate) and market.fund_rate > -1):
-        err("market", "fund-rate-range", f"fund_rate must be finite and > -1, got {market.fund_rate}")
+    if not -1 < market.fund_rate <= RATE_MAX:
+        err("market", "fund-rate-range", f"fund_rate must lie in (-1, {RATE_MAX:g}], got {market.fund_rate}")
 
     key = lambda issue: (issue.locator, issue.rule, issue.message)
     return ValidationReport(tuple(sorted(errors, key=key)), tuple(sorted(warnings, key=key)))

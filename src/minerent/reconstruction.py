@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord
-from .valuation import finite_compound
+from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord, validate_dataset
+from .valuation import compound
 
 DEFAULT_BASELINE_WINDOW = (2001, 2005)
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
@@ -64,20 +64,16 @@ class ExplorationImputation(NamedTuple):
 
 
 def _mean(values: Iterable[float]) -> float:
-    """Exactly rounded sum over the count: what ``statistics.fmean`` computes; NaN where the sum is not finite."""
+    """Exactly rounded sum over the count: what ``statistics.fmean`` computes."""
     values = list(values)
-    try:
-        return math.fsum(values) / len(values)
-    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
-        return math.nan
+    return math.fsum(values) / len(values)
 
 
 def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRecord]) -> BaselineStats:
     """Per-field means over the reported years inside ``DEFAULT_BASELINE_WINDOW``.
 
     Years with zero production are excluded from unit-cost averaging, and
-    zero-cost years from the admin/sales ratio. Raises ReconstructionError
-    naming each mean that is not finite.
+    zero-cost years from the admin/sales ratio.
     """
     window = DEFAULT_BASELINE_WINDOW
     usable = [rec for rec in records if window[0] <= rec.year <= window[1]]
@@ -88,7 +84,7 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
         raise BaselineUnavailableError(f"no year with production > 0 in baseline window {window}")
 
     with_cost = [rec for rec in usable if rec.operating_cost > 0]
-    stats = BaselineStats(
+    return BaselineStats(
         avg_unit_cost=_mean(rec.operating_cost / rec.production for rec in producing),
         gav_ratio=_mean(rec.admin_sales_expense / rec.operating_cost for rec in with_cost)
         if with_cost
@@ -101,10 +97,6 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
         avg_dep_amort=_mean(rec.depreciation_amortization for rec in usable),
         avg_net_loan_payments=_mean(rec.net_loan_payments for rec in usable),
     )
-    overflowed = [name for name, value in zip(stats._fields, stats) if not math.isfinite(value)]
-    if overflowed:
-        raise ReconstructionError(f"baseline {', '.join(overflowed)} not finite")
-    return stats
 
 
 def reconstruct_year(
@@ -118,7 +110,7 @@ def reconstruct_year(
 
     Physical quantities come from the mine's physical history; only
     financials are reconstructed. Refuses years that already have a
-    reported record, and a money field that overflows a float.
+    reported record.
     """
     if mine.first_reported_year is None:
         raise ReconstructionError(f"{mine.mine_id}: no reported history to reconstruct from")
@@ -168,7 +160,7 @@ def reconstruct_year(
             ]
         )
 
-    record = MineYearRecord(
+    return MineYearRecord(
         year=year,
         revenue=revenue,
         operating_cost=operating_cost,
@@ -183,12 +175,6 @@ def reconstruct_year(
         exports=phys.exports,
         reconstructed=True,
     )
-    overflowed = [name for name, value in record.money_fields().items() if not math.isfinite(value)]
-    if overflowed:
-        raise ReconstructionError(
-            f"{mine.mine_id} {year}: reconstructed {', '.join(overflowed)} not finite at copper price {price!r}"
-        )
-    return record
 
 
 def reconstruct_dataset(
@@ -196,7 +182,15 @@ def reconstruct_dataset(
     market: MarketSeries,
     audit: list[str] | None = None,
 ) -> MineDataset:
-    """Backfill every physical-history year, returning a full dataset."""
+    """Backfill every physical-history year, returning a full dataset.
+
+    Raises ReconstructionError, carrying the first error as ``locator: [rule] message``,
+    for a mine or market that ``validate_dataset`` rejects, so every value it builds is finite.
+    """
+    errors = validate_dataset([mine], market).errors
+    if errors:
+        first = errors[0]
+        raise ReconstructionError(f"{first.locator}: [{first.rule}] {first.message}")
     if not mine.physical_history:
         return mine
     try:
@@ -224,8 +218,8 @@ def impute_exploration(
     For each spend year, the private share of national spend (GDP times the
     exploration share) is split among mines within the cohort window of
     their opening year, in proportion to mean production; each share is then
-    capitalized forward at ``r`` to the mine's opening year (ValueError where
-    that overflows). A spend year with no eligible mine is left unallocated, with a warning.
+    capitalized forward at ``r`` to the mine's opening year. A spend year with
+    no eligible mine is left unallocated, with a warning.
     """
     mines = sorted(cohort, key=lambda m: m.mine_id)
     mean_production = {m.mine_id: m.mean_production() for m in mines}
@@ -251,7 +245,7 @@ def impute_exploration(
         }
         yearly[year] = shares
         for m in eligible:
-            allocations[m.mine_id] += shares[m.mine_id] * finite_compound(r, m.opening_year - year)
+            allocations[m.mine_id] += shares[m.mine_id] * compound(r, m.opening_year - year)
 
     probability_inverse = None
     if successful_campaigns is not None and total_campaigns is not None:

@@ -9,20 +9,20 @@ compounded forward to a valuation year at the sovereign-fund rate.
 
 from __future__ import annotations
 
-import math
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .data_model import DiscountSpec, MarketSeries, MineDataset
+from .data_model import RATE_MAX, VALUATION_YEAR_MAX, DiscountSpec, MarketSeries, MineDataset
 from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_dataset
 from .valuation import (
     CashFlowSeries,
     InitialInvestment,
     Rate,
     as_rate,
+    compound,
     discount,
     discount_rate,
-    finite_compound,
     initial_investment,
     mine_cash_flows,
 )
@@ -43,10 +43,8 @@ class RvpSeries(NamedTuple):
 
 
 def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float) -> RvpSeries:
-    """Cumulative discounted cash flow minus the initial investment, per year; ValueError where a factor overflows."""
+    """Cumulative discounted cash flow minus the initial investment, per year."""
     r = as_rate(rate)
-    if flows.flows:
-        finite_compound(r.value, flows.years[-1] - flows.base_year)  # the largest factor overflows first
     cumulative = 0.0
     points: list[tuple[int, float]] = []
     for year, amount in flows.flows:
@@ -74,7 +72,7 @@ def rent_forward_value(
     """Nominal flows after year ``x``, compounded forward to ``valuation_year``.
 
     Returns 0 when ``x`` is absent (no rent appropriated) or when no flow
-    lies strictly after ``x``. ValueError where a factor overflows.
+    lies strictly after ``x``.
     """
     if x is None:
         return 0.0
@@ -85,7 +83,7 @@ def rent_forward_value(
     rate = as_rate(fund_rate).value
     return sum(
         (
-            amount * finite_compound(rate, valuation_year - year)
+            amount * compound(rate, valuation_year - year)
             for year, amount in flows.flows
             if year > x
         ),
@@ -103,8 +101,7 @@ def analyze_mine(
     """Single-mine pipeline on a reconstructed mine: invest, discount, value rent.
 
     Raises ValueError when the mine still has physical history (run
-    ``reconstruct_dataset`` on it first), and when an RVP point or the
-    forward rent is not finite, so no artifact holds an infinity.
+    ``reconstruct_dataset`` on it first).
     """
     if mine.physical_history:
         raise ValueError(f"{mine.mine_id}: physical history is not reconstructed")
@@ -112,8 +109,6 @@ def analyze_mine(
     investment = initial_investment(mine, exploration)
     series = rvp_series(flows, investment, rate)
     forward = rent_forward_value(flows, series.momento_x, market.fund_rate, valuation_year)
-    if not (math.isfinite(forward) and all(math.isfinite(value) for _, value in series.points)):
-        raise ValueError(f"{mine.mine_id}: an RVP point or the forward rent is not finite")
     return series._replace(rent_forward=forward)
 
 
@@ -128,6 +123,14 @@ class SensitivityReport(NamedTuple):
     def cell(self, mine_id: str, rate_label: str) -> RvpSeries:
         return self.series[(mine_id, rate_label)]
 
+    @property
+    def summary_columns(self) -> dict[str, tuple[str, str, str]]:
+        """Each rate label's three summary column names: momento x, rent at t=0, rent at the valuation year."""
+        return {
+            label: (f"momento_x_{label}", f"rent_pv_at_t0_{label}", f"rent_at_{self.valuation_year}_{label}")
+            for label in self.rate_labels
+        }
+
 
 def sensitivity_report(
     mines: Sequence[MineDataset],
@@ -140,23 +143,28 @@ def sensitivity_report(
 
     Reconstruction is rate-independent and runs once per mine; exploration
     imputation is capitalized at each scenario's rate, so the initial
-    investment varies across columns.
+    investment varies across columns. A resolved rate outside [0, ``RATE_MAX``] or a valuation year
+    after ``VALUATION_YEAR_MAX`` raises ValueError; with each mine validated, every result is finite.
     """
     if not specs:
         raise ValueError("at least one labeled rate is required")
-    labels = [label for label, _ in specs]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate rate labels: {labels}")
+    rates = {label: discount_rate(spec) if isinstance(spec, DiscountSpec) else as_rate(spec) for label, spec in specs}
+    if len(rates) != len(specs):
+        raise ValueError(f"duplicate rate labels: {[label for label, _ in specs]}")
+    for label, rate in rates.items():
+        if not 0 <= rate.value <= RATE_MAX:
+            raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
+    if valuation_year > VALUATION_YEAR_MAX:
+        raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
 
     full_mines = [reconstruct_dataset(m, market, audit) for m in mines]
     series: dict[tuple[str, str], RvpSeries] = {}
-    for label, spec in specs:
-        rate = discount_rate(spec) if isinstance(spec, DiscountSpec) else as_rate(spec)
+    for label, rate in rates.items():
         exploration = impute_exploration(market, full_mines, rate.value)
         for mine in full_mines:
             series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
     return SensitivityReport(
-        rate_labels=tuple(labels),
+        rate_labels=tuple(rates),
         mine_ids=tuple(m.mine_id for m in full_mines),
         series=series,
         valuation_year=valuation_year,
@@ -164,29 +172,22 @@ def sensitivity_report(
 
 
 def summary_rows(report: SensitivityReport) -> list[dict[str, object]]:
-    """Flatten the report into one row per mine, columns per rate label."""
+    """Flatten the report into one row per mine, columns per rate label; the rows share their key strings."""
+    columns = report.summary_columns
     rows: list[dict[str, object]] = []
     for mine_id in sorted(report.mine_ids):
         row: dict[str, object] = {"mine_id": mine_id}
-        for label in report.rate_labels:
+        for label, names in columns.items():
             cell = report.cell(mine_id, label)
-            row[f"momento_x_{label}"] = cell.momento_x
-            row[f"rent_pv_at_t0_{label}"] = cell.rent_pv
-            row[f"rent_at_{report.valuation_year}_{label}"] = cell.rent_forward
+            row.update(zip(names, (cell.momento_x, cell.rent_pv, cell.rent_forward)))
         rows.append(row)
     return rows
 
 
 def write_summary_table(report: SensitivityReport, path: str | Path) -> None:
-    """Write the summary as delimited text; absent momento x prints as '-'."""
+    """Write the summary as delimited text, every momento x column first; absent momento x prints as '-'."""
     rows = summary_rows(report)
-    columns = ["mine_id"]
-    for label in report.rate_labels:
-        columns.append(f"momento_x_{label}")
-    for label in report.rate_labels:
-        columns.append(f"rent_pv_at_t0_{label}")
-    for label in report.rate_labels:
-        columns.append(f"rent_at_{report.valuation_year}_{label}")
+    columns = ["mine_id", *chain.from_iterable(zip(*report.summary_columns.values()))]
 
     def fmt(value) -> str:
         if value is None:

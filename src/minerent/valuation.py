@@ -99,14 +99,6 @@ def discount(amount: float, rate: float, t: int) -> float:
     return math.copysign(math.inf, amount) if amount else 0.0
 
 
-def finite_compound(rate: float, t: int) -> float:
-    """``compound(rate, t)``, or ValueError where it overflows: the rent analysis reports finite values only."""
-    factor = compound(rate, t)
-    if math.isinf(factor):
-        raise ValueError("a discount factor (1 + rate) ** years overflows a float")
-    return factor
-
-
 def discount_rate(spec: DiscountSpec) -> Rate:
     """Additive cost of capital: risk_free + beta * equity_premium + country_risk."""
     return Rate(spec.risk_free + spec.beta * spec.equity_premium + spec.country_risk)

@@ -160,19 +160,28 @@ class TestLoadAndValidate:
         assert value in err[0]
         assert not (tmp_path / "out").exists()
 
-    def test_tonnage_past_bound_is_one_error_line_per_year(self, tmp_path, capsys, command):
-        # Each 1.7e308 is finite, but their sum in the mine's mean production is not.
+    @pytest.mark.parametrize(
+        "value, years",
+        [
+            # Each 1.7e308 is finite, but their sum in the mine's mean production would not be.
+            (1.7e308, range(2006, 2012)),
+            # The baseline's operating cost over these would give a unit cost near 3e302 M USD/t, or inf.
+            (1e-300, (2001,)),
+            (5e-324, (2001,)),
+        ],
+    )
+    def test_tonnage_past_bound_is_one_error_line_per_year(self, tmp_path, capsys, command, value, years):
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         text = alpha.read_text()
         for column in ("production_t", "exports_t"):
-            text = set_cells(text, column, "1.7e308", range(2006, 2012))
+            text = set_cells(text, column, repr(value), years)
         alpha.write_text(text)
         assert self.run(command, mines, tmp_path) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: alpha:{year}: [tonnage-range] production and exports must be finite and at most 1e+12 t "
-            "in magnitude, got 1.7e+308 and 1.7e+308"
-            for year in range(2006, 2012)
+            f"error: alpha:{year}: [tonnage-range] values must be 0 or between 1 and 1e+12 t "
+            f"in magnitude, got production={value}, exports={value}"
+            for year in years
         ]
         assert not (tmp_path / "out").exists()
 
@@ -189,23 +198,44 @@ class TestLoadAndValidate:
         ]
         assert [path.name for path in tmp_path.iterdir()] == ["mines"]  # no --out, nothing beside it
 
+    @pytest.mark.parametrize("mine_id, code", [("a" * 200, 0), ("a" * 201, 1), ("\u00e9" * 101, 1)])
+    def test_mine_id_length_is_counted_in_utf8_bytes(self, tmp_path, capsys, command, mine_id, code):
+        # The id is part of output file names, which file systems cap at 255 bytes.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("mine_id=alpha\n", f"mine_id={mine_id}\n"), encoding="utf-8")
+        assert self.run(command, mines, tmp_path) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            size = len(mine_id.encode("utf-8"))
+            assert err == [
+                f"error: {alpha}:1: mine_id is {size} bytes in UTF-8; at most 200 fit in an output file name"
+            ]
+            assert not (tmp_path / "out").exists()
+        else:
+            assert err == [] and any(path.name.startswith(mine_id) for path in (tmp_path / "out").iterdir())
+
     def test_huge_market_price_is_one_error_line(self, tmp_path, capsys, command):
-        # 1e308 passes price-positive, but price * production overflows in alpha's pre-history year.
+        # 1e308 is finite, but price * production would overflow in alpha's pre-history year.
         market = tmp_path / "market.csv"
         market.write_text(MARKET_FILE.read_text().replace("1997,2280.0,69310.31,", "1997,1e308,70000.0,"))
         assert main([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: alpha 1997: reconstructed revenue, pretax_result not finite at copper price 1e+308"
+            "error: market:1997: [price-range] copper price must lie in (0, 1e+09] USD/t, got 1e+308"
         ]
         assert not (tmp_path / "out").exists()  # so no file holds an inf
 
     def test_overflowing_baseline_mean_is_one_error_line(self, tmp_path, capsys, command):
-        # Each 1.5e308 is finite and valid, but their sum in the 2001-2005 mean is not.
+        # Each 1.5e308 is finite, but their sum in the 2001-2005 mean would not be.
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         alpha.write_text(set_cells(alpha.read_text(), "fixed_asset_additions", "1.5e308", (2001, 2002)))
         assert self.run(command, mines, tmp_path) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: alpha: baseline avg_fixed_asset_additions not finite"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha:{year}: [money-range] values must be 0 or between 1e-06 and 1e+12 M USD "
+            "in magnitude, got fixed_asset_additions=1.5e+308"
+            for year in (2001, 2002)
+        ]
         assert not (tmp_path / "out").exists()
 
     def test_negative_gdp_is_one_error_line(self, tmp_path, capsys, command):
@@ -367,15 +397,22 @@ class TestAnalyze:
         assert len(err) == 1 and err[0].startswith("error: valuation_year 2005 precedes last flow year")
 
     @pytest.mark.parametrize(
-        "opening_year, rate_flags, fund_rate",
+        "opening_year, rate_flags, fund_rate, message",
         [
-            ("-2112", [], "0.0507"),
-            ("1995", ["--rf", "1e300", "--beta", "0", "--erp", "0", "--country", "0"], "0.0507"),
-            # Compounding rent forward from 2010 to 2012 at 1e300 overflows.
-            ("1995", [], "1e300"),
+            # Each would overflow a discount or compounding factor.
+            ("-2112", [], "0.0507", "alpha: [opening-year-range] opening_year -2112 outside [1884, 2012]"),
+            (
+                "1995",
+                ["--rf", "1e300", "--beta", "0", "--erp", "0", "--country", "0"],
+                "0.0507",
+                "discount rate 'custom' must lie in [0, 1], got 1e+300",
+            ),
+            ("1995", [], "1e300", "market: [fund-rate-range] fund_rate must lie in (-1, 1], got 1e+300"),
         ],
     )
-    def test_discount_factor_overflow_is_one_error_line(self, tmp_path, capsys, opening_year, rate_flags, fund_rate):
+    def test_discount_factor_overflow_is_one_error_line(
+        self, tmp_path, capsys, opening_year, rate_flags, fund_rate, message
+    ):
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         alpha.write_text(alpha.read_text().replace("opening_year=1995", f"opening_year={opening_year}"))
@@ -384,17 +421,21 @@ class TestAnalyze:
         out = tmp_path / "out"
         code = main(["analyze", "--mines", str(mines), "--market", str(market), *rate_flags, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["error: a discount factor (1 + rate) ** years overflows a float"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_infinite_rent_is_one_error_line(self, tmp_path, capsys):
-        # Each 1.7e308 is a finite, valid cash-flow input; discounted and summed they reach -inf.
+        # Each 1.7e308 is finite; discounted and summed they would reach -inf.
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         alpha.write_text(set_cells(alpha.read_text(), "fixed_asset_additions", "1.7e308", range(2006, 2013)))
         out = tmp_path / "out"
         assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: alpha: an RVP point or the forward rent is not finite"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha:{year}: [money-range] values must be 0 or between 1e-06 and 1e+12 M USD "
+            "in magnitude, got fixed_asset_additions=1.7e+308"
+            for year in range(2006, 2012)
+        ]
         assert not out.exists()  # so no file holds an inf
 
     def test_summary_numbers_match_bruteforce_oracle(self, tmp_path, corpus_mines, corpus_market):

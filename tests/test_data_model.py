@@ -236,11 +236,62 @@ class TestValidateDataset:
             (1.7e308, 1.7e308, ["tonnage-range"]),
             (-1e12, 0.0, ["production-nonnegative"]),
             (1e6, -2e12, ["tonnage-range"]),
+            (1.0, 0.0, []),
+            (0.5, 0.0, ["tonnage-range"]),
+            (1e6, -0.5, ["tonnage-range"]),
+            (float("nan"), 1.0, ["tonnage-range"]),
         ],
     )
     def test_tonnage_bound(self, corpus_market, production, exports, rules):
         mine = make_mine(records=[make_record(2001, production=production, exports=exports)])
         assert [issue.rule for issue in validate_dataset([mine], corpus_market).errors] == rules
+
+    @pytest.mark.parametrize(
+        "value, issues",
+        [
+            (0.0, [("m", "capital-paid-positive")]),
+            (1e-6, []),
+            (1e12, []),
+            (-1e-6, [("m", "capital-paid-positive"), ("market:1990", "gdp-nonnegative")]),
+            (-1e12, [("m", "capital-paid-positive"), ("market:1990", "gdp-nonnegative")]),
+            *[
+                (value, [("m", "money-range"), ("m:1996", "money-range"), ("m:2001", "money-range"),
+                         ("market:1990", "money-range")])
+                for value in (5e-7, -5e-7, 1.0000000000000002e12, float("nan"), float("-inf"))
+            ],
+        ],
+    )
+    def test_money_bound(self, value, issues):
+        # The same value as capital, a record's field, a pre-history tax and a year's GDP.
+        mine = make_mine(
+            mine_id="m",
+            capital_paid_first_year=value,
+            records=[make_record(2001, fixed_asset_additions=value)],
+            physical_history=[PhysicalYear(1996, 1e5, 1e5, taxes_paid=value)],
+        )
+        market = make_market(gdp=lambda year: value if year == 1990 else 5e4)
+        assert [(issue.locator, issue.rule) for issue in validate_dataset([mine], market).errors] == issues
+
+    @pytest.mark.parametrize(
+        "price, fund_rate, opening_year, rules",
+        [
+            (5e-324, -0.9999999999999999, 1884, []),
+            (1e9, 1.0, 2012, []),
+            (0.0, 0.0507, 1995, ["price-range"]),
+            (1.0000000000000002e9, 0.0507, 1995, ["price-range"]),
+            (float("nan"), 0.0507, 1995, ["price-range"]),
+            (2000.0, -1.0, 1995, ["fund-rate-range"]),
+            (2000.0, 1.0000000000000002, 1995, ["fund-rate-range"]),
+            (2000.0, float("nan"), 1995, ["fund-rate-range"]),
+            (2000.0, 0.0507, 1883, ["opening-year-range"]),
+            (2000.0, 0.0507, 2013, ["opening-year-range"]),
+            (2000.0, 0.0507, -2112, ["opening-year-range"]),
+        ],
+    )
+    def test_price_fund_rate_and_opening_year_bounds(self, price, fund_rate, opening_year, rules):
+        mine = make_mine(opening_year=opening_year)  # no records, so no first-reported-after-opening
+        market = make_market(price=lambda year: price if year == 1990 else 2000.0, fund_rate=fund_rate)
+        assert [issue.rule for issue in validate_dataset([mine], market).errors] == rules
 
     def test_market_gap_flagged(self):
         entries = tuple(
@@ -276,7 +327,7 @@ class TestValidateDataset:
     def test_nonfinite_money_flagged(self, corpus_market):
         mine = make_mine(records=[make_record(2001, revenue=float("nan"))])
         report = validate_dataset([mine], corpus_market)
-        assert any(e.rule == "money-finite" for e in report.errors)
+        assert any(e.rule == "money-range" for e in report.errors)
 
     def test_capital_paid_must_be_positive(self, corpus_market):
         mine = make_mine(records=[make_record(2001)], capital_paid_first_year=0.0)

@@ -77,21 +77,31 @@ class TestBaselineStats:
         assert stats.avg_nonoperating == pytest.approx(-1.0)
 
     @pytest.mark.parametrize(
-        "first, second, field",
+        "first, second, fields",
         [
-            # Two finite years whose sum leaves the float range.
-            (dict(fixed_asset_additions=1.5e308), dict(fixed_asset_additions=1.5e308), "avg_fixed_asset_additions"),
-            # Nonoperating results of +inf and -inf, whose exact sum is undefined.
+            # Two finite years whose sum would leave the float range.
+            (
+                dict(fixed_asset_additions=1.5e308),
+                dict(fixed_asset_additions=1.5e308),
+                "fixed_asset_additions=1.5e+308",
+            ),
+            # Nonoperating results that would be +inf and -inf, whose exact sum is undefined.
             (
                 dict(revenue=-1.7e308, pretax_result=1.7e308),
                 dict(revenue=1.7e308, pretax_result=-1.7e308),
-                "avg_nonoperating",
+                "revenue=-1.7e+308, pretax_result=1.7e+308",
             ),
         ],
     )
-    def test_mean_out_of_float_range_names_the_field(self, first, second, field):
-        with pytest.raises(ReconstructionError, match=f"^baseline {field} not finite$"):
-            compute_baseline_stats([make_record(2001, **first), make_record(2002, **second)])
+    def test_mean_out_of_float_range_names_the_field(self, first, second, fields):
+        # Refused by validation before any mean is taken, also for a mine with nothing to backfill.
+        mine = make_mine(records=[make_record(2001, **first), make_record(2002, **second)])
+        with pytest.raises(ReconstructionError) as excinfo:
+            reconstruct_dataset(mine, make_market())
+        assert str(excinfo.value) == (
+            "testmine:2001: [money-range] values must be 0 or between 1e-06 and 1e+12 M USD in magnitude, "
+            f"got {fields}"
+        )
 
     def test_empty_window_raises(self):
         shifted = [rec._replace(year=rec.year - 11) for rec in baseline_records()]  # 1990 and 1991

@@ -243,6 +243,25 @@ class TestSensitivityReport:
         with pytest.raises(ValueError):
             sensitivity_report([mine], market, [("x", Rate(0.1)), ("x", Rate(0.2))])
 
+    @pytest.mark.parametrize(
+        "rate, valuation_year, message",
+        [
+            (0.0, 2112, None),
+            (1.0, 2012, None),
+            (-1e-9, 2012, "discount rate 'r' must lie in [0, 1], got -1e-09"),
+            (1.0000000000000002, 2012, "discount rate 'r' must lie in [0, 1], got 1.0000000000000002"),
+            (0.1, 2113, "valuation_year 2113 is after 2112"),
+        ],
+    )
+    def test_rate_and_valuation_year_bounds(self, rate, valuation_year, message):
+        mine, market = sensitivity_fixture()
+        if message is None:
+            assert sensitivity_report([mine], market, [("r", rate)], valuation_year).cell("edge", "r")
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                sensitivity_report([mine], market, [("r", rate)], valuation_year)
+            assert str(excinfo.value) == message
+
 
 class TestAnalyzeMine:
     def test_reconstructed_mine_matches_report_cell(self, corpus_mines, corpus_market):

@@ -23,7 +23,7 @@ from minerent import (
     present_value,
 )
 from minerent.reconstruction import ExplorationImputation
-from minerent.valuation import compound, discount, finite_compound
+from minerent.valuation import compound, discount
 
 from conftest import make_mine, make_record
 
@@ -260,9 +260,6 @@ class TestCompoundAndDiscount:
     def test_compound_limits(self):
         assert compound(0.1, 10_000) == math.inf
         assert compound(-0.9, 400) == 0.0
-        assert finite_compound(-0.9, 400) == 0.0
-        with pytest.raises(ValueError, match=r"a discount factor \(1 \+ rate\) \*\* years overflows a float"):
-            finite_compound(0.1, 10_000)
 
 
 def _one_plus_power_sites(source: str) -> list[int]:
