@@ -25,15 +25,10 @@ from .concession_sim import (
     run_auction,
     simulate_concession,
 )
-from .data_model import (
-    DataFileError,
-    DiscountSpec,
-    load_market_series,
-    load_mine_dataset,
-    validate_dataset,
-    write_mine_dataset,
-)
-from .reconstruction import ReconstructionError, reconstruct_dataset
+from .data_model import DataFileError, DiscountSpec, load_market_series, load_mine_dataset, write_mine_dataset
+from .data_model import validate_dataset  # noqa: F401  unused; the benchmark's tracer wraps it here (ROADMAP item 1)
+from .reconstruction import ReconstructionError, reconstruct_all
+from .reconstruction import reconstruct_dataset  # noqa: F401  unused, as validate_dataset above
 from .rent_analysis import (
     DEFAULT_VALUATION_YEAR,
     sensitivity_report,
@@ -61,10 +56,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
 def _write_audit(path: Path, audit: list[str]) -> None:
     """One line per audit entry, written as it goes; an empty audit gives an empty file."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -79,15 +70,30 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict,
         "seed": seed,
         "package": {"name": "minerent", "version": __version__},
     }
-    _write_text(out_dir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_and_validate(args: argparse.Namespace):
-    """Load the market and every mine in the directory, then validate them.
+def _warn(warnings) -> None:
+    for issue in warnings:
+        print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
 
-    Prints the run's one validation report, sorted by locator. Returns
-    ``(market, mine_paths, mines)``, the paths as sorted strings, or the exit
-    code: 1 for invalid content, a ``mine_id`` shared by two files or an
+
+def _refused(exc: Exception) -> int:
+    """Print the validation warnings and errors a refusal carries as ``report``, else the refusal; exit code 1."""
+    report = getattr(exc, "report", None)
+    _warn(report.warnings if report else ())
+    if not (report and report.errors):
+        return _fail(str(exc), 1)
+    for issue in report.errors:
+        print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
+    return 1
+
+
+def _load_inputs(args: argparse.Namespace):
+    """Load the market and every mine in the directory; the library validates them.
+
+    Returns ``(market, mine_paths, mines)``, the paths as sorted strings, or the exit
+    code: 1 for unparseable content, a ``mine_id`` shared by two files or an
     empty directory, 2 for an unreadable file or a missing directory.
     """
     try:
@@ -105,13 +111,7 @@ def _load_and_validate(args: argparse.Namespace):
         return _fail(str(exc), 2)
     if not mines:
         return _fail(f"no mine datasets found in {args.mines}", 1)
-
-    report = validate_dataset(mines, market)
-    for issue in report.warnings:
-        print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
-    for issue in report.errors:
-        print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
-    return 1 if report.errors else (market, mine_paths, mines)
+    return market, mine_paths, mines
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -120,7 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rates = _resolve_rates(args)
     except (argparse.ArgumentTypeError, ValueError) as exc:
         return _fail(str(exc), 1)
-    loaded = _load_and_validate(args)
+    loaded = _load_inputs(args)
     if isinstance(loaded, int):
         return loaded
     market, mine_paths, mines = loaded
@@ -129,7 +129,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
     except (ReconstructionError, ValueError) as exc:
-        return _fail(str(exc), 1)
+        return _refused(exc)
+    _warn(report.warnings)
     del loaded, mines  # the report holds all the write phase needs; free the loaded records
 
     # Each document goes straight into its file, so none is ever held whole.
@@ -151,15 +152,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             parameters={
                 "formats": sorted(args.format),
                 "fund_rate": market.fund_rate,
-                "rates": {
-                    label: {
-                        "risk_free": spec.risk_free,
-                        "beta": spec.beta,
-                        "equity_premium": spec.equity_premium,
-                        "country_risk": spec.country_risk,
-                    }
-                    for label, spec in rates
-                },
+                "rates": {label: spec._asdict() for label, spec in rates},
                 "valuation_year": args.valuation_year,
             },
             seed=None,
@@ -171,16 +164,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     """Backfill pre-history rows and write the completed datasets."""
-    loaded = _load_and_validate(args)
+    loaded = _load_inputs(args)
     if isinstance(loaded, int):
         return loaded
     market, mine_paths, mines = loaded
 
     audit: list[str] = []
     try:
-        completed = [reconstruct_dataset(mine, market, audit=audit) for mine in mines]
+        completed, warnings = reconstruct_all(mines, market, audit)
     except ReconstructionError as exc:
-        return _fail(str(exc), 1)
+        return _refused(exc)
+    _warn(warnings)
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         for mine in completed:
@@ -310,7 +304,7 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
             for replication in range(scenario.replications):
                 duration = batch.duration(replication)
                 lines.append(f"{replication},{'' if duration is None else duration}")
-            _write_text(args.out / HISTOGRAM_NAME, "\n".join(lines) + "\n")
+            (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_manifest(
             args.out,
             "simulate-concession",
@@ -352,7 +346,7 @@ def cmd_auction(args: argparse.Namespace) -> int:
             bid = bids[bidder_id]
             bid_text = "no-bid" if bid is None else repr(bid)
             lines.append(f"{bidder_id},{bid_text},{'true' if bidder_id == winner_id else 'false'}")
-        _write_text(args.out / AUCTION_TABLE_NAME, "\n".join(lines) + "\n")
+        (args.out / AUCTION_TABLE_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_manifest(
             args.out,
             "auction",

@@ -137,12 +137,6 @@ class MineDataset(NamedTuple):
         """Year of the first record that was reported, not reconstructed; None when there is none."""
         return next((rec.year for rec in self.records if not rec.reconstructed), None)
 
-    def physical_for(self, year: int) -> PhysicalYear | None:
-        for phys in self.physical_history:
-            if phys.year == year:
-                return phys
-        return None
-
     def mean_production(self) -> float:
         """Arithmetic mean of annual production over every year on file."""
         per_year = {phys.year: phys.production for phys in self.physical_history}
@@ -481,9 +475,13 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             _check_physical_row(mine.mine_id, rec, err, warn)
             _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", rec.money_fields().items())
         for phys in mine.physical_history:
+            locator = f"{mine.mine_id}:{phys.year}"
             _check_physical_row(mine.mine_id, phys, err, warn)
             if phys.taxes_paid is not None:
-                _check_range(err, f"{mine.mine_id}:{phys.year}", "money-range", [("taxes_paid", phys.taxes_paid)])
+                _check_range(err, locator, "money-range", [("taxes_paid", phys.taxes_paid)])
+            if phys.year < mine.opening_year:
+                message = f"pre-history year {phys.year} precedes opening_year {mine.opening_year}"
+                err(locator, "history-after-opening", message)
 
     if not market.entries:
         err("market", "market-empty", "market series has no entries")

@@ -11,9 +11,9 @@ capitalized forward to each mine's opening year.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord, validate_dataset
+from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord, ValidationIssue, validate_dataset
 from .valuation import compound
 
 DEFAULT_BASELINE_WINDOW = (2001, 2005)
@@ -34,6 +34,10 @@ class MarketCoverageError(ReconstructionError):
     """The market series does not cover a year needed for reconstruction."""
 
 
+class InvalidDatasetError(ReconstructionError):
+    """``validate_dataset`` rejected the inputs: the message is the first error, ``report`` holds every issue."""
+
+
 class BaselineStats(NamedTuple):
     """Averages over the baseline window used to backfill earlier years."""
 
@@ -49,17 +53,12 @@ class ExplorationImputation(NamedTuple):
     """Exploration spend allocated per mine, capitalized to each t=0.
 
     ``yearly_allocations`` keeps the pre-capitalization shares per spend
-    year for auditing; ``successful_campaigns``/``total_campaigns`` document
-    the discovery-odds equivalence (``probability_inverse`` = total/success)
-    when campaign counts are known.
+    year for auditing.
     """
 
     allocations: dict[str, float]
     yearly_allocations: dict[int, dict[str, float]]
     total_private_spend: float
-    successful_campaigns: int | None = None
-    total_campaigns: int | None = None
-    probability_inverse: float | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -122,7 +121,7 @@ def reconstruct_year(
     entry = market.entry(year)
     if entry is None:
         raise MarketCoverageError(f"market series does not cover year {year}")
-    phys = mine.physical_for(year)
+    phys = next((phys for phys in mine.physical_history if phys.year == year), None)
     if phys is None:
         raise ReconstructionError(f"{mine.mine_id}: no physical quantities supplied for {year}")
 
@@ -177,32 +176,42 @@ def reconstruct_year(
     )
 
 
-def reconstruct_dataset(
-    mine: MineDataset,
+def reconstruct_all(
+    mines: Sequence[MineDataset],
     market: MarketSeries,
     audit: list[str] | None = None,
-) -> MineDataset:
-    """Backfill every physical-history year, returning a full dataset.
+) -> tuple[list[MineDataset], tuple[ValidationIssue, ...]]:
+    """Validate every mine and the market in one pass, then backfill each mine's physical history.
 
-    Raises ReconstructionError, carrying the first error as ``locator: [rule] message``,
-    for a mine or market that ``validate_dataset`` rejects, so every value it builds is finite.
+    Returns the completed mines, in order, and the validation warnings. Any validation error raises
+    :class:`InvalidDatasetError`, so every value a backfill builds is finite; each ReconstructionError
+    raised here carries the validation report as ``report``.
     """
-    errors = validate_dataset([mine], market).errors
-    if errors:
-        first = errors[0]
-        raise ReconstructionError(f"{first.locator}: [{first.rule}] {first.message}")
-    if not mine.physical_history:
-        return mine
+    report = validate_dataset(mines, market)
+    completed = []
     try:
-        baseline = compute_baseline_stats(mine.records)
+        if report.errors:
+            first = report.errors[0]
+            raise InvalidDatasetError(f"{first.locator}: [{first.rule}] {first.message}")
+        for mine in mines:
+            if mine.physical_history:
+                try:
+                    baseline = compute_baseline_stats(mine.records)
+                except ReconstructionError as exc:
+                    raise type(exc)(f"{mine.mine_id}: {exc}") from None
+                rebuilt = [reconstruct_year(mine, phys.year, market, baseline, audit) for phys in mine.physical_history]
+                merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
+                mine = mine._replace(records=merged, physical_history=())
+            completed.append(mine)
     except ReconstructionError as exc:
-        raise type(exc)(f"{mine.mine_id}: {exc}") from None
-    rebuilt = [
-        reconstruct_year(mine, phys.year, market, baseline, audit)
-        for phys in mine.physical_history
-    ]
-    merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
-    return mine._replace(records=merged, physical_history=())
+        exc.report = report
+        raise
+    return completed, report.warnings
+
+
+def reconstruct_dataset(mine: MineDataset, market: MarketSeries, audit: list[str] | None = None) -> MineDataset:
+    """Backfill every physical-history year of one mine: :func:`reconstruct_all` on ``[mine]``."""
+    return reconstruct_all([mine], market, audit)[0][0]
 
 
 def impute_exploration(
@@ -210,8 +219,6 @@ def impute_exploration(
     cohort: list[MineDataset] | tuple[MineDataset, ...],
     r: float,
     window: tuple[int, int] = DEFAULT_IMPUTATION_WINDOW,
-    successful_campaigns: int | None = None,
-    total_campaigns: int | None = None,
 ) -> ExplorationImputation:
     """Prorate national exploration spend across the mine cohort.
 
@@ -247,18 +254,9 @@ def impute_exploration(
         for m in eligible:
             allocations[m.mine_id] += shares[m.mine_id] * compound(r, m.opening_year - year)
 
-    probability_inverse = None
-    if successful_campaigns is not None and total_campaigns is not None:
-        if successful_campaigns <= 0:
-            raise ValueError("successful_campaigns must be positive")
-        probability_inverse = total_campaigns / successful_campaigns
-
     return ExplorationImputation(
         allocations=allocations,
         yearly_allocations=yearly,
         total_private_spend=total_private,
-        successful_campaigns=successful_campaigns,
-        total_campaigns=total_campaigns,
-        probability_inverse=probability_inverse,
         warnings=tuple(warnings),
     )

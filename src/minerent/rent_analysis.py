@@ -14,7 +14,9 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .data_model import RATE_MAX, VALUATION_YEAR_MAX, DiscountSpec, MarketSeries, MineDataset
-from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_dataset
+from .data_model import ValidationIssue, ValidationReport
+from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_all
+from .reconstruction import reconstruct_dataset  # noqa: F401  unused; the benchmark's tracer wraps it (ROADMAP item 1)
 from .valuation import (
     CashFlowSeries,
     InitialInvestment,
@@ -101,7 +103,7 @@ def analyze_mine(
     """Single-mine pipeline on a reconstructed mine: invest, discount, value rent.
 
     Raises ValueError when the mine still has physical history (run
-    ``reconstruct_dataset`` on it first).
+    ``reconstruct_all`` or ``reconstruct_dataset`` on it first).
     """
     if mine.physical_history:
         raise ValueError(f"{mine.mine_id}: physical history is not reconstructed")
@@ -113,12 +115,13 @@ def analyze_mine(
 
 
 class SensitivityReport(NamedTuple):
-    """Per-mine results under each labeled discount rate."""
+    """Per-mine results under each labeled discount rate, with the inputs' validation warnings."""
 
     rate_labels: tuple[str, ...]
     mine_ids: tuple[str, ...]
     series: dict[tuple[str, str], RvpSeries]  # (mine_id, rate_label) -> series
     valuation_year: int
+    warnings: tuple[ValidationIssue, ...] = ()
 
     def cell(self, mine_id: str, rate_label: str) -> RvpSeries:
         return self.series[(mine_id, rate_label)]
@@ -139,35 +142,40 @@ def sensitivity_report(
     valuation_year: int = DEFAULT_VALUATION_YEAR,
     audit: list[str] | None = None,
 ) -> SensitivityReport:
-    """Run the whole pipeline under each labeled rate.
+    """Run the whole pipeline under each labeled rate, after ``reconstruct_all`` validates and reconstructs once.
 
-    Reconstruction is rate-independent and runs once per mine; exploration
-    imputation is capitalized at each scenario's rate, so the initial
-    investment varies across columns. A resolved rate outside [0, ``RATE_MAX``] or a valuation year
-    after ``VALUATION_YEAR_MAX`` raises ValueError; with each mine validated, every result is finite.
+    Exploration imputation is capitalized at each scenario's rate, so the initial investment varies
+    across columns. A resolved rate outside [0, ``RATE_MAX``] or a valuation year after ``VALUATION_YEAR_MAX``
+    raises ValueError, carrying the validation report as ``report``; with the inputs validated, every
+    result is finite. The result carries the validation warnings.
     """
-    if not specs:
-        raise ValueError("at least one labeled rate is required")
-    rates = {label: discount_rate(spec) if isinstance(spec, DiscountSpec) else as_rate(spec) for label, spec in specs}
-    if len(rates) != len(specs):
-        raise ValueError(f"duplicate rate labels: {[label for label, _ in specs]}")
-    for label, rate in rates.items():
-        if not 0 <= rate.value <= RATE_MAX:
-            raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
-    if valuation_year > VALUATION_YEAR_MAX:
-        raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
+    full_mines, warnings = reconstruct_all(mines, market, audit)
+    try:
+        if not specs:
+            raise ValueError("at least one labeled rate is required")
+        rates = {label: discount_rate(s) if isinstance(s, DiscountSpec) else as_rate(s) for label, s in specs}
+        if len(rates) != len(specs):
+            raise ValueError(f"duplicate rate labels: {[label for label, _ in specs]}")
+        for label, rate in rates.items():
+            if not 0 <= rate.value <= RATE_MAX:
+                raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
+        if valuation_year > VALUATION_YEAR_MAX:
+            raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
 
-    full_mines = [reconstruct_dataset(m, market, audit) for m in mines]
-    series: dict[tuple[str, str], RvpSeries] = {}
-    for label, rate in rates.items():
-        exploration = impute_exploration(market, full_mines, rate.value)
-        for mine in full_mines:
-            series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
+        series: dict[tuple[str, str], RvpSeries] = {}
+        for label, rate in rates.items():
+            exploration = impute_exploration(market, full_mines, rate.value)
+            for mine in full_mines:
+                series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
+    except ValueError as exc:
+        exc.report = ValidationReport((), warnings)
+        raise
     return SensitivityReport(
         rate_labels=tuple(rates),
         mine_ids=tuple(m.mine_id for m in full_mines),
         series=series,
         valuation_year=valuation_year,
+        warnings=warnings,
     )
 
 

@@ -10,13 +10,15 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import minerent.cli
+import minerent.data_model
 from minerent.cli import main
-from minerent.data_model import MINE_COLUMNS
+from minerent.data_model import MINE_COLUMNS, load_market_series
 from minerent.rent_analysis import summary_rows
 
 from conftest import MARKET_FILE, MINES_DIR, set_cells
@@ -129,6 +131,47 @@ class TestLoadAndValidate:
         assert capsys.readouterr().err.splitlines() == [
             "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)"
         ]
+
+    def test_market_rows_are_checked_once_per_run(self, tmp_path, monkeypatch, command):
+        # One validation pass per run: each market row is range-checked once, not once more per mine.
+        checked, check_range = [], minerent.data_model._check_range
+
+        def counted(err, locator, rule, fields):
+            checked.append(locator)
+            return check_range(err, locator, rule, fields)
+
+        monkeypatch.setattr(minerent.data_model, "_check_range", counted)
+        assert self.run(command, MINES_DIR, tmp_path) == 0
+        rows = Counter(f"market:{year}" for year in load_market_series(MARKET_FILE).years)
+        assert Counter(locator for locator in checked if locator.startswith("market")) == rows
+
+    @pytest.mark.parametrize("opening_year, years", [(1997, [1996]), (1999, [1996, 1997, 1998])])
+    def test_history_before_opening_is_one_error_per_year(self, tmp_path, capsys, command, opening_year, years):
+        # A mine produces nothing before it opens. Unchecked, analyze refused it in a line naming
+        # neither the mine nor its file, and reconstruct wrote rows from before the opening.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("opening_year=1995\n", f"opening_year={opening_year}\n"))
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha:{year}: [history-after-opening] pre-history year {year} precedes opening_year {opening_year}"
+            for year in years
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_warnings_precede_a_refusal_after_validation(self, tmp_path, capsys, command):
+        # Valid inputs with a warning whose backfill then fails: alpha reports no year in 2001-2005.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        text = alpha.read_text().replace("1996,,,,,,,,,,310000.0,297600.0", "1996,,,,,,,,,,310000.0,400000.0")
+        baseline = tuple(f"{year}," for year in range(2001, 2006))
+        alpha.write_text("".join(line for line in text.splitlines(True) if not line.startswith(baseline)))
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)",
+            "error: alpha: no reported years in baseline window (2001, 2005)",
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_far_market_year_is_one_short_error_line(self, tmp_path, capsys, command):
         # The gap 2013..999999 is counted and shown as one range, not listed year by year.
@@ -382,6 +425,29 @@ class TestAnalyze:
         assert code == 1
         assert "production-nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--valuation-year", "2113"], "valuation_year 2113 is after 2112"),
+            (["--valuation-year", "2005"], "valuation_year 2005 precedes last flow year 2011"),
+            (
+                ["--rf", "2", "--beta", "0", "--erp", "0", "--country", "0"],
+                "discount rate 'custom' must lie in [0, 1], got 2.0",
+            ),
+        ],
+    )
+    def test_warnings_precede_a_refusal_after_validation(self, tmp_path, capsys, flags, message):
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace(",310000.0,297600.0", ",310000.0,400000.0"))
+        out = tmp_path / "out"
+        assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)",
+            f"error: {message}",
+        ]
+        assert not out.exists()
+
     def test_valuation_year_before_last_flow_is_one_error_line(self, tmp_path, capsys):
         code = main(
             [
@@ -528,18 +594,18 @@ class TestStreamedWriters:
 
     @pytest.mark.parametrize("prehistory", [True, False], ids=["shipped", "no-prehistory"])
     def test_reconstruct_audit_matches_joined_writer(self, tmp_path, monkeypatch, prehistory):
-        audits, reconstruct = [], minerent.cli.reconstruct_dataset
+        audits, reconstruct = [], minerent.cli.reconstruct_all
 
-        def recorded(mine, market, audit):
+        def recorded(mines, market, audit):
             audits.append(audit)
-            return reconstruct(mine, market, audit=audit)
+            return reconstruct(mines, market, audit)
 
-        monkeypatch.setattr(minerent.cli, "reconstruct_dataset", recorded)
+        monkeypatch.setattr(minerent.cli, "reconstruct_all", recorded)
         mines = copy_mines(tmp_path) if prehistory else copy_mines_without_prehistory(tmp_path)
         out = tmp_path / "out"
         assert main(["reconstruct", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 0
-        audit = audits[-1]
-        assert all(each is audit for each in audits) and bool(audit) == prehistory
+        [audit] = audits
+        assert bool(audit) == prehistory
         assert (out / "reconstruction_audit.log").read_bytes().decode() == "\n".join(audit) + ("\n" if audit else "")
 
     def test_documents_are_never_held_whole(self, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from minerent import (
     ParseError,
     PhysicalYear,
     SchemaError,
+    ValidationIssue,
     load_market_series,
     load_mine_dataset,
     validate_dataset,
@@ -292,6 +293,23 @@ class TestValidateDataset:
         mine = make_mine(opening_year=opening_year)  # no records, so no first-reported-after-opening
         market = make_market(price=lambda year: price if year == 1990 else 2000.0, fund_rate=fund_rate)
         assert [issue.rule for issue in validate_dataset([mine], market).errors] == rules
+
+    @pytest.mark.parametrize(
+        "opening_year, years",
+        [(1995, []), (1996, []), (1997, [1996]), (1999, [1996, 1997, 1998]), (2001, [1996, 1997, 1998])],
+    )
+    def test_history_after_opening(self, corpus_market, opening_year, years):
+        # One error per pre-history year before the opening, as first-reported-after-opening is for reported years.
+        mine = make_mine(
+            mine_id="m",
+            opening_year=opening_year,
+            records=[make_record(2001)],
+            physical_history=[PhysicalYear(year, 1e5, 1e5) for year in (1996, 1997, 1998)],
+        )
+        message = "pre-history year {} precedes opening_year {}".format
+        assert validate_dataset([mine], corpus_market).errors == tuple(
+            ValidationIssue(f"m:{year}", "history-after-opening", message(year, opening_year)) for year in years
+        )
 
     def test_market_gap_flagged(self):
         entries = tuple(

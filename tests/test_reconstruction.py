@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from minerent import (
     BaselineStats,
     BaselineUnavailableError,
+    InvalidDatasetError,
     MarketCoverageError,
     PhysicalYear,
     ReconstructionError,
     compute_baseline_stats,
     impute_exploration,
+    reconstruct_all,
     reconstruct_dataset,
     reconstruct_year,
 )
@@ -269,6 +271,42 @@ class TestReconstructDataset:
         assert reconstruct_dataset(mine, make_market()) is mine
 
 
+class TestReconstructAll:
+    def test_completes_every_mine_in_order_with_the_warnings(self):
+        drawn_down = reconstruction_mine(mine_id="a", physical_history=[PhysicalYear(1996, 100_000.0, 120_000.0)])
+        mines = [reconstruction_mine(mine_id="b"), drawn_down]
+        audit: list[str] = []
+        completed, warnings = reconstruct_all(mines, make_market(), audit)
+        assert completed == [reconstruct_dataset(mine, make_market()) for mine in mines]
+        assert [(issue.locator, issue.rule) for issue in warnings] == [("a:1996", "exports-exceed-production")]
+        assert [line.split()[0] for line in audit[::8]] == ["b", "a"]  # eight audit lines per rebuilt year
+
+    def test_invalid_inputs_raise_one_error_carrying_the_whole_report(self):
+        mines = [
+            reconstruction_mine(mine_id="a", opening_year=1997),
+            reconstruction_mine(mine_id="b", capital_paid_first_year=0.0),
+        ]
+        with pytest.raises(InvalidDatasetError) as excinfo:
+            reconstruct_all(mines, make_market())
+        report = excinfo.value.report
+        assert [(issue.locator, issue.rule) for issue in report.errors] == [
+            ("a:1996", "history-after-opening"),
+            ("b", "capital-paid-positive"),
+        ]
+        assert str(excinfo.value) == "a:1996: [history-after-opening] pre-history year 1996 precedes opening_year 1997"
+
+    def test_refusal_after_validation_carries_the_passing_report(self):
+        # Validation passes with a warning; the backfill then finds no reported year in 2001-2005.
+        mine = reconstruction_mine(
+            records=[make_record(2006)], physical_history=[PhysicalYear(1996, 100_000.0, 120_000.0)]
+        )
+        with pytest.raises(BaselineUnavailableError) as excinfo:
+            reconstruct_all([mine], make_market())
+        assert str(excinfo.value) == "testmine: no reported years in baseline window (2001, 2005)"
+        assert not excinfo.value.report.errors
+        assert [issue.rule for issue in excinfo.value.report.warnings] == ["exports-exceed-production"]
+
+
 class TestImputeExploration:
     def test_proration_shares(self):
         market = make_market(years=[1995], gdp=75_000.0, exploration_pct=0.004)
@@ -318,12 +356,6 @@ class TestImputeExploration:
         assert sorted(result.yearly_allocations) == [1990, 1995]
         assert len(result.warnings) == 2
 
-    def test_probability_inverse_from_counts(self):
-        market = make_market(years=[1995])
-        mine = make_mine(mine_id="m", opening_year=1995, records=[make_record(2001)])
-        result = impute_exploration(market, [mine], r=0.0, successful_campaigns=4, total_campaigns=10)
-        assert result.probability_inverse == pytest.approx(2.5)
-
     @given(
         gdp=st.floats(min_value=1_000.0, max_value=500_000.0),
         pct=st.floats(min_value=0.0, max_value=0.02),
@@ -361,27 +393,3 @@ class TestImputeExploration:
         scaled = impute_exploration(market, build(scale), r=0.1)
         for key, value in base.allocations.items():
             assert rel_close(scaled.allocations[key], value, rel=1e-9, abs_tol=1e-9)
-
-    @given(
-        per_campaign=st.floats(min_value=0.5, max_value=50.0),
-        successes=st.integers(min_value=1, max_value=8),
-        failures=st.integers(min_value=0, max_value=20),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_equivalence_chain_uniform_campaigns(self, per_campaign, successes, failures):
-        """Allocating total cohort spend equals per-deposit spend times the
-        inverse discovery odds when every campaign costs the same."""
-        total_campaigns = successes + failures
-        total_spend = per_campaign * total_campaigns
-        # market sized so the private share equals the cohort's total spend
-        market = make_market(years=[1995], gdp=total_spend * 1.5 / 1e-3, exploration_pct=1e-3)
-        mines = [
-            make_mine(mine_id=f"m{i}", opening_year=1995, records=[make_record(2001, production=1000.0)])
-            for i in range(successes)
-        ]
-        result = impute_exploration(
-            market, mines, r=0.0, successful_campaigns=successes, total_campaigns=total_campaigns
-        )
-        per_mine = result.allocations["m0"]
-        direct = per_campaign * result.probability_inverse
-        assert rel_close(per_mine, direct, rel=1e-9, abs_tol=1e-9)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from minerent import (
     CashFlowSeries,
     InitialInvestment,
+    InvalidDatasetError,
+    PhysicalYear,
     Rate,
     analyze_mine,
     impute_exploration,
@@ -261,6 +263,19 @@ class TestSensitivityReport:
             with pytest.raises(ValueError) as excinfo:
                 sensitivity_report([mine], market, [("r", rate)], valuation_year)
             assert str(excinfo.value) == message
+            assert excinfo.value.report == ((), ())  # validation passed, with no warning
+
+    def test_inputs_are_validated_before_the_rates(self):
+        mine, market = sensitivity_fixture()
+        with pytest.raises(InvalidDatasetError) as excinfo:
+            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, [("r", 2.0)])
+        assert str(excinfo.value) == "edge: [capital-paid-positive] capital_paid_first_year must be > 0, got 0.0"
+
+    def test_validation_warnings_come_back_on_the_report(self):
+        mine, market = sensitivity_fixture()
+        mine = mine._replace(physical_history=(PhysicalYear(2001, 50_000.0, 60_000.0),))
+        report = sensitivity_report([mine], market, [("r", 0.1)])
+        assert [(w.locator, w.rule) for w in report.warnings] == [("edge:2001", "exports-exceed-production")]
 
 
 class TestAnalyzeMine:
