@@ -8,7 +8,6 @@ byte-identical artifacts, so run manifests carry no timestamps. Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import os
@@ -48,8 +47,6 @@ MANIFEST_NAME = "run_manifest.json"
 HISTOGRAM_NAME = "duration_histogram.csv"
 AUCTION_TABLE_NAME = "auction_result.csv"
 
-FORMATS = ("table", "json")
-
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -62,15 +59,15 @@ def _write_audit(path: Path, audit: list[str]) -> None:
         fh.writelines(line + "\n" for line in audit)
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict, seed: int | None) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: dict, parameters: dict, seed: int | None) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "parameters": parameters,
         "seed": seed,
         "package": {"name": "minerent", "version": __version__},
     }
-    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (args.out / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _warn(warnings) -> None:
@@ -138,19 +135,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         for (mine_id, label), series in sorted(report.series.items()):
             write_plot_data(series, args.out / f"{mine_id}_rvp_{label}.csv")
-        if "table" in args.format:
-            write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
-        if "json" in args.format:
-            with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
-                json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+        write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
+        with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
+            json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
+            fh.write("\n")
         _write_audit(args.out / AUDIT_LOG_NAME, audit)
         _write_manifest(
-            args.out,
-            "analyze",
+            args,
             inputs={"market": str(args.market), "mines": mine_paths},
             parameters={
-                "formats": sorted(args.format),
                 "fund_rate": market.fund_rate,
                 "rates": {label: spec._asdict() for label, spec in rates},
                 "valuation_year": args.valuation_year,
@@ -181,8 +174,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             write_mine_dataset(mine, args.out / f"{mine.mine_id}_reconstructed.csv")
         _write_audit(args.out / AUDIT_LOG_NAME, audit)
         _write_manifest(
-            args.out,
-            "reconstruct",
+            args,
             inputs={"market": str(args.market), "mines": mine_paths},
             parameters={},
             seed=None,
@@ -211,7 +203,7 @@ _OUTCOME_ROW_JSON = (
 )
 
 
-def _write_outcome(outcome, vpi: float, out_dir: Path, formats: frozenset[str]) -> None:
+def _write_outcome(outcome, vpi: float, out_dir: Path) -> None:
     """Stream replication 0's rows into the outcome table and JSON, formatting each row once.
 
     Every float in a row is finite, where json writes its ``repr``, and a
@@ -227,24 +219,19 @@ def _write_outcome(outcome, vpi: float, out_dir: Path, formats: frozenset[str]) 
         "rows": [],
     }
     head, _, tail = json.dumps(frame, sort_keys=True, indent=2).partition('"rows": []')
-    with contextlib.ExitStack() as stack:
-        table = doc = None
-        if "table" in formats:
-            table = stack.enter_context(open(out_dir / OUTCOME_TABLE_NAME, "w", encoding="utf-8"))
-            table.write(_OUTCOME_HEADER)
-        if "json" in formats:
-            doc = stack.enter_context(open(out_dir / OUTCOME_JSON_NAME, "w", encoding="utf-8"))
-            doc.write(head + '"rows": [')
+    with (
+        open(out_dir / OUTCOME_TABLE_NAME, "w", encoding="utf-8") as table,
+        open(out_dir / OUTCOME_JSON_NAME, "w", encoding="utf-8") as doc,
+    ):
+        table.write(_OUTCOME_HEADER)
+        doc.write(head + '"rows": [')
         separator = "\n"
         for row in outcome.rows:
             cells = (str(row.period), *map(repr, row[1:6]), row.status)
-            if table is not None:
-                table.write(",".join(cells) + "\n")
-            if doc is not None:
-                doc.write(separator + _OUTCOME_ROW_JSON.format(*cells))
-                separator = ",\n"
-        if doc is not None:
-            doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
+            table.write(",".join(cells) + "\n")
+            doc.write(separator + _OUTCOME_ROW_JSON.format(*cells))
+            separator = ",\n"
+        doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
 
 
 def cmd_simulate_concession(args: argparse.Namespace) -> int:
@@ -298,7 +285,7 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
 
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        _write_outcome(outcome, vpi, args.out, args.format)
+        _write_outcome(outcome, vpi, args.out)
         if scenario.replications > 1:
             lines = ["replication,duration"]
             for replication in range(scenario.replications):
@@ -306,12 +293,10 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
                 lines.append(f"{replication},{'' if duration is None else duration}")
             (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_manifest(
-            args.out,
-            "simulate-concession",
+            args,
             inputs={"scenario": str(args.scenario)},
             parameters={
                 "announced_rate": scenario.announced_rate,
-                "formats": sorted(args.format),
                 "quantity_t_per_year": scenario.quantity,
                 "replications": scenario.replications,
                 "vpi": vpi,
@@ -348,8 +333,7 @@ def cmd_auction(args: argparse.Namespace) -> int:
             lines.append(f"{bidder_id},{bid_text},{'true' if bidder_id == winner_id else 'false'}")
         (args.out / AUCTION_TABLE_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_manifest(
-            args.out,
-            "auction",
+            args,
             inputs={"scenario": str(args.scenario)},
             parameters={
                 "announced_rate": scenario.announced_rate,
@@ -361,16 +345,6 @@ def cmd_auction(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(str(exc), 2)
     return 0
-
-
-def _parse_formats(text: str) -> frozenset[str]:
-    formats = frozenset(part.strip() for part in text.split(",") if part.strip())
-    unknown = formats - set(FORMATS)
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown formats: {sorted(unknown)}")
-    if not formats:
-        raise argparse.ArgumentTypeError("at least one format is required")
-    return formats
 
 
 def _resolve_rates(args: argparse.Namespace) -> tuple[tuple[str, DiscountSpec], ...]:
@@ -396,20 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_rate_flags(p):
-        p.add_argument("--rate", action="append", choices=sorted(PRESETS), help="preset rate; repeatable")
-        p.add_argument("--rf", type=float, help="custom risk-free rate")
-        p.add_argument("--beta", type=float, help="custom beta")
-        p.add_argument("--erp", type=float, help="custom equity premium")
-        p.add_argument("--country", type=float, help="custom country risk")
-
     analyze = sub.add_parser("analyze", help="rent analysis over a mine directory")
     analyze.add_argument("--mines", required=True, type=Path, help="directory of mine files")
     analyze.add_argument("--market", required=True, type=Path, help="market series file")
-    add_rate_flags(analyze)
+    analyze.add_argument("--rate", action="append", choices=sorted(PRESETS), help="preset rate; repeatable")
+    analyze.add_argument("--rf", type=float, help="custom risk-free rate")
+    analyze.add_argument("--beta", type=float, help="custom beta")
+    analyze.add_argument("--erp", type=float, help="custom equity premium")
+    analyze.add_argument("--country", type=float, help="custom country risk")
     analyze.add_argument("--valuation-year", type=int, default=DEFAULT_VALUATION_YEAR)
     analyze.add_argument("--out", required=True, type=Path, help="output directory")
-    analyze.add_argument("--format", type=_parse_formats, default=frozenset(FORMATS))
 
     reconstruct = sub.add_parser("reconstruct", help="backfill pre-history mine years")
     reconstruct.add_argument("--mines", required=True, type=Path)
@@ -419,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate-concession", help="run a concession scenario")
     simulate.add_argument("--scenario", required=True, type=Path)
     simulate.add_argument("--out", required=True, type=Path)
-    simulate.add_argument("--format", type=_parse_formats, default=frozenset(FORMATS))
 
     auction = sub.add_parser("auction", help="equilibrium bids and winner for a scenario")
     auction.add_argument("--scenario", required=True, type=Path)

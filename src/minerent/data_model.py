@@ -79,7 +79,11 @@ class SchemaError(DataFileError):
 
 
 class MineYearRecord(NamedTuple):
-    """One mine-year of financial line items plus physical quantities."""
+    """One mine-year of financial line items plus physical quantities.
+
+    The fields from ``revenue`` to ``exports`` follow the columns of
+    ``MINE_COLUMNS`` after ``year``, in order.
+    """
 
     year: int
     revenue: float
@@ -96,17 +100,8 @@ class MineYearRecord(NamedTuple):
     reconstructed: bool = False
 
     def money_fields(self) -> dict[str, float]:
-        return {
-            "revenue": self.revenue,
-            "operating_cost": self.operating_cost,
-            "admin_sales_expense": self.admin_sales_expense,
-            "pretax_result": self.pretax_result,
-            "dep_amort": self.depreciation_amortization,
-            "capital_paid_increase": self.capital_paid_increase,
-            "taxes_paid": self.taxes_paid,
-            "fixed_asset_additions": self.fixed_asset_additions,
-            "net_loan_payments": self.net_loan_payments,
-        }
+        """The nine money values, keyed by their mine-file column names."""
+        return dict(zip(MINE_COLUMNS[1:10], self[1:10]))
 
 
 class PhysicalYear(NamedTuple):
@@ -212,6 +207,19 @@ def _parse_number(text: str, column: str, path: Path, line: int) -> float:
         raise ParseError(f"non-numeric value {text!r} in column {column}", path, line) from None
 
 
+def read_lines(path: Path, error: type[DataFileError]) -> list[str]:
+    """The text of a UTF-8 file split at each ``"\\n"``, the only line break a line number counts.
+
+    A byte that is not UTF-8 raises ``error`` naming the line that holds it.
+    """
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})", path, line) from None
+
+
 def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, ...]):
     """Read a ``key=value`` metadata block and the exact header row of a table file.
 
@@ -220,9 +228,10 @@ def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, 
     header, so a loader's own row errors still come in file order. Raises
     :class:`SchemaError` for an unknown or duplicate key, a stray line before
     the header, a missing header or a duplicate year, and :class:`ParseError`
-    for a wrong column count or a non-numeric year; each names its line.
+    for a byte that is not UTF-8, a wrong column count or a non-numeric year;
+    each names its line.
     """
-    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    lines = enumerate(read_lines(path, ParseError), start=1)
     expected_header = ",".join(columns)
     meta: dict[str, tuple[str, int]] = {}
     for lineno, raw in lines:
@@ -273,8 +282,8 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     escondida tax rule) is kept as physical history; a blank ``exports_t``
     defaults to ``production_t``.
 
-    Raises :class:`ParseError` for malformed rows and :class:`SchemaError`
-    for duplicate years, bad headers, or bad metadata; both name the line.
+    Raises :class:`ParseError` for malformed rows or a byte that is not UTF-8, and
+    :class:`SchemaError` for duplicate years, bad headers, or bad metadata; both name the line.
     """
     path = Path(path)
     meta_lines, rows = _read_table(path, MINE_COLUMNS, MINE_METADATA_KEYS)
@@ -298,10 +307,7 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
                 taxes = _parse_number(financial[6], "taxes_paid", path, lineno)
             physical.append(PhysicalYear(year, production, exports, taxes))
         elif not any(blank):
-            values = [
-                _parse_number(value, MINE_COLUMNS[i + 1], path, lineno)
-                for i, value in enumerate(financial)
-            ]
+            values = [_parse_number(cell, column, path, lineno) for column, cell in zip(MINE_COLUMNS[1:10], financial)]
             records.append(MineYearRecord(year, *values, production, exports))
         else:
             raise ParseError(
@@ -362,23 +368,7 @@ def write_mine_dataset(dataset: MineDataset, path: str | Path) -> None:
         f"escondida_tax_rule={'true' if dataset.escondida_tax_rule else 'false'}",
         ",".join(MINE_COLUMNS),
     ]
-    rows: list[tuple[int, str]] = []
-    for rec in dataset.records:
-        cells = [
-            str(rec.year),
-            _fmt(rec.revenue),
-            _fmt(rec.operating_cost),
-            _fmt(rec.admin_sales_expense),
-            _fmt(rec.pretax_result),
-            _fmt(rec.depreciation_amortization),
-            _fmt(rec.capital_paid_increase),
-            _fmt(rec.taxes_paid),
-            _fmt(rec.fixed_asset_additions),
-            _fmt(rec.net_loan_payments),
-            _fmt(rec.production),
-            _fmt(rec.exports),
-        ]
-        rows.append((rec.year, ",".join(cells)))
+    rows = [(rec.year, ",".join([str(rec.year), *map(_fmt, rec[1 : len(MINE_COLUMNS)])])) for rec in dataset.records]
     for phys in dataset.physical_history:
         taxes = "" if phys.taxes_paid is None else _fmt(phys.taxes_paid)
         cells = [str(phys.year), "", "", "", "", "", "", taxes, "", "", _fmt(phys.production), _fmt(phys.exports)]

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .concession_sim import Bidder
-from .data_model import USD_PER_MUSD, DataFileError
+from .data_model import USD_PER_MUSD, DataFileError, read_lines
 from .valuation import CashFlowSeries, Rate
 
 
@@ -157,17 +157,17 @@ def load_scenario(path: str | Path) -> Scenario:
     required, or out of its field's bound raises ScenarioError naming the
     line, as does a ``drift`` or ``quantity_t_per_year`` that overflows the
     forecast price or revenue, or periods (``horizon`` or ``[price_path]``
-    rows) × ``replications`` above ``MAX_SIMULATED_PERIODS``.
+    rows) × ``replications`` above ``MAX_SIMULATED_PERIODS``. So does a byte
+    that is not UTF-8.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     scalars: dict[str, float] = {}
     scalar_lines: dict[str, int] = {}
     tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
     section: str | None = None
     header_pending = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, ScenarioError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -211,8 +211,8 @@ def load_scenario(path: str | Path) -> Scenario:
     seen_bidders = set()
     for lineno, fields in tables["bidders"]:
         bidder_id = fields[0].strip()
-        if not bidder_id:
-            raise ScenarioError("bidder_id must be non-empty", path, lineno)
+        if not bidder_id or not bidder_id.isprintable():  # it becomes a cell of auction_result.csv
+            raise ScenarioError(f"bidder_id must be non-empty and printable, got {bidder_id!r}", path, lineno)
         if bidder_id in seen_bidders:
             raise ScenarioError(f"duplicate bidder_id {bidder_id!r}", path, lineno)
         seen_bidders.add(bidder_id)

@@ -83,8 +83,11 @@ def baseline_brute(records, window: tuple[int, int]) -> dict[str, float]:
 
 
 def reconstruct_flows_brute(mine, market, window: tuple[int, int]) -> list[tuple[int, float]]:
-    """Annual cash flows for all years, pre-history rebuilt from the rules."""
-    base = baseline_brute(mine.records, window)
+    """Annual cash flows for all years, pre-history rebuilt from the rules.
+
+    Only a mine with pre-history needs a baseline; without one, its window may hold no producing year.
+    """
+    base = baseline_brute(mine.records, window) if mine.physical_history else None
     flows = {}
     for phys in mine.physical_history:
         price = market.entry(phys.year).copper_price

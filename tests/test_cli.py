@@ -258,6 +258,19 @@ class TestLoadAndValidate:
         else:
             assert err == [] and any(path.name.startswith(mine_id) for path in (tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("kind", ["mine", "market"])
+    def test_undecodable_byte_is_one_error_line(self, tmp_path, capsys, command, kind):
+        mines, market = copy_mines(tmp_path), tmp_path / "market.csv"
+        shutil.copy(MARKET_FILE, market)
+        path = mines / "alpha.csv" if kind == "mine" else market
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6][:3] + b"\xff" + lines[6][3:]
+        path.write_bytes(b"\n".join(lines))
+        argv = [command, "--mines", str(mines), "--market", str(market), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}:7: not UTF-8 text: byte 0xff (invalid start byte)"]
+        assert not (tmp_path / "out").exists()
+
     def test_huge_market_price_is_one_error_line(self, tmp_path, capsys, command):
         # 1e308 is finite, but price * production would overflow in alpha's pre-history year.
         market = tmp_path / "market.csv"
@@ -567,8 +580,7 @@ class TestStreamedWriters:
     """The summary and audit files are streamed; their bytes are those of the writers that joined them whole."""
 
     @pytest.mark.parametrize("prehistory", [True, False], ids=["shipped", "no-prehistory"])
-    @pytest.mark.parametrize("formats", ["table", "json", "table,json"])
-    def test_analyze_files_match_joined_writers(self, tmp_path, monkeypatch, prehistory, formats):
+    def test_analyze_files_match_joined_writers(self, tmp_path, monkeypatch, prehistory):
         runs, report_of = [], minerent.cli.sensitivity_report
 
         def recorded(*args, audit, **kwargs):
@@ -578,18 +590,15 @@ class TestStreamedWriters:
         monkeypatch.setattr(minerent.cli, "sensitivity_report", recorded)
         mines = copy_mines(tmp_path) if prehistory else copy_mines_without_prehistory(tmp_path)
         out = tmp_path / "out"
-        argv = ["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out), "--format", formats]
-        assert main(argv) == 0
+        assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--out", str(out)]) == 0
         [(report, audit)] = runs
         assert bool(audit) == prehistory
         expected = {
-            "summary_cuadro1.csv": joined_summary_table(report) if "table" in formats else None,
-            "summary_cuadro1.json": json.dumps(summary_rows(report), sort_keys=True, indent=2) + "\n"
-            if "json" in formats
-            else None,
+            "summary_cuadro1.csv": joined_summary_table(report),
+            "summary_cuadro1.json": json.dumps(summary_rows(report), sort_keys=True, indent=2) + "\n",
             "reconstruction_audit.log": "\n".join(audit) + ("\n" if audit else ""),
         }
-        written = {name: (out / name).read_bytes().decode() if (out / name).exists() else None for name in expected}
+        written = {name: (out / name).read_bytes().decode() for name in expected}
         assert written == expected
 
     @pytest.mark.parametrize("prehistory", [True, False], ids=["shipped", "no-prehistory"])
@@ -784,6 +793,15 @@ class TestSimulateConcession:
         assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:{lineno}: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate-concession", "auction"])
+    def test_undecodable_byte_is_one_error_line(self, tmp_path, capsys, command):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_bytes(AUCTION_SCENARIO.encode().replace(b"horizon=25", b"horizon=25 # \xe9t\xe9"))
+        assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {scenario}:4: not UTF-8 text: byte 0xe9 (invalid continuation byte)"]
+        assert not (tmp_path / "out").exists()
+
     def test_seeded_revenue_overflow_is_one_error_line(self, tmp_path, capsys):
         # The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7.
         scenario = tmp_path / "scenario.txt"
@@ -905,8 +923,7 @@ class TestSimulateConcession:
             ),
         ],
     )
-    @pytest.mark.parametrize("formats", ["table", "json", "table,json"])
-    def test_outcome_files_match_json_dumps(self, tmp_path, monkeypatch, text, duration, formats):
+    def test_outcome_files_match_json_dumps(self, tmp_path, monkeypatch, text, duration):
         # The oracle is the writer the streaming one replaced: one dict per row through json.dumps.
         runs, simulate = [], minerent.cli.simulate_concession
 
@@ -918,7 +935,7 @@ class TestSimulateConcession:
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(text)
         out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out), "--format", formats]) == 0
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
         [(vpi, outcome)] = runs
         assert outcome.duration == duration
         lines = ["period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status"]
@@ -936,10 +953,10 @@ class TestSimulateConcession:
             "rows": [row._asdict() for row in outcome.rows],
         }
         expected = {
-            "concession_outcome.csv": ("\n".join(lines) + "\n") if "table" in formats else None,
-            "concession_outcome.json": json.dumps(document, sort_keys=True, indent=2) + "\n" if "json" in formats else None,
+            "concession_outcome.csv": "\n".join(lines) + "\n",
+            "concession_outcome.json": json.dumps(document, sort_keys=True, indent=2) + "\n",
         }
-        written = {name: (out / name).read_text() if (out / name).exists() else None for name in expected}
+        written = {name: (out / name).read_text() for name in expected}
         assert written == expected
 
 
@@ -956,6 +973,16 @@ class TestAuctionCommand:
         assert rows["slim"][2] == "true"
         assert rows["heavy"][2] == "false"
         assert float(rows["slim"][1]) < float(rows["heavy"][1])
+
+    # Splitting lines at "\n" only keeps a "\r" inside its line; no such character reaches the result table.
+    @pytest.mark.parametrize("bidder_id", ["sl\rim", "nul\x00", "line\u2028break", "no\xa0break"])
+    def test_unprintable_bidder_id_is_one_error_line(self, tmp_path, capsys, bidder_id):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(AUCTION_SCENARIO.replace("slim,", f"{bidder_id},"))
+        assert main(["auction", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        message = f"bidder_id must be non-empty and printable, got {bidder_id!r}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:7: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_requires_bidders(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.txt"
@@ -983,6 +1010,18 @@ class TestAuctionCommand:
         lines = (out / "auction_result.csv").read_text().splitlines()
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert rows["slim"][2] == "true" and rows["patient"][1] != "no-bid"
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--mines", "m", "--market", "f"], ["simulate-concession", "--scenario", "s"]], ids=lambda a: a[0]
+)
+def test_format_flag_is_a_usage_error(capsys, argv):
+    # Each command writes one fixed set of files; there is no flag to select among them.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", "o", "--format", "json"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: minerent") and err.endswith("error: unrecognized arguments: --format json\n")
 
 
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -129,6 +129,31 @@ class TestLoadMineDataset:
         mine = load_mine_dataset(path)
         assert [r.year for r in mine.records] == [2001, 2003, 2005]
 
+    # str.splitlines also breaks a line at each of these; a line number counts "\n" only.
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, tmp_path, char):
+        path = tmp_path / "demo.csv"
+        # Trailing on a metadata line, the character is stripped, so the two-column row is line 7.
+        write_mine_file(path, [full_row(2001), "2002,1.0"], meta=[META[0] + char] + META[1:])
+        with pytest.raises(ParseError) as excinfo:
+            load_mine_dataset(path)
+        assert str(excinfo.value) == f"{path}:7: expected 12 columns, got 2"
+        # Inside a cell, it leaves the row's 12 columns whole and the cell not a number.
+        cell = f"150{char}000.0"
+        write_mine_file(path, [full_row(2001, production=cell)])
+        with pytest.raises(ParseError) as excinfo:
+            load_mine_dataset(path)
+        assert str(excinfo.value) == f"{path}:6: non-numeric value {cell!r} in column production_t"
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "demo.csv"
+        write_mine_file(path, [full_row(2001), full_row(2002)])
+        path.write_bytes(path.read_bytes().replace(b"2002,", b"2002\xc3,"))
+        with pytest.raises(ParseError) as excinfo:
+            load_mine_dataset(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 7)
+        assert str(excinfo.value).endswith(":7: not UTF-8 text: byte 0xc3 (invalid continuation byte)")
+
     @pytest.mark.parametrize(
         "mine_id", ["../escaped", "sub/dir", "back\\slash", "a,b", ".", "..", "tab\tinside", "nul\x00", "del\x7f", "c1\x9f"]
     )

@@ -2,15 +2,16 @@
 
 Each strategy starts from a valid file and mutates a few of its lines:
 arbitrary text (digits included), a key or field set to an odd number, a
-line deleted or repeated. Whatever the result, a command must return 0, 1
-or 2, raise nothing (a warning counts as raising), and write only
-``error:`` and ``warning:`` lines to stderr; a scenario that fails gives
-exactly one ``error:`` line, and one that succeeds writes the same rows into
-both outcome files. A scenario strategy also writes only in-bound values,
-so that many runs succeed and reach that check. A mine or market run that
-succeeds must write only finite numbers into the reconstructed mine files,
-the RVP files and both summaries, and no run may write beside its output
-directory. A mine whose id could leave that directory or break the summary
+line deleted or repeated. A mine or scenario file may instead be a valid
+file with one byte from 0x80-0xFF spliced in, which is never UTF-8 there.
+Whatever the result, a command must return 0, 1 or 2, raise nothing (a
+warning counts as raising), and write only ``error:`` and ``warning:``
+lines to stderr; a scenario that fails gives exactly one ``error:`` line,
+and one that succeeds writes the same rows into both outcome files. A
+scenario strategy also writes only in-bound values, so that many runs
+succeed and reach that check. A mine or market run that succeeds must
+write only finite numbers into the reconstructed mine files, the RVP files
+and both summaries, and no run may write beside its output directory. A mine whose id could leave that directory or break the summary
 CSV (a ``/``, ``\\``, ``,`` or control character, or ``.`` or ``..``) must
 fail with exactly one ``error:`` line, exit code 1.
 
@@ -139,6 +140,18 @@ def in_bounds(draw, valid: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def undecodable(draw, valid: str) -> bytes:
+    """``valid`` (ASCII) encoded, with one byte from 0x80-0xFF spliced in anywhere."""
+    data = valid.encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+def as_bytes(text: str | bytes) -> bytes:
+    return text if isinstance(text, bytes) else text.encode("utf-8")
+
+
 def _scalar(text: str, key: str, default: float) -> float:
     match = re.search(rf"^\s*{key}\s*=(.*)$", text, re.MULTILINE)
     try:
@@ -223,16 +236,17 @@ def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> tuple[in
         mutated(PRICE_PATH_SCENARIO),
         st.text(max_size=200),
         st.sampled_from([SCENARIO, PRICE_PATH_SCENARIO]).flatmap(in_bounds),
+        st.sampled_from([SCENARIO, PRICE_PATH_SCENARIO]).flatmap(undecodable),
     ),
     command=st.sampled_from(["auction", "simulate-concession"]),
 )
 @example(text=SCENARIO.replace("horizon=40", "horizon=1e12"), command="auction")
 @example(text=SCENARIO.replace("replications=25", f"replications={MAX_SIMULATED_PERIODS + 1}"), command="simulate-concession")
 def test_scenario_slot(text, command):
-    assume(_small(text))
+    assume(isinstance(text, bytes) or _small(text))
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.txt"
-        scenario.write_text(text, encoding="utf-8")
+        scenario.write_bytes(as_bytes(text))
         code, lines = run_cli([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "out")])
         if code == 0 and command == "simulate-concession":
             outcome_files_agree(Path(tmp) / "out")
@@ -241,7 +255,10 @@ def test_scenario_slot(text, command):
 
 
 @FUZZ
-@given(text=st.one_of(mutated(MINE), st.text(max_size=200)), command=st.sampled_from(["analyze", "reconstruct"]))
+@given(
+    text=st.one_of(mutated(MINE), st.text(max_size=200), undecodable(MINE)),
+    command=st.sampled_from(["analyze", "reconstruct"]),
+)
 @example(text=MINE.replace("1997,,,,,,,,,,360000.0,", "1997,,,,,,,,,,nan,"), command="reconstruct")
 @example(text=set_cells(MINE, "fixed_asset_additions", "1.5e308", (2001, 2002)), command="reconstruct")
 @example(text=set_cells(MINE, "fixed_asset_additions", "1.7e308", range(2006, 2013)), command="analyze")
@@ -249,7 +266,7 @@ def test_mine_slot(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         mines = Path(tmp) / "mines"
         shutil.copytree(MINES_DIR, mines)
-        (mines / "alpha.csv").write_text(text, encoding="utf-8")
+        (mines / "alpha.csv").write_bytes(as_bytes(text))
         run_pipeline(command, mines, MARKET_FILE, Path(tmp) / "out")
 
 
