@@ -40,10 +40,8 @@ from .data_model import (
 )
 from .reconstruction import (
     BaselineStats,
-    BaselineUnavailableError,
     ExplorationImputation,
     InvalidDatasetError,
-    MarketCoverageError,
     ReconstructionError,
     compute_baseline_stats,
     impute_exploration,

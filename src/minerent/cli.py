@@ -26,7 +26,7 @@ from .concession_sim import (
 )
 from .data_model import DataFileError, DiscountSpec, load_market_series, load_mine_dataset, write_mine_dataset
 from .data_model import validate_dataset  # noqa: F401  unused; the benchmark's tracer wraps it here (ROADMAP item 1)
-from .reconstruction import ReconstructionError, reconstruct_all
+from .reconstruction import InvalidDatasetError, reconstruct_all
 from .reconstruction import reconstruct_dataset  # noqa: F401  unused, as validate_dataset above
 from .rent_analysis import (
     DEFAULT_VALUATION_YEAR,
@@ -75,13 +75,10 @@ def _warn(warnings) -> None:
         print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
 
 
-def _refused(exc: Exception) -> int:
-    """Print the validation warnings and errors a refusal carries as ``report``, else the refusal; exit code 1."""
-    report = getattr(exc, "report", None)
-    _warn(report.warnings if report else ())
-    if not (report and report.errors):
-        return _fail(str(exc), 1)
-    for issue in report.errors:
+def _refused(exc: InvalidDatasetError) -> int:
+    """Print the validation warnings and errors of a rejected run; exit code 1."""
+    _warn(exc.report.warnings)
+    for issue in exc.report.errors:
         print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
     return 1
 
@@ -90,18 +87,14 @@ def _load_inputs(args: argparse.Namespace):
     """Load the market and every mine in the directory; the library validates them.
 
     Returns ``(market, mine_paths, mines)``, the paths as sorted strings, or the exit
-    code: 1 for unparseable content, a ``mine_id`` shared by two files or an
-    empty directory, 2 for an unreadable file or a missing directory.
+    code: 1 for unparseable content or an empty directory, 2 for an unreadable file
+    or a missing directory.
     """
     try:
         market = load_market_series(args.market)
         # iterdir, unlike glob, raises when the directory is missing.
         mine_paths = sorted(str(path) for path in args.mines.iterdir() if path.name.endswith(".csv"))
         mines = [load_mine_dataset(path) for path in mine_paths]
-        owners: dict[str, str] = {}
-        for path, mine in zip(mine_paths, mines):
-            if owners.setdefault(mine.mine_id, path) != path:
-                raise DataFileError(f"duplicate mine_id {mine.mine_id!r}, also in {owners[mine.mine_id]}", path)
     except DataFileError as exc:
         return _fail(str(exc), 1)
     except OSError as exc:
@@ -125,8 +118,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     audit: list[str] = []
     try:
         report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
-    except (ReconstructionError, ValueError) as exc:
+    except InvalidDatasetError as exc:
         return _refused(exc)
+    except ValueError as exc:
+        return _fail(str(exc), 1)
     _warn(report.warnings)
     del loaded, mines  # the report holds all the write phase needs; free the loaded records
 
@@ -165,7 +160,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     audit: list[str] = []
     try:
         completed, warnings = reconstruct_all(mines, market, audit)
-    except ReconstructionError as exc:
+    except InvalidDatasetError as exc:
         return _refused(exc)
     _warn(warnings)
     try:

@@ -10,6 +10,7 @@ physical quantities that the reconstruction module backfills later.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -33,6 +34,8 @@ MINE_METADATA_KEYS = ("mine_id", "opening_year", "capital_paid_first_year", "esc
 
 YEAR_MIN = 1984
 YEAR_MAX = 2012
+# Reported years whose averages backfill a mine's pre-history.
+DEFAULT_BASELINE_WINDOW = (2001, 2005)
 # Magnitude bounds on every value the analysis reads (world copper output is near 2e7 t a year,
 # Chile's GDP near 3e5 M USD): they keep every sum, product and compounding factor far inside the
 # float range. A tonnage or money value is 0 or has floor <= |value| <= bound; the floors keep the
@@ -427,7 +430,10 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
 
     The market is checked once, however many mines there are. The report is
     order-insensitive: issues are sorted by locator, rule and message. Within
-    the magnitude bounds it checks, every value the analysis derives is finite.
+    the magnitude bounds it checks, every value the analysis derives is finite,
+    and every mine it accepts can be backfilled: its pre-history lies before
+    its reported years, in years the market covers, with a producing year in
+    ``DEFAULT_BASELINE_WINDOW`` to average over.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -438,25 +444,26 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
     def warn(locator, rule, message):
         warnings.append(ValidationIssue(locator, rule, message))
 
+    market_years = {ent.year for ent in market.entries}
+    low, high = DEFAULT_BASELINE_WINDOW
+    mine_ids: Counter[str] = Counter()
     for mine in mines:
+        mine_ids[mine.mine_id] += 1
         capital = mine.capital_paid_first_year
         if _check_range(err, mine.mine_id, "money-range", [("capital_paid_first_year", capital)]) and capital <= 0:
             err(mine.mine_id, "capital-paid-positive", f"capital_paid_first_year must be > 0, got {capital}")
         if not OPENING_YEAR_MIN <= mine.opening_year <= YEAR_MAX:
             opening = f"opening_year {mine.opening_year} outside [{OPENING_YEAR_MIN}, {YEAR_MAX}]"
             err(mine.mine_id, "opening-year-range", opening)
-        if mine.first_reported_year is not None and mine.first_reported_year < mine.opening_year:
-            err(
-                mine.mine_id,
-                "first-reported-after-opening",
-                f"first_reported_year {mine.first_reported_year} precedes opening_year {mine.opening_year}",
-            )
+        first = mine.first_reported_year
+        if first is not None and first < mine.opening_year:
+            message = f"first_reported_year {first} precedes opening_year {mine.opening_year}"
+            err(mine.mine_id, "first-reported-after-opening", message)
         if not mine.records:
             warn(mine.mine_id, "no-history", NO_HISTORY_WARNING)
 
-        all_years = [rec.year for rec in mine.records] + [phys.year for phys in mine.physical_history]
-        if len(set(all_years)) != len(all_years):
-            dupes = sorted({year for year in all_years if all_years.count(year) > 1})
+        year_counts = Counter(row.year for row in (*mine.records, *mine.physical_history))
+        if dupes := sorted(year for year, count in year_counts.items() if count > 1):
             err(mine.mine_id, "duplicate-year", f"duplicate years: {dupes}")
         if [rec.year for rec in mine.records] != sorted(rec.year for rec in mine.records):
             err(mine.mine_id, "records-sorted", "records are not sorted by year")
@@ -472,6 +479,17 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             if phys.year < mine.opening_year:
                 message = f"pre-history year {phys.year} precedes opening_year {mine.opening_year}"
                 err(locator, "history-after-opening", message)
+            if first is not None and phys.year >= first:
+                message = f"pre-history year {phys.year} is not before first reported year {first}"
+                err(locator, "history-before-reports", message)
+            if phys.year not in market_years:
+                err(locator, "market-coverage", f"market series has no row for pre-history year {phys.year}")
+        if mine.physical_history and not any(low <= rec.year <= high and rec.production > 0 for rec in mine.records):
+            message = f"pre-history needs a reported year {low}-{high} with production > 0 to backfill from"
+            err(mine.mine_id, "baseline-window", message)
+    for mine_id, count in mine_ids.items():
+        if count > 1:
+            err(mine_id, "duplicate-mine-id", f"{count} mines share this mine_id")
 
     if not market.entries:
         err("market", "market-empty", "market series has no entries")
@@ -488,7 +506,7 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             )
         if _check_range(err, locator, "money-range", [("gdp", ent.gdp)]) and ent.gdp < 0:
             err(locator, "gdp-nonnegative", f"gdp must be >= 0, got {ent.gdp}")
-    years = sorted({ent.year for ent in market.entries})
+    years = sorted(market_years)
     missing = years[-1] - years[0] + 1 - len(years) if years else 0
     if missing:
         # Counted and listed from the rows, never from the span of years they cover.

@@ -13,25 +13,17 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .data_model import USD_PER_MUSD, MarketSeries, MineDataset, MineYearRecord, ValidationIssue, validate_dataset
+from .data_model import DEFAULT_BASELINE_WINDOW, USD_PER_MUSD, MarketSeries, MarketYear, MineDataset, MineYearRecord
+from .data_model import PhysicalYear, ValidationIssue, validate_dataset
 from .valuation import compound
 
-DEFAULT_BASELINE_WINDOW = (2001, 2005)
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
 DEFAULT_COHORT_WINDOW_YEARS = 5
 PRIVATE_EXPLORATION_SHARE = 2.0 / 3.0
 
 
 class ReconstructionError(Exception):
-    """Reconstruction refused: overwriting real data or missing inputs."""
-
-
-class BaselineUnavailableError(ReconstructionError):
-    """No usable reported year inside the baseline window."""
-
-
-class MarketCoverageError(ReconstructionError):
-    """The market series does not cover a year needed for reconstruction."""
+    """Reconstruction refused its inputs."""
 
 
 class InvalidDatasetError(ReconstructionError):
@@ -72,15 +64,15 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
     """Per-field means over the reported years inside ``DEFAULT_BASELINE_WINDOW``.
 
     Years with zero production are excluded from unit-cost averaging, and
-    zero-cost years from the admin/sales ratio.
+    zero-cost years from the admin/sales ratio. Raises ReconstructionError
+    when no year in the window has production > 0, which ``validate_dataset``
+    rejects for a mine with pre-history.
     """
     window = DEFAULT_BASELINE_WINDOW
     usable = [rec for rec in records if window[0] <= rec.year <= window[1]]
-    if not usable:
-        raise BaselineUnavailableError(f"no reported years in baseline window {window}")
     producing = [rec for rec in usable if rec.production > 0]
     if not producing:
-        raise BaselineUnavailableError(f"no year with production > 0 in baseline window {window}")
+        raise ReconstructionError(f"no year with production > 0 in baseline window {window}")
 
     with_cost = [rec for rec in usable if rec.operating_cost > 0]
     return BaselineStats(
@@ -100,31 +92,15 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
 
 def reconstruct_year(
     mine: MineDataset,
-    year: int,
-    market: MarketSeries,
+    phys: PhysicalYear,
+    entry: MarketYear,
     baseline: BaselineStats,
     audit: list[str] | None = None,
 ) -> MineYearRecord:
-    """Build the financial record of one pre-history year.
+    """Build the financial record of the pre-history year ``phys`` from the market's ``entry`` for that year.
 
-    Physical quantities come from the mine's physical history; only
-    financials are reconstructed. Refuses years that already have a
-    reported record.
+    Tonnages come from ``phys``; only financials are reconstructed. The mine gives its id and tax rule.
     """
-    if mine.first_reported_year is None:
-        raise ReconstructionError(f"{mine.mine_id}: no reported history to reconstruct from")
-    if year >= mine.first_reported_year:
-        raise ReconstructionError(
-            f"{mine.mine_id}: year {year} is not before first reported year "
-            f"{mine.first_reported_year}; refusing to overwrite real data"
-        )
-    entry = market.entry(year)
-    if entry is None:
-        raise MarketCoverageError(f"market series does not cover year {year}")
-    phys = next((phys for phys in mine.physical_history if phys.year == year), None)
-    if phys is None:
-        raise ReconstructionError(f"{mine.mine_id}: no physical quantities supplied for {year}")
-
     price = entry.copper_price
     by_production = price * phys.production / USD_PER_MUSD
     by_exports = price * phys.exports / USD_PER_MUSD
@@ -141,7 +117,7 @@ def reconstruct_year(
         tax_rule = "zeroed"
 
     if audit is not None:
-        who = f"{mine.mine_id} {year}"
+        who = f"{mine.mine_id} {phys.year}"
         audit.extend(
             [
                 f"{who} revenue: min(price*production, price*exports) = "
@@ -160,7 +136,7 @@ def reconstruct_year(
         )
 
     return MineYearRecord(
-        year=year,
+        year=phys.year,
         revenue=revenue,
         operating_cost=operating_cost,
         admin_sales_expense=admin,
@@ -184,28 +160,24 @@ def reconstruct_all(
     """Validate every mine and the market in one pass, then backfill each mine's physical history.
 
     Returns the completed mines, in order, and the validation warnings. Any validation error raises
-    :class:`InvalidDatasetError`, so every value a backfill builds is finite; each ReconstructionError
-    raised here carries the validation report as ``report``.
+    :class:`InvalidDatasetError` carrying the report; this is the only refusal, since every mine that
+    validation accepts can be backfilled, and every value a backfill builds is finite.
     """
     report = validate_dataset(mines, market)
-    completed = []
-    try:
-        if report.errors:
-            first = report.errors[0]
-            raise InvalidDatasetError(f"{first.locator}: [{first.rule}] {first.message}")
-        for mine in mines:
-            if mine.physical_history:
-                try:
-                    baseline = compute_baseline_stats(mine.records)
-                except ReconstructionError as exc:
-                    raise type(exc)(f"{mine.mine_id}: {exc}") from None
-                rebuilt = [reconstruct_year(mine, phys.year, market, baseline, audit) for phys in mine.physical_history]
-                merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
-                mine = mine._replace(records=merged, physical_history=())
-            completed.append(mine)
-    except ReconstructionError as exc:
+    if report.errors:
+        first = report.errors[0]
+        exc = InvalidDatasetError(f"{first.locator}: [{first.rule}] {first.message}")
         exc.report = report
-        raise
+        raise exc
+    entries = {entry.year: entry for entry in market.entries}
+    completed = []
+    for mine in mines:
+        if mine.physical_history:
+            baseline = compute_baseline_stats(mine.records)
+            rebuilt = [reconstruct_year(mine, p, entries[p.year], baseline, audit) for p in mine.physical_history]
+            merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
+            mine = mine._replace(records=merged, physical_history=())
+        completed.append(mine)
     return completed, report.warnings
 
 

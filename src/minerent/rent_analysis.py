@@ -13,8 +13,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .data_model import RATE_MAX, VALUATION_YEAR_MAX, DiscountSpec, MarketSeries, MineDataset
-from .data_model import ValidationIssue, ValidationReport
+from .data_model import RATE_MAX, VALUATION_YEAR_MAX, DiscountSpec, MarketSeries, MineDataset, ValidationIssue
 from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_all
 from .reconstruction import reconstruct_dataset  # noqa: F401  unused; the benchmark's tracer wraps it (ROADMAP item 1)
 from .valuation import (
@@ -74,14 +73,13 @@ def rent_forward_value(
     """Nominal flows after year ``x``, compounded forward to ``valuation_year``.
 
     Returns 0 when ``x`` is absent (no rent appropriated) or when no flow
-    lies strictly after ``x``.
+    lies strictly after ``x``. Raises ValueError for a valuation year before
+    the last flow year, whatever ``x`` is.
     """
+    if flows.flows and valuation_year < flows.years[-1]:
+        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {flows.years[-1]}")
     if x is None:
         return 0.0
-    if flows.flows and valuation_year < flows.years[-1]:
-        raise ValueError(
-            f"valuation_year {valuation_year} precedes last flow year {flows.years[-1]}"
-        )
     rate = as_rate(fund_rate).value
     return sum(
         (
@@ -145,31 +143,32 @@ def sensitivity_report(
     """Run the whole pipeline under each labeled rate, after ``reconstruct_all`` validates and reconstructs once.
 
     Exploration imputation is capitalized at each scenario's rate, so the initial investment varies
-    across columns. A resolved rate outside [0, ``RATE_MAX``] or a valuation year after ``VALUATION_YEAR_MAX``
-    raises ValueError, carrying the validation report as ``report``; with the inputs validated, every
-    result is finite. The result carries the validation warnings.
+    across columns. The arguments are checked before any mine is validated: no labeled rate, a
+    repeated label, a resolved rate outside [0, ``RATE_MAX``], or a valuation year after
+    ``VALUATION_YEAR_MAX`` or before any mine's last reported year raises ValueError. Then
+    ``reconstruct_all``'s :class:`InvalidDatasetError` is the only refusal; with the inputs validated,
+    every result is finite. The result carries the validation warnings.
     """
-    full_mines, warnings = reconstruct_all(mines, market, audit)
-    try:
-        if not specs:
-            raise ValueError("at least one labeled rate is required")
-        rates = {label: discount_rate(s) if isinstance(s, DiscountSpec) else as_rate(s) for label, s in specs}
-        if len(rates) != len(specs):
-            raise ValueError(f"duplicate rate labels: {[label for label, _ in specs]}")
-        for label, rate in rates.items():
-            if not 0 <= rate.value <= RATE_MAX:
-                raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
-        if valuation_year > VALUATION_YEAR_MAX:
-            raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
+    if not specs:
+        raise ValueError("at least one labeled rate is required")
+    rates = {label: discount_rate(s) if isinstance(s, DiscountSpec) else as_rate(s) for label, s in specs}
+    if len(rates) != len(specs):
+        raise ValueError(f"duplicate rate labels: {[label for label, _ in specs]}")
+    for label, rate in rates.items():
+        if not 0 <= rate.value <= RATE_MAX:
+            raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
+    if valuation_year > VALUATION_YEAR_MAX:
+        raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
+    last = max((rec.year for mine in mines for rec in mine.records), default=valuation_year)
+    if valuation_year < last:
+        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {last}")
 
-        series: dict[tuple[str, str], RvpSeries] = {}
-        for label, rate in rates.items():
-            exploration = impute_exploration(market, full_mines, rate.value)
-            for mine in full_mines:
-                series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
-    except ValueError as exc:
-        exc.report = ValidationReport((), warnings)
-        raise
+    full_mines, warnings = reconstruct_all(mines, market, audit)
+    series: dict[tuple[str, str], RvpSeries] = {}
+    for label, rate in rates.items():
+        exploration = impute_exploration(market, full_mines, rate.value)
+        for mine in full_mines:
+            series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
     return SensitivityReport(
         rate_labels=tuple(rates),
         mine_ids=tuple(m.mine_id for m in full_mines),

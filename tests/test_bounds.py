@@ -4,7 +4,9 @@
 ``sensitivity_report`` bounds the run's rates and valuation year; no later
 step checks for an overflow. These tests derive the largest value the
 arithmetic can reach from the bounds, hold runs at and inside every bound to
-it, and keep overflow guards from coming back downstream.
+it, and keep overflow guards from coming back downstream. They also keep
+validation the one refusal of a loaded run: no other error can end a
+reconstruction, and only ``InvalidDatasetError`` carries a report.
 """
 
 from __future__ import annotations
@@ -215,3 +217,45 @@ def test_the_analysis_holds_no_downstream_overflow_guard():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "finite_compound"
     ]
     assert defined == []
+
+
+def _report_stores(node: ast.AST) -> list[ast.Attribute]:
+    attributes = (n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "report")
+    return [n for n in attributes if isinstance(n.ctx, ast.Store)]
+
+
+def test_validation_is_the_one_refusal_after_loading():
+    """``InvalidDatasetError`` is the one ``ReconstructionError`` subclass and the one error given a ``report``."""
+    package = Path(minerent.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    subclasses = [
+        node.name
+        for node in ast.walk(trees["reconstruction.py"])
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "ReconstructionError" for base in node.bases)
+    ]
+    assert subclasses == ["InvalidDatasetError"]
+    # A store to ``.report`` is allowed only on a name its function binds to ``InvalidDatasetError(...)`` and raises.
+    allowed, stray = [], []
+    for name, tree in trees.items():
+        kept = set()
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            made = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "InvalidDatasetError"
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            raised = {
+                node.exc.id for node in ast.walk(func) if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+            }
+            for store in _report_stores(func):
+                if isinstance(store.value, ast.Name) and store.value.id in made & raised:
+                    kept.add(store)
+                    allowed.append((name, func.name))
+        stray += [(name, store.lineno) for store in _report_stores(tree) if store not in kept]
+    assert stray == []
+    assert allowed == [("reconstruction.py", "reconstruct_all")]

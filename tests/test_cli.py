@@ -118,8 +118,19 @@ class TestLoadAndValidate:
         shutil.copy(mines / "alpha.csv", mines / "zeta.csv")
         assert self.run(command, mines, tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [
-            f"error: {mines / 'zeta.csv'}: duplicate mine_id 'alpha', also in {mines / 'alpha.csv'}"
+        assert err.splitlines() == ["error: alpha: [duplicate-mine-id] 2 mines share this mine_id"]
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_mine_ids_are_one_error_line_each(self, tmp_path, capsys, command):
+        # Different mines under one id: unchecked, the library gave both rows the second mine's numbers.
+        mines = copy_mines(tmp_path)
+        beta, gamma = mines / "beta.csv", mines / "gamma.csv"
+        beta.write_text(beta.read_text().replace("mine_id=beta\n", "mine_id=alpha\n"))
+        shutil.copy(gamma, mines / "zeta.csv")
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha: [duplicate-mine-id] 2 mines share this mine_id",
+            "error: gamma: [duplicate-mine-id] 2 mines share this mine_id",
         ]
         assert not (tmp_path / "out").exists()
 
@@ -159,17 +170,53 @@ class TestLoadAndValidate:
         ]
         assert not (tmp_path / "out").exists()
 
-    def test_warnings_precede_a_refusal_after_validation(self, tmp_path, capsys, command):
-        # Valid inputs with a warning whose backfill then fails: alpha reports no year in 2001-2005.
+    def test_pre_history_without_baseline_year_is_a_validation_error(self, tmp_path, capsys, command):
+        # Alpha reports no year in 2001-2005 and beta produces nothing in them, so neither can be backfilled.
         mines = copy_mines(tmp_path)
-        alpha = mines / "alpha.csv"
+        alpha, beta = mines / "alpha.csv", mines / "beta.csv"
         text = alpha.read_text().replace("1996,,,,,,,,,,310000.0,297600.0", "1996,,,,,,,,,,310000.0,400000.0")
         baseline = tuple(f"{year}," for year in range(2001, 2006))
         alpha.write_text("".join(line for line in text.splitlines(True) if not line.startswith(baseline)))
+        text = beta.read_text()
+        for column in ("production_t", "exports_t"):
+            text = set_cells(text, column, "0.0", range(2001, 2006))
+        beta.write_text(text)
         assert self.run(command, mines, tmp_path) == 1
+        message = "pre-history needs a reported year 2001-2005 with production > 0 to backfill from"
         assert capsys.readouterr().err.splitlines() == [
             "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)",
-            "error: alpha: no reported years in baseline window (2001, 2005)",
+            f"error: alpha: [baseline-window] {message}",
+            f"error: beta: [baseline-window] {message}",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_blanked_reported_row_is_a_validation_error(self, tmp_path, capsys, command):
+        # A reported row whose financials are blanked reads as pre-history after the first reported year.
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        text = alpha.read_text()
+        for column in MINE_COLUMNS[1:10]:
+            text = set_cells(text, column, "", (2007, 2009))
+        alpha.write_text(text)
+        assert self.run(command, mines, tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha:{year}: [history-before-reports] pre-history year {year} is not before first reported "
+            "year 2001"
+            for year in (2007, 2009)
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_pre_history_the_market_lacks_is_a_validation_error(self, tmp_path, capsys, command):
+        # Market rows 1984-1998 deleted: alpha's pre-history starts in 1996, beta's in 1998.
+        market = tmp_path / "market.csv"
+        market.write_text("".join(
+            line for line in MARKET_FILE.read_text().splitlines(True) if not line[:4].isdigit() or int(line[:4]) > 1998
+        ))
+        code = main([command, "--mines", str(MINES_DIR), "--market", str(market), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {mine_id}:{year}: [market-coverage] market series has no row for pre-history year {year}"
+            for mine_id, year in [("alpha", 1996), ("alpha", 1997), ("alpha", 1998), ("beta", 1998)]
         ]
         assert not (tmp_path / "out").exists()
 
@@ -449,16 +496,26 @@ class TestAnalyze:
             ),
         ],
     )
-    def test_warnings_precede_a_refusal_after_validation(self, tmp_path, capsys, flags, message):
+    def test_argument_error_comes_before_validation(self, tmp_path, capsys, flags, message):
+        # The arguments are checked before the inputs are validated, so the data's warning is not printed.
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
         alpha.write_text(alpha.read_text().replace(",310000.0,297600.0", ",310000.0,400000.0"))
         out = tmp_path / "out"
         assert main(["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), *flags, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: alpha:1996: exports exceed production by more than 10% (possible inventory draw-down)",
-            f"error: {message}",
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["base", "conservative"])
+    def test_valuation_year_before_last_flow_is_refused_at_every_rate(self, tmp_path, capsys, rate):
+        # Gamma reaches momento x at the base rate but not at the conservative one; both are refused.
+        mines = tmp_path / "mines"
+        mines.mkdir()
+        shutil.copy(MINES_DIR / "gamma.csv", mines)
+        out = tmp_path / "out"
+        argv = ["analyze", "--mines", str(mines), "--market", str(MARKET_FILE), "--rate", rate]
+        assert main([*argv, "--valuation-year", "2000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: valuation_year 2000 precedes last flow year 2011"]
         assert not out.exists()
 
     def test_valuation_year_before_last_flow_is_one_error_line(self, tmp_path, capsys):

@@ -336,6 +336,66 @@ class TestValidateDataset:
             ValidationIssue(f"m:{year}", "history-after-opening", message(year, opening_year)) for year in years
         )
 
+    def test_pre_history_lies_before_the_first_reported_year(self, corpus_market):
+        # One error per pre-history row on or after the first reported year, not only the first such row.
+        mine = make_mine(
+            mine_id="m",
+            records=[make_record(year) for year in (2001, 2002, 2004)],
+            physical_history=[PhysicalYear(year, 1e5, 1e5) for year in (2000, 2001, 2003, 2007)],
+        )
+        errors = validate_dataset([mine], corpus_market).errors
+        assert [(issue.locator, issue.rule) for issue in errors] == [
+            ("m", "duplicate-year"),
+            ("m:2001", "history-before-reports"),
+            ("m:2003", "history-before-reports"),
+            ("m:2007", "history-before-reports"),
+        ]
+        assert errors[-1].message == "pre-history year 2007 is not before first reported year 2001"
+
+    def test_pre_history_years_lie_in_the_market(self):
+        # One error per pre-history row the market has no row for, in every mine.
+        history = lambda *years: [PhysicalYear(year, 1e5, 1e5) for year in years]
+        mines = [
+            make_mine(mine_id="a", records=[make_record(2001)], physical_history=history(1996, 1997, 1998)),
+            make_mine(mine_id="b", records=[make_record(2001)], physical_history=history(1997, 1998)),
+            make_mine(mine_id="c", records=[make_record(2001)], physical_history=history(1998, 1999, 2000)),
+        ]
+        message = "market series has no row for pre-history year {}".format
+        assert validate_dataset(mines, make_market(years=range(1998, 2013))).errors == (
+            ValidationIssue("a:1996", "market-coverage", message(1996)),
+            ValidationIssue("a:1997", "market-coverage", message(1997)),
+            ValidationIssue("b:1997", "market-coverage", message(1997)),
+        )
+
+    def test_pre_history_needs_a_producing_baseline_year(self, corpus_market):
+        # One error per mine with pre-history and no reported 2001-2005 year of production > 0 to average over.
+        history = [PhysicalYear(1996, 1e5, 1e5)]
+        idle = [make_record(year, production=0.0) for year in range(2001, 2006)]
+        mines = [
+            make_mine(mine_id="late", records=[make_record(2006)], physical_history=history),
+            make_mine(mine_id="idle", records=[*idle, make_record(2006)], physical_history=history),
+            make_mine(mine_id="bare", physical_history=history),
+            make_mine(mine_id="ok", records=[*idle[:4], make_record(2005)], physical_history=history),
+        ]
+        message = "pre-history needs a reported year 2001-2005 with production > 0 to backfill from"
+        assert validate_dataset(mines, corpus_market).errors == tuple(
+            ValidationIssue(mine_id, "baseline-window", message) for mine_id in ("bare", "idle", "late")
+        )
+
+    def test_mine_without_pre_history_needs_no_baseline(self, corpus_market):
+        mines = [
+            make_mine(mine_id="late", records=[make_record(2006)]),
+            make_mine(mine_id="idle", records=[make_record(year, production=0.0) for year in range(2001, 2006)]),
+        ]
+        assert validate_dataset(mines, corpus_market).errors == ()
+
+    def test_duplicate_mine_id_is_one_error_per_id(self, corpus_market):
+        mines = [make_mine(mine_id=mine_id, records=[make_record(2001)]) for mine_id in "abacba"]
+        assert validate_dataset(mines, corpus_market).errors == (
+            ValidationIssue("a", "duplicate-mine-id", "3 mines share this mine_id"),
+            ValidationIssue("b", "duplicate-mine-id", "2 mines share this mine_id"),
+        )
+
     def test_market_gap_flagged(self):
         entries = tuple(
             MarketYear(y, 2000.0, 50000.0, 0.003) for y in range(1990, 2005) if y != 1997
@@ -392,7 +452,10 @@ class TestValidateDataset:
             physical_history=(PhysicalYear(2001, 100_000.0, 100_000.0),),
         )
         report = validate_dataset([mine], corpus_market)
-        assert [(e.rule, e.message) for e in report.errors] == [("duplicate-year", "duplicate years: [2001]")]
+        assert [(e.rule, e.message) for e in report.errors] == [
+            ("duplicate-year", "duplicate years: [2001]"),
+            ("history-before-reports", "pre-history year 2001 is not before first reported year 2001"),
+        ]
 
     def test_unsorted_records_flagged(self, corpus_market):
         mine = MineDataset(

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from minerent import (
     BaselineStats,
-    BaselineUnavailableError,
     InvalidDatasetError,
-    MarketCoverageError,
+    MarketYear,
     PhysicalYear,
     ReconstructionError,
     compute_baseline_stats,
@@ -105,10 +104,11 @@ class TestBaselineStats:
             f"got {fields}"
         )
 
-    def test_empty_window_raises(self):
-        shifted = [rec._replace(year=rec.year - 11) for rec in baseline_records()]  # 1990 and 1991
-        with pytest.raises(BaselineUnavailableError):
-            compute_baseline_stats(shifted)
+    @pytest.mark.parametrize("change", [dict(year=1990), dict(production=0.0)])
+    def test_window_without_a_producing_year_raises(self, change):
+        with pytest.raises(ReconstructionError) as excinfo:
+            compute_baseline_stats([rec._replace(**change) for rec in baseline_records()[:1]])
+        assert str(excinfo.value) == "no year with production > 0 in baseline window (2001, 2005)"
 
     # Money spans 1e-3..1e16, so a plain left-to-right sum drops low bits that fsum keeps.
     @given(
@@ -165,20 +165,21 @@ def reconstruction_mine(**kwargs):
     return make_mine(**defaults)
 
 
+def rebuild(mine, price=2000.0, audit=None):
+    """``reconstruct_year`` on the mine's one pre-history row, priced at ``price`` USD/t."""
+    phys = mine.physical_history[0]
+    entry = MarketYear(phys.year, price, 50_000.0, 0.004)
+    return reconstruct_year(mine, phys, entry, compute_baseline_stats(mine.records), audit)
+
+
 class TestReconstructYear:
     def test_revenue_takes_smaller_candidate(self):
-        mine = reconstruction_mine()
-        market = make_market(price=2000.0)
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, market, baseline)
+        rec = rebuild(reconstruction_mine())
         assert rec.revenue == pytest.approx(180.0)  # min(200, 180) million USD
         assert rec.reconstructed
 
     def test_equal_quantities_symmetric(self):
-        mine = reconstruction_mine(physical_history=[PhysicalYear(1996, 100_000.0, 100_000.0)])
-        market = make_market(price=2000.0)
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, market, baseline)
+        rec = rebuild(reconstruction_mine(physical_history=[PhysicalYear(1996, 100_000.0, 100_000.0)]))
         assert rec.revenue == pytest.approx(200.0)
 
     def test_taxes_zeroed_without_escondida_rule(self):
@@ -186,29 +187,22 @@ class TestReconstructYear:
             physical_history=[PhysicalYear(1996, 100_000.0, 90_000.0, taxes_paid=12.0)],
             escondida_tax_rule=False,
         )
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, make_market(), baseline)
-        assert rec.taxes_paid == 0.0
+        assert rebuild(mine).taxes_paid == 0.0
 
     def test_escondida_rule_keeps_supplied_taxes(self):
         mine = reconstruction_mine(
             physical_history=[PhysicalYear(1996, 100_000.0, 90_000.0, taxes_paid=12.0)],
             escondida_tax_rule=True,
         )
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, make_market(), baseline)
-        assert rec.taxes_paid == 12.0
+        assert rebuild(mine).taxes_paid == 12.0
 
     def test_escondida_rule_without_figure_still_zero(self):
-        mine = reconstruction_mine(escondida_tax_rule=True)
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, make_market(), baseline)
-        assert rec.taxes_paid == 0.0
+        assert rebuild(reconstruction_mine(escondida_tax_rule=True)).taxes_paid == 0.0
 
     def test_line_items_from_baseline(self):
         mine = reconstruction_mine()
         baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, make_market(price=2000.0), baseline)
+        rec = rebuild(mine)
         assert rec.operating_cost == pytest.approx(baseline.avg_unit_cost * 100_000.0)
         assert rec.admin_sales_expense == pytest.approx(baseline.gav_ratio * rec.operating_cost)
         expected_pretax = (
@@ -220,24 +214,13 @@ class TestReconstructYear:
         assert rec.net_loan_payments == baseline.avg_net_loan_payments
         assert rec.capital_paid_increase == 0.0
 
-    def test_refuses_reported_years(self):
-        mine = reconstruction_mine()
-        baseline = compute_baseline_stats(mine.records)
-        with pytest.raises(ReconstructionError):
-            reconstruct_year(mine, 2001, make_market(), baseline)
-
-    def test_missing_market_year(self):
-        mine = reconstruction_mine()
-        baseline = compute_baseline_stats(mine.records)
-        market = make_market(years=range(2000, 2013))
-        with pytest.raises(MarketCoverageError):
-            reconstruct_year(mine, 1996, market, baseline)
+    def test_year_and_tonnages_come_from_the_row(self):
+        rec = rebuild(reconstruction_mine(physical_history=[PhysicalYear(1997, 80_000.0, 70_000.0)]))
+        assert (rec.year, rec.production, rec.exports) == (1997, 80_000.0, 70_000.0)
 
     def test_audit_lines_emitted(self):
-        mine = reconstruction_mine()
-        baseline = compute_baseline_stats(mine.records)
         audit: list[str] = []
-        reconstruct_year(mine, 1996, make_market(), baseline, audit=audit)
+        rebuild(reconstruction_mine(), audit=audit)
         assert len(audit) == 8
         assert all(line.startswith("testmine 1996 ") for line in audit)
         assert any("min(price*production, price*exports)" in line for line in audit)
@@ -249,9 +232,7 @@ class TestReconstructYear:
     )
     @settings(max_examples=200, deadline=None)
     def test_revenue_rule_invariant(self, production, exports, price):
-        mine = reconstruction_mine(physical_history=[PhysicalYear(1996, production, exports)])
-        baseline = compute_baseline_stats(mine.records)
-        rec = reconstruct_year(mine, 1996, make_market(price=price), baseline)
+        rec = rebuild(reconstruction_mine(physical_history=[PhysicalYear(1996, production, exports)]), price)
         assert rec.revenue <= price * production / 1e6 + 1e-9
         assert rec.revenue <= price * exports / 1e6 + 1e-9
 
@@ -266,8 +247,9 @@ class TestReconstructDataset:
         assert [r.year for r in full.records] == [1996, 1997, 1998] + list(range(2001, 2006))
         assert [r.year for r in full.records if r.reconstructed] == [1996, 1997, 1998]
 
-    def test_no_history_is_identity(self):
-        mine = reconstruction_mine(physical_history=())
+    @pytest.mark.parametrize("years", [range(2001, 2006), [2006]])  # with and without a baseline year
+    def test_no_history_is_identity(self, years):
+        mine = reconstruction_mine(records=[make_record(year) for year in years], physical_history=())
         assert reconstruct_dataset(mine, make_market()) is mine
 
 
@@ -295,15 +277,32 @@ class TestReconstructAll:
         ]
         assert str(excinfo.value) == "a:1996: [history-after-opening] pre-history year 1996 precedes opening_year 1997"
 
-    def test_refusal_after_validation_carries_the_passing_report(self):
-        # Validation passes with a warning; the backfill then finds no reported year in 2001-2005.
-        mine = reconstruction_mine(
-            records=[make_record(2006)], physical_history=[PhysicalYear(1996, 100_000.0, 120_000.0)]
-        )
-        with pytest.raises(BaselineUnavailableError) as excinfo:
-            reconstruct_all([mine], make_market())
-        assert str(excinfo.value) == "testmine: no reported years in baseline window (2001, 2005)"
-        assert not excinfo.value.report.errors
+    @pytest.mark.parametrize(
+        "mine, market, rules",
+        [
+            # No reported year in 2001-2005 to average over.
+            (reconstruction_mine(records=[make_record(2006)]), make_market(), ["baseline-window"]),
+            # A pre-history row on or after the first reported year.
+            (
+                reconstruction_mine(physical_history=[PhysicalYear(2003, 1.0, 1.0)]),
+                make_market(),
+                ["duplicate-year", "history-before-reports"],
+            ),
+            (
+                reconstruction_mine(physical_history=[PhysicalYear(2006, 1.0, 1.0)]),
+                make_market(),
+                ["history-before-reports"],
+            ),
+            # A pre-history year the market lacks.
+            (reconstruction_mine(), make_market(years=range(1997, 2013)), ["market-coverage"]),
+        ],
+    )
+    def test_a_mine_that_cannot_be_backfilled_is_a_validation_error(self, mine, market, rules):
+        # What the backfill needs is checked by validation, whose report comes with the refusal.
+        mine = mine._replace(physical_history=(*mine.physical_history, PhysicalYear(1997, 100_000.0, 120_000.0)))
+        with pytest.raises(InvalidDatasetError) as excinfo:
+            reconstruct_all([mine], market)
+        assert [issue.rule for issue in excinfo.value.report.errors] == rules
         assert [issue.rule for issue in excinfo.value.report.warnings] == ["exports-exceed-production"]
 
 

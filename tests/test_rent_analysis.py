@@ -182,10 +182,12 @@ class TestRentForwardValue:
         flows = CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0)))
         assert rent_forward_value(flows, 2011, 0.0507, 2012) == 0.0
 
-    def test_valuation_before_last_flow_rejected(self):
+    @pytest.mark.parametrize("x", [2009, None])
+    def test_valuation_before_last_flow_rejected(self, x):
+        # Whether or not the rent was appropriated.
         flows = CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0)))
-        with pytest.raises(ValueError):
-            rent_forward_value(flows, 2009, 0.0507, 2010)
+        with pytest.raises(ValueError, match="valuation_year 2010 precedes last flow year 2011"):
+            rent_forward_value(flows, x, 0.0507, 2010)
 
 
 def sensitivity_fixture():
@@ -253,6 +255,10 @@ class TestSensitivityReport:
             (-1e-9, 2012, "discount rate 'r' must lie in [0, 1], got -1e-09"),
             (1.0000000000000002, 2012, "discount rate 'r' must lie in [0, 1], got 1.0000000000000002"),
             (0.1, 2113, "valuation_year 2113 is after 2112"),
+            (0.1, 2011, None),
+            # At either rate, whether or not the rent is appropriated (momento x is 2011 at 0.1, none at 1).
+            (0.1, 2010, "valuation_year 2010 precedes last flow year 2011"),
+            (1.0, 2010, "valuation_year 2010 precedes last flow year 2011"),
         ],
     )
     def test_rate_and_valuation_year_bounds(self, rate, valuation_year, message):
@@ -263,13 +269,29 @@ class TestSensitivityReport:
             with pytest.raises(ValueError) as excinfo:
                 sensitivity_report([mine], market, [("r", rate)], valuation_year)
             assert str(excinfo.value) == message
-            assert excinfo.value.report == ((), ())  # validation passed, with no warning
 
-    def test_inputs_are_validated_before_the_rates(self):
+    @pytest.mark.parametrize(
+        "specs, valuation_year",
+        [
+            ([], 2012),
+            ([("r", 0.1), ("r", 0.2)], 2012),
+            ([("r", 2.0)], 2012),
+            ([("r", 0.1)], 2113),
+            ([("r", 0.1)], 2010),
+        ],
+    )
+    def test_arguments_are_checked_before_the_inputs(self, specs, valuation_year):
+        # The capital makes the mine invalid, but the ValueError for the arguments comes first.
         mine, market = sensitivity_fixture()
+        with pytest.raises(ValueError):
+            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, specs, valuation_year)
+
+    def test_mines_sharing_an_id_are_refused(self, corpus_mines, corpus_market):
+        # Unchecked, both "alpha" rows held beta's numbers: the imputation keys its allocations by id.
+        alpha, beta, _ = corpus_mines
         with pytest.raises(InvalidDatasetError) as excinfo:
-            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, [("r", 2.0)])
-        assert str(excinfo.value) == "edge: [capital-paid-positive] capital_paid_first_year must be > 0, got 0.0"
+            sensitivity_report([alpha, beta._replace(mine_id="alpha")], corpus_market, [("r", 0.1)])
+        assert str(excinfo.value) == "alpha: [duplicate-mine-id] 2 mines share this mine_id"
 
     def test_validation_warnings_come_back_on_the_report(self):
         mine, market = sensitivity_fixture()
