@@ -8,7 +8,6 @@ byte-identical artifacts, so run manifests carry no timestamps. Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -246,46 +245,41 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
             return _fail(str(exc), 1)
 
     rate, tax_policy = Rate(scenario.announced_rate), scenario.tax_policy()
-    others = range(1, scenario.replications)
     try:
         if scenario.explicit_path is not None:
-            first = scenario.explicit_path
-            rest = itertools.repeat(first, len(others))
+            first, params = scenario.explicit_path, None
         else:
             params = PricePathParams(
-                initial_price=scenario.initial_price,
-                drift=scenario.drift,
-                volatility=scenario.volatility,
-                horizon=scenario.horizon,
-                seed=scenario.seed,
+                scenario.initial_price, scenario.drift, scenario.volatility, scenario.horizon, scenario.seed
             )
             first = generate_price_path(params)
+        # Replication 0 is accrued once, with its rows. Each call raises ValueError
+        # when a price, a revenue or an accrued PV overflows a float.
+        outcome = simulate_concession(vpi, first, scenario.quantity, rate, tax_policy)
+        if params is None:  # every replication repeats the one explicit path
+            durations = [outcome.duration] * scenario.replications
+        else:
+            # The kernel streams the other replications in blocks, so only replication 0's path is held whole.
+            others = range(1, scenario.replications)
             rest = (generate_price_path(params._replace(seed=params.seed + i)) for i in others)
-        # The kernel streams the paths, so only replication 0's is held whole.
-        # Each raises ValueError when a price, a revenue or an accrued PV overflows a float.
-        batch = accrue_concessions(vpi, itertools.chain([first], rest), scenario.quantity, rate, tax_policy)
+            durations = accrue_concessions(vpi, rest, scenario.quantity, rate, tax_policy, first_run=1)
+            durations.insert(0, outcome.duration)
     except ValueError as exc:
         return _fail(f"{args.scenario}: {exc}", 1)
-    warning = batch.warning(0)
-    if warning:
-        print(f"warning: replication 0: {warning}", file=sys.stderr)
-    active = int((~batch.expired).sum())
-    if active > (warning is not None):  # a replication other than 0 is still active
+    if outcome.warning:
+        print(f"warning: replication 0: {outcome.warning}", file=sys.stderr)
+    active = durations.count(None)
+    if active > (outcome.warning is not None):  # a replication other than 0 is still active
         print(
             f"warning: {active} of {scenario.replications} replications still active after {len(first)} periods",
             file=sys.stderr,
         )
-    # Only replication 0's rows are written, so only its rows are built.
-    outcome = simulate_concession(vpi, first, scenario.quantity, rate, tax_policy)
 
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         _write_outcome(outcome, vpi, args.out)
         if scenario.replications > 1:
-            lines = ["replication,duration"]
-            for replication in range(scenario.replications):
-                duration = batch.duration(replication)
-                lines.append(f"{replication},{'' if duration is None else duration}")
+            lines = ["replication,duration", *(f"{i},{'' if d is None else d}" for i, d in enumerate(durations))]
             (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_manifest(
             args,

@@ -262,134 +262,60 @@ TaxPolicy = Callable[[int, float], float]
 _BLOCK_CELLS = 32_768
 
 
-def _tax_schedule(tax_policy, periods: int):
-    """Each period's tax as the policy asks for it, or None for a callable policy.
+def _discount_factors(rate: float, periods: int):
+    """Periods 1..n's discount factors: the Python float powers that ``discount`` divides by."""
+    import numpy as np
 
-    A constant is a float, a schedule a ``(periods,)`` array; either broadcasts
-    against a block of gross revenue.
+    return np.array([compound(rate, period) for period in range(1, periods + 1)])
+
+
+def _accrue_block(vpi, quantity_per_year, factors, tax_policy, gross, tax, accrued, first_run: int):
+    """Accrue a ``(runs, periods)`` block of concessions in place; ``gross`` holds their prices.
+
+    Leaves each cell's gross revenue, clamped tax and accrued PV in ``gross``,
+    ``tax`` and ``accrued``, and returns each run's stop period (its expiry, or
+    the whole path) and expiry flag. Raises ValueError for the block's first
+    bad cell in run, then period, order, numbering the runs from ``first_run``.
     """
     import numpy as np
 
-    if tax_policy is None:
-        return 0.0
-    if callable(tax_policy):
-        return None
-    if isinstance(tax_policy, (int, float)):
-        return float(tax_policy)
-    return np.array([float(tax_policy.get(period, 0.0)) for period in range(1, periods + 1)])
-
-
-class AccrualBatch(NamedTuple):
-    """Concession runs accrued side by side, one entry per price path.
-
-    Run ``i`` lasts ``stepped[i]`` periods: its expiry period, or the whole
-    path if it never expires. ``accrued_pv[i]`` is its accrued PV at that
-    period, 0.0 for an empty path. No run's period-by-period history is kept.
-    """
-
-    vpi_target: float
-    stepped: np.ndarray
-    expired: np.ndarray
-    accrued_pv: np.ndarray
-
-    def duration(self, run: int) -> int | None:
-        """Periods until expiry; None if the run is still active at the path's end."""
-        return int(self.stepped[run]) if self.expired[run] else None
-
-    def final_accrued(self, run: int) -> float:
-        return float(self.accrued_pv[run])
-
-    def warning(self, run: int) -> str | None:
-        if self.expired[run]:
-            return None
-        return (
-            f"concession still active after {int(self.stepped[run])} periods: accrued "
-            f"{self.final_accrued(run)!r} of VPI target {self.vpi_target!r}"
-        )
-
-
-def _accrual_blocks(vpi, price_paths, quantity_per_year, rate: float, tax_policy):
-    """Accrue the paths a block of runs at a time, as ``accrue_concessions`` documents.
-
-    Yields each block's ``(gross, tax, accrued, batch)``: three ``(runs,
-    periods)`` views into buffers that the next block overwrites, and the
-    block's runs as an ``AccrualBatch``. Errors are kept until every path is
-    consumed, then the one the whole batch would raise first is raised.
-    """
-    import numpy as np
-
-    paths = iter(price_paths)
-    first = next(paths, None)
-    if first is None:
-        return
-    periods = len(first)
-    rows = max(1, _BLOCK_CELLS // max(periods, 1))
-    gross_buffer, tax_buffer, accrued_buffer = (np.empty((rows, periods)) for _ in range(3))
-    schedule = _tax_schedule(tax_policy, periods)
-    factors = np.array([compound(rate, period) for period in range(1, periods + 1)])
-    gross_error = tax_error = overflow_error = None
-    paths = itertools.chain([first], paths)
-    for block_start in itertools.count(0, rows):
-        runs = 0
-        for path in itertools.islice(paths, rows):
-            if len(path) != periods:
-                run = block_start + runs
-                raise ValueError(f"price paths must share one length: run {run} has {len(path)}, run 0 {periods}")
-            gross_buffer[runs] = path
-            runs += 1
-        if not runs:
-            break
-        if gross_error is not None:
-            continue  # It outranks every later error; only the paths are still consumed.
-        gross, tax, accrued = gross_buffer[:runs], tax_buffer[:runs], accrued_buffer[:runs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(gross, quantity_per_year, out=gross)
-            np.divide(gross, USD_PER_MUSD, out=gross)
-        nonfinite = ~np.isfinite(gross)
-        if nonfinite.any():
-            run, column = np.argwhere(nonfinite)[0]
-            value = gross[run, column].item()
-            gross_error = ValueError(
-                f"gross revenue is not finite in run {block_start + run}, period {column + 1}: {value!r}"
-            )
-            continue
-        if schedule is None:
+    runs, periods = gross.shape
+    # Overflows and non-finite values are reported below as errors, not warned about on the way.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.multiply(gross, quantity_per_year, out=gross)
+        np.divide(gross, USD_PER_MUSD, out=gross)
+        if callable(tax_policy):
             requested = [[tax_policy(period, g) for period, g in enumerate(row, start=1)] for row in gross.tolist()]
             np.copyto(tax, np.array(requested, dtype=float).reshape(gross.shape))
-        else:
-            np.copyto(tax, schedule)
+        elif tax_policy is None or isinstance(tax_policy, (int, float)):
+            tax.fill(float(tax_policy or 0.0))
+        else:  # a schedule: {period: tax}
+            np.copyto(tax, [float(tax_policy.get(period, 0.0)) for period in range(1, periods + 1)])
         np.copyto(tax, 0.0, where=tax < 0.0)
         np.copyto(tax, gross, where=gross < tax)
         np.subtract(gross, tax, out=accrued)
         # A zero counted revenue adds +0.0: ``discount``'s limit over a factor underflowed
         # to 0.0, and what -0.0 adds to a loop that starts from +0.0.
         zero = accrued == 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(accrued, factors, out=accrued, where=~zero)
+        np.divide(accrued, factors, out=accrued, where=~zero)
         accrued[zero] = 0.0
         np.cumsum(accrued, axis=1, out=accrued)
-        hit = accrued >= vpi
-        expired = hit.any(axis=1)
-        first_hit = hit.argmax(axis=1) if periods else 0
-        stepped = np.where(expired, first_hit + 1, periods)
-        final = accrued[np.arange(runs), stepped - 1] if periods else np.zeros(runs)
-        if tax_error is None:
-            in_run = np.arange(periods) < stepped[:, None]
-            invalid = in_run & ~((0.0 <= tax) & (tax <= gross))
-            if invalid.any():
-                run, column = np.argwhere(invalid)[0]
-                tax_error = _tax_error(tax[run, column].item(), gross[run, column].item())
-            elif overflow_error is None:
-                overflow = in_run & ~np.isfinite(accrued)
-                if overflow.any():
-                    run, column = np.argwhere(overflow)[0]
-                    overflow_error = ValueError(
-                        f"accrued PV overflows a float in run {block_start + run}, period {column + 1}"
-                    )
-        yield gross, tax, accrued, AccrualBatch(vpi, stepped, expired, final)
-    error = gross_error or tax_error or overflow_error
-    if error is not None:
-        raise error
+    hit = accrued >= vpi
+    expired = hit.any(axis=1)
+    stepped = np.where(expired, hit.argmax(axis=1) + 1, periods) if periods else np.zeros(runs, dtype=int)
+    in_run = np.arange(periods) < stepped[:, None]
+    valid = (0.0 <= tax) & (tax <= gross) & np.isfinite(accrued)
+    bad = ~np.isfinite(gross) | (in_run & ~valid)
+    if bad.any():
+        run, column = divmod(int(bad.argmax()), periods)
+        where = f"in run {first_run + run}, period {column + 1}"
+        g, t = gross[run, column].item(), tax[run, column].item()
+        if not math.isfinite(g):
+            raise ValueError(f"gross revenue is not finite {where}: {g!r}")
+        if not 0.0 <= t <= g:
+            raise _tax_error(t, g)
+        raise ValueError(f"accrued PV overflows a float {where}")
+    return stepped, expired
 
 
 def accrue_concessions(
@@ -398,44 +324,56 @@ def accrue_concessions(
     quantity_per_year: float,
     announced_rate: Rate | float,
     tax_policy: TaxPolicy | dict[int, float] | float | None = None,
-) -> AccrualBatch:
-    """Accrue one concession per price path, streaming the paths in blocks.
+    *,
+    first_run: int = 0,
+) -> list[int | None]:
+    """Accrue one concession per price path; return each run's duration, None if still active.
 
     The paths may come from any iterable, a generator included, and must
     share one length; a path of another length raises ValueError when it is
-    reached. They are consumed ``_BLOCK_CELLS // periods`` runs (at least
-    one) at a time, and each block is accrued in place in a few fixed
-    buffers, so memory does not grow with the number of runs; only each
-    run's stop period, expiry flag and final accrued PV are kept.
+    reached. They are accrued ``_BLOCK_CELLS // periods`` runs (at least one)
+    at a time, in place in three fixed buffers. Every value equals what a loop
+    of ``step_concession`` calls gives, bit for bit: the same IEEE operations,
+    the same Python float powers as discount factors, and ``cumsum`` adding
+    each row left to right. Taxes are clamped to [0, gross] with Python's
+    ``max``/``min`` semantics; a callable policy is evaluated for every period
+    of every path, including periods after expiry.
 
-    Every value equals what a loop of ``step_concession`` calls gives, bit
-    for bit: gross, tax and counted revenue are the same IEEE operations, the
-    discount factors are the same Python float powers, and ``cumsum`` adds
-    each row left to right as the loop does. Taxes are clamped to [0, gross]
-    with Python's ``max``/``min`` semantics. A callable or scheduled tax
-    policy is evaluated for every period of every path, including periods
-    after expiry.
-
-    Raises ValueError, once every path is consumed, for the first of: a
-    gross revenue that is not finite, as when price × quantity overflows; a
-    tax outside [0, gross] (a negative price, or a NaN tax) at or before the
-    run's stop period, as the loop does; an accrued PV that overflows a float
-    by the run's stop period. Within each kind the lowest run, then the
-    lowest period, is reported. An error raised by the iterable itself (a
-    price path that cannot be generated) propagates at once and so comes
-    before any of these. Since each block is accrued as it arrives, a
-    callable tax policy may be evaluated on earlier blocks before a later
-    block's non-finite gross revenue is found.
+    Raises ValueError, as soon as its block is accrued, for the first bad cell
+    in run, then period, order (runs numbered from ``first_run``): a gross
+    revenue that is not finite anywhere in the path, as when price × quantity
+    overflows; or, at or before the run's stop, a tax outside [0, gross] (a
+    negative price, or a NaN tax) or an accrued PV that overflows a float. So
+    later paths are not drawn. An error raised by the iterable itself (a price
+    path that cannot be generated) propagates when that path is drawn.
     """
     import numpy as np
 
-    rate = as_rate(announced_rate).value
-    stepped, expired, accrued_pv = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=bool)], [np.zeros(0)]
-    for _, _, _, block in _accrual_blocks(vpi, price_paths, quantity_per_year, rate, tax_policy):
-        stepped.append(block.stepped)
-        expired.append(block.expired)
-        accrued_pv.append(block.accrued_pv)
-    return AccrualBatch(vpi, np.concatenate(stepped), np.concatenate(expired), np.concatenate(accrued_pv))
+    paths = iter(price_paths)
+    first = next(paths, None)
+    if first is None:
+        return []
+    periods = len(first)
+    rows = max(1, _BLOCK_CELLS // max(periods, 1))
+    gross, tax, accrued = np.empty((3, rows, periods))
+    factors = _discount_factors(as_rate(announced_rate).value, periods)
+    durations: list[int | None] = []
+    paths = itertools.chain([first], paths)
+    for block_start in itertools.count(first_run, rows):
+        runs = 0
+        for path in itertools.islice(paths, rows):
+            if len(path) != periods:
+                run = block_start + runs
+                raise ValueError(
+                    f"price paths must share one length: run {run} has {len(path)}, run {first_run} {periods}"
+                )
+            gross[runs] = path
+            runs += 1
+        if not runs:
+            return durations
+        block = (buffer[:runs] for buffer in (gross, tax, accrued))
+        stepped, expired = _accrue_block(vpi, quantity_per_year, factors, tax_policy, *block, block_start)
+        durations.extend(s if e else None for s, e in zip(stepped.tolist(), expired.tolist()))
 
 
 def simulate_concession(
@@ -451,27 +389,28 @@ def simulate_concession(
     million USD. The tax policy may be a callable (period, gross) -> tax, a
     per-period schedule, or a constant; taxes are clamped to [0, gross]. A
     callable policy is evaluated for every period of the path, including
-    periods after expiry. The run is the kernel of ``accrue_concessions`` on
-    a single path, with its rows built out.
+    periods after expiry. The path is one block of the ``accrue_concessions``
+    kernel, numbered run 0, with its rows built out; it raises as that does.
     """
     import numpy as np
 
     state = new_concession(vpi, announced_rate)
-    # One path is one block, so its views stay whole once the generator is drained.
-    ((gross, tax, accrued, batch),) = _accrual_blocks(
-        vpi, [price_path], quantity_per_year, state.announced_rate.value, tax_policy
-    )
-    stepped = int(batch.stepped[0])
+    gross, tax, accrued = np.empty((3, 1, len(price_path)))
+    gross[0] = price_path
+    factors = _discount_factors(state.announced_rate.value, len(price_path))
+    (stepped,), (expired,) = _accrue_block(vpi, quantity_per_year, factors, tax_policy, gross, tax, accrued, 0)
+    del factors  # not held while the rows are built
+    stepped, expired = int(stepped), bool(expired)
     prices = np.asarray(price_path, dtype=float)[:stepped].tolist()
     gross, tax, accrued = (column[0, :stepped].tolist() for column in (gross, tax, accrued))
-    status = ConcessionStatus.EXPIRED if batch.expired[0] else ConcessionStatus.ACTIVE
+    status = ConcessionStatus.EXPIRED if expired else ConcessionStatus.ACTIVE
     rows = tuple(
         OutcomeRow(period, price, g, t, g - t, pv, (status if period == stepped else ConcessionStatus.ACTIVE).value)
         for period, (price, g, t, pv) in enumerate(zip(prices, gross, tax, accrued), start=1)
     )
-    final_state = state._replace(
-        current_year=stepped,
-        accrued_pv=batch.final_accrued(0),
-        status=status,
-    )
-    return ConcessionOutcome(final_state=final_state, duration=batch.duration(0), rows=rows, warning=batch.warning(0))
+    final_pv = accrued[-1] if stepped else 0.0
+    warning = None
+    if not expired:
+        warning = f"concession still active after {stepped} periods: accrued {final_pv!r} of VPI target {vpi!r}"
+    final_state = state._replace(current_year=stepped, accrued_pv=final_pv, status=status)
+    return ConcessionOutcome(final_state, stepped if expired else None, rows, warning)

@@ -223,6 +223,16 @@ def read_lines(path: Path, error: type[DataFileError]) -> list[str]:
         raise error(f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})", path, line) from None
 
 
+def summarize_gaps(values: list[int]) -> tuple[int, str]:
+    """How many integers sorted, distinct ``values`` skip, and their first three gaps as text.
+
+    Counted from the values, never from the span they cover, so the text stays short.
+    """
+    missing = values[-1] - values[0] + 1 - len(values) if values else 0
+    gaps = [f"{a + 1}" if b - a == 2 else f"{a + 1}-{b - 1}" for a, b in zip(values, values[1:]) if b - a > 1]
+    return missing, ", ".join(gaps[:3]) + (", ..." if len(gaps) > 3 else "")
+
+
 def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, ...]):
     """Read a ``key=value`` metadata block and the exact header row of a table file.
 
@@ -334,22 +344,23 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     if (size := len(mine_id.encode("utf-8"))) > MINE_ID_MAX_BYTES:
         message = f"mine_id is {size} bytes in UTF-8; at most {MINE_ID_MAX_BYTES} fit in an output file name"
         raise SchemaError(message, path, meta_lines["mine_id"][1])
-    try:
-        opening_year = int(meta["opening_year"])
-        capital_paid = float(meta["capital_paid_first_year"])
-    except ValueError as exc:
-        raise SchemaError(f"non-numeric metadata value ({exc})", path) from None
-    tax_rule_text = meta.get("escondida_tax_rule", "false")
+    numbers = {}  # the two numeric keys, named as MineDataset's fields
+    for key, kind, noun in (("opening_year", int, "an integer"), ("capital_paid_first_year", float, "a number")):
+        value, lineno = meta_lines[key]
+        try:
+            numbers[key] = kind(value)
+        except ValueError:
+            raise SchemaError(f"{key} must be {noun}, got {value!r}", path, lineno) from None
+    tax_rule_text, tax_rule_line = meta_lines.get("escondida_tax_rule", ("false", None))
     if tax_rule_text not in ("true", "false"):
-        raise SchemaError("escondida_tax_rule must be 'true' or 'false'", path)
+        raise SchemaError(f"escondida_tax_rule must be 'true' or 'false', got {tax_rule_text!r}", path, tax_rule_line)
 
     records.sort(key=lambda rec: rec.year)
     physical.sort(key=lambda phys: phys.year)
 
     return MineDataset(
         mine_id=mine_id,
-        opening_year=opening_year,
-        capital_paid_first_year=capital_paid,
+        **numbers,
         records=tuple(records),
         escondida_tax_rule=tax_rule_text == "true",
         physical_history=tuple(physical),
@@ -506,12 +517,8 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             )
         if _check_range(err, locator, "money-range", [("gdp", ent.gdp)]) and ent.gdp < 0:
             err(locator, "gdp-nonnegative", f"gdp must be >= 0, got {ent.gdp}")
-    years = sorted(market_years)
-    missing = years[-1] - years[0] + 1 - len(years) if years else 0
+    missing, shown = summarize_gaps(sorted(market_years))
     if missing:
-        # Counted and listed from the rows, never from the span of years they cover.
-        gaps = [f"{a + 1}" if b - a == 2 else f"{a + 1}-{b - 1}" for a, b in zip(years, years[1:]) if b - a > 1]
-        shown = ", ".join(gaps[:3]) + (", ..." if len(gaps) > 3 else "")
         err("market", "market-contiguous", f"non-contiguous market coverage: {missing} year(s) missing: {shown}")
     if not -1 < market.fund_rate <= RATE_MAX:
         err("market", "fund-rate-range", f"fund_rate must lie in (-1, {RATE_MAX:g}], got {market.fund_rate}")

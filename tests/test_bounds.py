@@ -6,7 +6,8 @@ step checks for an overflow. These tests derive the largest value the
 arithmetic can reach from the bounds, hold runs at and inside every bound to
 it, and keep overflow guards from coming back downstream. They also keep
 validation the one refusal of a loaded run: no other error can end a
-reconstruction, and only ``InvalidDatasetError`` carries a report.
+reconstruction, and only ``InvalidDatasetError`` carries a report. A last
+guard keeps the concession half to one accrual kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import minerent
+from minerent import concession_sim
 from minerent import (
     MarketSeries,
     MarketYear,
@@ -259,3 +261,32 @@ def test_validation_is_the_one_refusal_after_loading():
         stray += [(name, store.lineno) for store in _report_stores(tree) if store not in kept]
     assert stray == []
     assert allowed == [("reconstruction.py", "reconstruct_all")]
+
+
+def _called_names(func: ast.AST) -> set[str]:
+    return {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_one_accrual_kernel():
+    """One function in ``concession_sim`` sums discounted revenue, and both entry points accrue through it.
+
+    ``generate_price_path`` sums log-returns with ``cumsum``; every other ``cumsum`` is an accrual.
+    """
+    tree = ast.parse(Path(concession_sim.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    kernels = [
+        name for name, func in functions.items() if name != "generate_price_path" and "cumsum" in _called_names(func)
+    ]
+    assert len(kernels) == 1, kernels
+    for entry in ("accrue_concessions", "simulate_concession"):
+        reached, pending = set(), [entry]
+        while pending:
+            name = pending.pop()
+            if name not in reached:
+                reached.add(name)
+                pending += [callee for callee in _called_names(functions[name]) if callee in functions]
+        assert kernels[0] in reached, entry

@@ -17,6 +17,7 @@ import pytest
 
 import minerent.cli
 import minerent.data_model
+from minerent import PricePathParams, generate_price_path
 from minerent.cli import main
 from minerent.data_model import MINE_COLUMNS, load_market_series
 from minerent.rent_analysis import summary_rows
@@ -231,6 +232,15 @@ class TestLoadAndValidate:
             "error: market: [market-contiguous] non-contiguous market coverage: 997987 year(s) missing: 2013-999999"
         ]
         assert len(err[0]) < 1024
+
+    def test_bad_metadata_value_is_one_error_line(self, tmp_path, capsys, command):
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("opening_year=1995\n", "opening_year=1997.5\n"))
+        assert self.run(command, mines, tmp_path) == 1
+        message = "opening_year must be an integer, got '1997.5'"
+        assert capsys.readouterr().err.splitlines() == [f"error: {alpha}:2: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("year", [1997, 2003])  # a pre-history row, a reported row
     @pytest.mark.parametrize("column", ["production_t", "exports_t"])
@@ -859,6 +869,19 @@ class TestSimulateConcession:
         assert err == [f"error: {scenario}:4: not UTF-8 text: byte 0xe9 (invalid continuation byte)"]
         assert not (tmp_path / "out").exists()
 
+    def test_gapped_price_path_is_one_short_error_line(self, tmp_path, capsys):
+        # Listed period by period, 100,000 rows missing period 2 made a line of about 700 kB.
+        rows = "".join(f"{period},1000\n" for period in range(1, 100_002) if period not in (2, 500, 501, 502, 9000))
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            f"announced_rate=0.05\nquantity_t_per_year=10000\nvpi=30\n[price_path]\nperiod,price_usd_per_t\n{rows}"
+        )
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {scenario}: price path periods must run 1..n: 5 period(s) missing: 2, 500-502, 9000"]
+        assert len(err[0]) < 1024
+        assert not (tmp_path / "out").exists()
+
     def test_seeded_revenue_overflow_is_one_error_line(self, tmp_path, capsys):
         # The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7.
         scenario = tmp_path / "scenario.txt"
@@ -874,6 +897,59 @@ class TestSimulateConcession:
             f"error: {scenario}: gross revenue is not finite in run 0, period 2: inf"
         ]
         assert not (tmp_path / "out").exists()
+
+    def test_revenue_overflow_names_its_replication(self, tmp_path, capsys):
+        # Replication 1 draws seed 3's path, whose second price overflows the revenue as above.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e300\n"
+            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=2\nreplications=3\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}: gross revenue is not finite in run 1, period 2: inf"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, accrued",
+        [
+            pytest.param(MONTE_CARLO_SCENARIO, 99, id="seeded"),
+            pytest.param(
+                "announced_rate=0.0\nquantity_t_per_year=10000\nvpi=30\nreplications=5\n"
+                "[price_path]\nperiod,price_usd_per_t\n1,1000\n2,1000\n3,1500\n4,1000\n",
+                None,
+                id="explicit-path",
+            ),
+        ],
+    )
+    def test_replication_0_is_accrued_once(self, tmp_path, monkeypatch, text, accrued):
+        # Replication 0 runs through simulate_concession alone; an explicit path is never accrued again.
+        drawn, accrue = [], minerent.cli.accrue_concessions
+
+        def recorded(vpi, paths, *args, **kwargs):
+            drawn.append(list(paths))
+            return accrue(vpi, drawn[-1], *args, **kwargs)
+
+        monkeypatch.setattr(minerent.cli, "accrue_concessions", recorded)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+        outcome = json.loads((out / "concession_outcome.json").read_text())
+        histogram = (out / "duration_histogram.csv").read_text().splitlines()
+        assert histogram[1] == f"0,{outcome['duration']}"
+        if accrued is None:
+            assert drawn == []
+            assert histogram == ["replication,duration"] + [f"{replication},3" for replication in range(5)]
+        else:
+            [paths] = drawn
+            assert len(paths) == accrued
+            params = PricePathParams(2000.0, 0.01, 0.25, horizon=60, seed=43)
+            assert paths[0].tolist() == generate_price_path(params).tolist()
 
     @pytest.mark.parametrize(
         "command, text, message",

@@ -373,18 +373,19 @@ class TestAccrualKernel:
             generate_price_path(PricePathParams(2000.0, 0.0, 0.3, horizon=300, seed=seed)) for seed in range(40)
         ]
         vpi = 150.0 if rate else 900.0
-        batch = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
+        durations = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
+        assert len(durations) == len(paths)
         for run, prices in enumerate(paths):
-            state, _ = stepped_run(vpi, prices, 10_000.0, rate, policy)
-            assert batch.duration(run) == (state.current_year if not state.active else None)
-            assert batch.final_accrued(run) == state.accrued_pv
-        assert {batch.duration(run) is None for run in range(len(paths))} == {True, False}
-
-        outcome = simulate_concession(vpi, paths[0], 10_000.0, Rate(rate), policy)
-        state, rows = stepped_run(vpi, paths[0], 10_000.0, rate, policy)
-        assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
-        assert repr(outcome.final_state) == repr(state)
-        assert outcome.warning == batch.warning(0)
+            state, rows = stepped_run(vpi, prices, 10_000.0, rate, policy)
+            assert durations[run] == (state.current_year if not state.active else None)
+            outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
+            # repr compares the final PV bit for bit.
+            assert repr(outcome.final_state) == repr(state)
+            assert outcome.duration == durations[run]
+            assert (outcome.warning is None) == (not state.active)
+            if run == 0:
+                assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
+        assert {duration is None for duration in durations} == {True, False}
 
     @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
     @pytest.mark.parametrize(
@@ -411,7 +412,7 @@ class TestAccrualKernel:
 
     def test_rejects_bad_tax_only_before_stop(self):
         # A negative price makes the clamped tax exceed gross revenue.
-        assert accrue_concessions(30.0, [[4000.0, -1.0]], 10_000.0, Rate(0.0)).duration(0) == 1
+        assert accrue_concessions(30.0, [[4000.0, -1.0]], 10_000.0, Rate(0.0)) == [1]
         with pytest.raises(ValueError, match="voluntary tax"):
             accrue_concessions(30.0, [[4000.0, 0.0], [1000.0, -1.0]], 10_000.0, Rate(0.0))
 
@@ -475,34 +476,30 @@ class TestAccrualBlocks:
         TestAccrualKernel().test_matches_stepper_on_explicit_paths(prices, rate, vpi, tax)
         policy = TAX_POLICIES[tax]
         state, _ = stepped_run(vpi, prices, 10_000.0, rate, policy)
-        batch = accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy)
-        for run in range(5):
-            assert batch.duration(run) == (state.current_year if not state.active else None)
-            assert repr(batch.final_accrued(run)) == repr(state.accrued_pv)
+        durations = accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy)
+        assert durations == [state.current_year if not state.active else None] * 5
 
     def test_many_one_period_runs(self, block_cells):
         block_cells(7)
         prices = [[float(price)] for price in range(0, 5000, 100)]
-        batch = accrue_concessions(20.0, prices, 10_000.0, Rate(0.06), 3.0)
-        assert len(batch.stepped) == 50
+        durations = accrue_concessions(20.0, prices, 10_000.0, Rate(0.06), 3.0)
+        assert len(durations) == 50
         for run, path in enumerate(prices):
             state, _ = stepped_run(20.0, path, 10_000.0, 0.06, 3.0)
-            assert batch.duration(run) == (state.current_year if not state.active else None)
-            assert repr(batch.final_accrued(run)) == repr(state.accrued_pv)
-        assert {batch.duration(run) for run in range(50)} == {None, 1}
+            assert durations[run] == (state.current_year if not state.active else None)
+            outcome = simulate_concession(20.0, path, 10_000.0, Rate(0.06), 3.0)
+            assert repr(outcome.final_state) == repr(state)
+        assert set(durations) == {None, 1}
 
     def test_generator_matches_list(self, block_cells):
         block_cells(5000)
         streamed = accrue_concessions(150.0, seeded_paths(20, horizon=300), 10_000.0, Rate(0.06), 2.0)
         listed = accrue_concessions(150.0, list(seeded_paths(20, horizon=300)), 10_000.0, Rate(0.06), 2.0)
-        assert streamed.stepped.tolist() == listed.stepped.tolist()
-        assert streamed.expired.tolist() == listed.expired.tolist()
-        assert repr(streamed.accrued_pv.tolist()) == repr(listed.accrued_pv.tolist())
-        assert len(streamed.stepped) == 20
+        assert streamed == listed
+        assert len(streamed) == 20
 
     def test_empty_input_is_an_empty_batch(self):
-        batch = accrue_concessions(10.0, iter([]), 10_000.0, Rate(0.06))
-        assert len(batch.stepped) == len(batch.expired) == len(batch.accrued_pv) == 0
+        assert accrue_concessions(10.0, iter([]), 10_000.0, Rate(0.06)) == []
 
     @pytest.mark.parametrize("ragged_run", [1, 4])
     def test_ragged_paths_raise(self, block_cells, ragged_run):
@@ -516,7 +513,7 @@ class TestAccrualBlocks:
     BAD_TAX = [1000.0, -1.0] + [1000.0] * 8
     HUGE = [1e300] * 10
 
-    # Each batch's message is the one the whole-matrix kernel raised for it.
+    # The first bad cell in run, then period, order, whatever the block size.
     @pytest.mark.parametrize("cells", [10, 20, 30])  # 1, 2 and 3 runs per block
     @pytest.mark.parametrize(
         "paths, quantity, rate, vpi, message",
@@ -524,13 +521,19 @@ class TestAccrualBlocks:
             pytest.param(
                 [BAD_TAX, OK, OK[:3] + [1e305] + OK[4:]],
                 1e4, 0.0, 1e6,
-                "gross revenue is not finite in run 2, period 4: inf",
+                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
                 id="tax-then-gross",
+            ),
+            pytest.param(
+                [OK, BAD_TAX[:3] + [1e305] + BAD_TAX[4:], OK],
+                1e4, 0.0, 1e6,
+                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
+                id="tax-then-gross-in-one-run",
             ),
             pytest.param(
                 [HUGE, OK, BAD_TAX],
                 1e6, -0.9, 1.7e308,
-                "voluntary tax must lie in [0, gross revenue], got -1.0 vs -1.0",
+                "accrued PV overflows a float in run 0, period 9",
                 id="overflow-then-tax",
             ),
             pytest.param(
@@ -559,15 +562,29 @@ class TestAccrualBlocks:
             accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
         assert str(caught.value) == message
 
-    def test_path_error_outranks_accrual_errors(self, block_cells):
-        block_cells(10)
+    @pytest.mark.parametrize("cells, drawn", [(10, 2), (20, 2), (30, 3)])  # 1, 2 and 3 runs per block
+    def test_accrual_error_stops_the_stream(self, block_cells, cells, drawn):
+        block_cells(cells)
+        paths_drawn = []
+
+        def paths():
+            for path in ([1000.0] * 10, [1000.0, -1.0] + [1000.0] * 8, [1000.0] * 10):
+                paths_drawn.append(path)
+                yield path
+            raise ValueError("price path (seed 3) has a non-finite price at step 3: inf")
+
+        with pytest.raises(ValueError, match="voluntary tax"):
+            accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
+        assert len(paths_drawn) == drawn
+
+    def test_path_error_in_the_block_comes_first(self, block_cells):
+        block_cells(30)  # the bad tax and the failing path share a block
 
         def paths():
             yield [1000.0, -1.0] + [1000.0] * 8
-            yield [1e305] * 10
-            raise ValueError("price path (seed 2) has a non-finite price at step 3: inf")
+            raise ValueError("price path (seed 1) has a non-finite price at step 3: inf")
 
-        with pytest.raises(ValueError, match=r"^price path \(seed 2\)"):
+        with pytest.raises(ValueError, match=r"^price path \(seed 1\)"):
             accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
 
     def test_memory_does_not_grow_with_runs(self):

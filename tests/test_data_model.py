@@ -123,6 +123,26 @@ class TestLoadMineDataset:
         with pytest.raises(SchemaError):
             load_mine_dataset(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("opening_year=1997.5", "opening_year must be an integer, got '1997.5'"),
+            ("capital_paid_first_year=abc", "capital_paid_first_year must be a number, got 'abc'"),
+            ("escondida_tax_rule=yes", "escondida_tax_rule must be 'true' or 'false', got 'yes'"),
+        ],
+        ids=["opening_year", "capital_paid_first_year", "escondida_tax_rule"],
+    )
+    def test_bad_metadata_value_names_line_and_key(self, tmp_path, line, message):
+        key = line.partition("=")[0]
+        meta = [line if entry.startswith(key + "=") else entry for entry in META]
+        path = tmp_path / "demo.csv"
+        write_mine_file(path, [full_row(2001)], meta=meta)
+        with pytest.raises(SchemaError) as excinfo:
+            load_mine_dataset(path)
+        lineno = meta.index(line) + 1
+        assert excinfo.value.line == lineno
+        assert str(excinfo.value) == f"{path}:{lineno}: {message}"
+
     def test_rows_sorted_after_load(self, tmp_path):
         path = tmp_path / "demo.csv"
         write_mine_file(path, [full_row(2005), full_row(2001), full_row(2003)])
