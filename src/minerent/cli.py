@@ -1,8 +1,10 @@
 """Command-line front end: analyze, reconstruct, simulate-concession, auction.
 
 All commands are deterministic: fixed inputs (and seed) produce
-byte-identical artifacts, so run manifests carry no timestamps. Exit codes:
-0 success, 1 validation/content errors, 2 I/O errors.
+byte-identical artifacts, so run manifests carry no timestamps. A command
+raises every refusal, and ``main`` alone turns it into ``error:`` lines and
+an exit code: 0 success, 1 validation or content errors (``InvalidDatasetError``,
+``DataFileError``, ``AuctionError``, ``ValueError``), 2 I/O errors (``OSError``).
 """
 
 from __future__ import annotations
@@ -47,11 +49,6 @@ HISTOGRAM_NAME = "duration_histogram.csv"
 AUCTION_TABLE_NAME = "auction_result.csv"
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _write_audit(path: Path, audit: list[str]) -> None:
     """One line per audit entry, written as it goes; an empty audit gives an empty file."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -74,108 +71,63 @@ def _warn(warnings) -> None:
         print(f"warning: {issue.locator}: {issue.message}", file=sys.stderr)
 
 
-def _refused(exc: InvalidDatasetError) -> int:
-    """Print the validation warnings and errors of a rejected run; exit code 1."""
-    _warn(exc.report.warnings)
-    for issue in exc.report.errors:
-        print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
-    return 1
-
-
 def _load_inputs(args: argparse.Namespace):
     """Load the market and every mine in the directory; the library validates them.
 
-    Returns ``(market, mine_paths, mines)``, the paths as sorted strings, or the exit
-    code: 1 for unparseable content or an empty directory, 2 for an unreadable file
-    or a missing directory.
+    Returns ``(market, mine_paths, mines)``, the paths as sorted strings. Raises
+    DataFileError for unparseable content or an empty directory, OSError for an
+    unreadable file or a missing directory.
     """
-    try:
-        market = load_market_series(args.market)
-        # iterdir, unlike glob, raises when the directory is missing.
-        mine_paths = sorted(str(path) for path in args.mines.iterdir() if path.name.endswith(".csv"))
-        mines = [load_mine_dataset(path) for path in mine_paths]
-    except DataFileError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    market = load_market_series(args.market)
+    # iterdir, unlike glob, raises when the directory is missing.
+    mine_paths = sorted(str(path) for path in args.mines.iterdir() if path.name.endswith(".csv"))
+    mines = [load_mine_dataset(path) for path in mine_paths]
     if not mines:
-        return _fail(f"no mine datasets found in {args.mines}", 1)
+        raise DataFileError(f"no mine datasets found in {args.mines}")
     return market, mine_paths, mines
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     """Reconstruct, build RVP series per rate, and emit summary artifacts."""
-    try:
-        rates = _resolve_rates(args)
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        return _fail(str(exc), 1)
-    loaded = _load_inputs(args)
-    if isinstance(loaded, int):
-        return loaded
-    market, mine_paths, mines = loaded
-
+    rates = _resolve_rates(args)
+    market, mine_paths, mines = _load_inputs(args)
     audit: list[str] = []
-    try:
-        report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
-    except InvalidDatasetError as exc:
-        return _refused(exc)
-    except ValueError as exc:
-        return _fail(str(exc), 1)
+    report = sensitivity_report(mines, market, rates, valuation_year=args.valuation_year, audit=audit)
     _warn(report.warnings)
-    del loaded, mines  # the report holds all the write phase needs; free the loaded records
+    del mines  # the report holds all the write phase needs; free the loaded records
 
     # Each document goes straight into its file, so none is ever held whole.
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for (mine_id, label), series in sorted(report.series.items()):
-            write_plot_data(series, args.out / f"{mine_id}_rvp_{label}.csv")
-        write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
-        with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
-            json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        _write_audit(args.out / AUDIT_LOG_NAME, audit)
-        _write_manifest(
-            args,
-            inputs={"market": str(args.market), "mines": mine_paths},
-            parameters={
-                "fund_rate": market.fund_rate,
-                "rates": {label: spec._asdict() for label, spec in rates},
-                "valuation_year": args.valuation_year,
-            },
-            seed=None,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    for (mine_id, label), series in sorted(report.series.items()):
+        write_plot_data(series, args.out / f"{mine_id}_rvp_{label}.csv")
+    write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
+    with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
+        json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    _write_audit(args.out / AUDIT_LOG_NAME, audit)
+    _write_manifest(
+        args,
+        inputs={"market": str(args.market), "mines": mine_paths},
+        parameters={
+            "fund_rate": market.fund_rate,
+            "rates": {label: spec._asdict() for label, spec in rates},
+            "valuation_year": args.valuation_year,
+        },
+        seed=None,
+    )
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: argparse.Namespace) -> None:
     """Backfill pre-history rows and write the completed datasets."""
-    loaded = _load_inputs(args)
-    if isinstance(loaded, int):
-        return loaded
-    market, mine_paths, mines = loaded
-
+    market, mine_paths, mines = _load_inputs(args)
     audit: list[str] = []
-    try:
-        completed, warnings = reconstruct_all(mines, market, audit)
-    except InvalidDatasetError as exc:
-        return _refused(exc)
+    completed, warnings = reconstruct_all(mines, market, audit)
     _warn(warnings)
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for mine in completed:
-            write_mine_dataset(mine, args.out / f"{mine.mine_id}_reconstructed.csv")
-        _write_audit(args.out / AUDIT_LOG_NAME, audit)
-        _write_manifest(
-            args,
-            inputs={"market": str(args.market), "mines": mine_paths},
-            parameters={},
-            seed=None,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    for mine in completed:
+        write_mine_dataset(mine, args.out / f"{mine.mine_id}_reconstructed.csv")
+    _write_audit(args.out / AUDIT_LOG_NAME, audit)
+    _write_manifest(args, inputs={"market": str(args.market), "mines": mine_paths}, parameters={}, seed=None)
 
 
 def _auction(scenario: Scenario) -> tuple[dict[str, float | None], str, float]:
@@ -228,21 +180,12 @@ def _write_outcome(outcome, vpi: float, out_dir: Path) -> None:
         doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
 
 
-def cmd_simulate_concession(args: argparse.Namespace) -> int:
+def cmd_simulate_concession(args: argparse.Namespace) -> None:
     """Run the concession over one or many seeded price paths."""
-    try:
-        scenario = load_scenario(args.scenario)
-    except DataFileError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-
+    scenario = load_scenario(args.scenario)
     vpi = scenario.vpi
     if vpi is None:
-        try:
-            _, _, vpi = _auction(scenario)
-        except (AuctionError, ValueError) as exc:
-            return _fail(str(exc), 1)
+        _, _, vpi = _auction(scenario)
 
     rate, tax_policy = Rate(scenario.announced_rate), scenario.tax_policy()
     try:
@@ -265,7 +208,7 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
             durations = accrue_concessions(vpi, rest, scenario.quantity, rate, tax_policy, first_run=1)
             durations.insert(0, outcome.duration)
     except ValueError as exc:
-        return _fail(f"{args.scenario}: {exc}", 1)
+        raise ValueError(f"{args.scenario}: {exc}") from None
     if outcome.warning:
         print(f"warning: replication 0: {outcome.warning}", file=sys.stderr)
     active = durations.count(None)
@@ -275,65 +218,44 @@ def cmd_simulate_concession(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_outcome(outcome, vpi, args.out)
-        if scenario.replications > 1:
-            lines = ["replication,duration", *(f"{i},{'' if d is None else d}" for i, d in enumerate(durations))]
-            (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_manifest(
-            args,
-            inputs={"scenario": str(args.scenario)},
-            parameters={
-                "announced_rate": scenario.announced_rate,
-                "quantity_t_per_year": scenario.quantity,
-                "replications": scenario.replications,
-                "vpi": vpi,
-            },
-            seed=scenario.seed if scenario.explicit_path is None else None,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_outcome(outcome, vpi, args.out)
+    if scenario.replications > 1:
+        lines = ["replication,duration", *(f"{i},{'' if d is None else d}" for i, d in enumerate(durations))]
+        (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(
+        args,
+        inputs={"scenario": str(args.scenario)},
+        parameters={
+            "announced_rate": scenario.announced_rate,
+            "quantity_t_per_year": scenario.quantity,
+            "replications": scenario.replications,
+            "vpi": vpi,
+        },
+        seed=scenario.seed if scenario.explicit_path is None else None,
+    )
 
 
-def cmd_auction(args: argparse.Namespace) -> int:
+def cmd_auction(args: argparse.Namespace) -> None:
     """Compute equilibrium bids for the scenario's bidders and pick a winner."""
-    try:
-        scenario = load_scenario(args.scenario)
-    except DataFileError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    scenario = load_scenario(args.scenario)
     if not scenario.bidders:
-        return _fail(f"{args.scenario}: auction requires a [bidders] section", 1)
+        raise DataFileError("auction requires a [bidders] section", args.scenario)
+    bids, winner_id, winning_vpi = _auction(scenario)
 
-    try:
-        bids, winner_id, winning_vpi = _auction(scenario)
-    except (AuctionError, ValueError) as exc:
-        return _fail(str(exc), 1)
-
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        lines = ["bidder_id,bid,winner"]
-        for bidder_id in sorted(bids):
-            bid = bids[bidder_id]
-            bid_text = "no-bid" if bid is None else repr(bid)
-            lines.append(f"{bidder_id},{bid_text},{'true' if bidder_id == winner_id else 'false'}")
-        (args.out / AUCTION_TABLE_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_manifest(
-            args,
-            inputs={"scenario": str(args.scenario)},
-            parameters={
-                "announced_rate": scenario.announced_rate,
-                "winner": winner_id,
-                "winning_vpi": winning_vpi,
-            },
-            seed=None,
-        )
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    lines = ["bidder_id,bid,winner"]
+    for bidder_id in sorted(bids):
+        bid = bids[bidder_id]
+        bid_text = "no-bid" if bid is None else repr(bid)
+        lines.append(f"{bidder_id},{bid_text},{'true' if bidder_id == winner_id else 'false'}")
+    (args.out / AUCTION_TABLE_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(
+        args,
+        inputs={"scenario": str(args.scenario)},
+        parameters={"announced_rate": scenario.announced_rate, "winner": winner_id, "winning_vpi": winning_vpi},
+        seed=None,
+    )
 
 
 def _resolve_rates(args: argparse.Namespace) -> tuple[tuple[str, DiscountSpec], ...]:
@@ -343,9 +265,7 @@ def _resolve_rates(args: argparse.Namespace) -> tuple[tuple[str, DiscountSpec], 
         rates.append((label, PRESETS[label]))
     if any(value is not None for value in custom):
         if any(value is None for value in custom):
-            raise argparse.ArgumentTypeError(
-                "custom rates need all of --rf, --beta, --erp, --country"
-            )
+            raise ValueError("custom rates need all of --rf, --beta, --erp, --country")
         rates.append(("custom", DiscountSpec(args.rf, args.beta, args.erp, args.country)))
     if not rates:
         rates = [(label, PRESETS[label]) for label in ("base", "conservative")]
@@ -399,7 +319,20 @@ def main(argv: list[str] | None = None) -> int:
         "simulate-concession": cmd_simulate_concession,
         "auction": cmd_auction,
     }
-    return commands[args.command](args)
+    try:
+        commands[args.command](args)
+    except InvalidDatasetError as exc:  # validation's report: its warnings, then one line per error
+        _warn(exc.report.warnings)
+        for issue in exc.report.errors:
+            print(f"error: {issue.locator}: [{issue.rule}] {issue.message}", file=sys.stderr)
+        return 1
+    except (DataFileError, AuctionError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -203,11 +203,19 @@ class ValidationReport(NamedTuple):
         return not self.errors
 
 
-def _parse_number(text: str, column: str, path: Path, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"non-numeric value {text!r} in column {column}", path, line) from None
+def parse_number(text: str, column: str, path: Path, line: int | None, kind: type = float) -> float:
+    """``kind(text)``, the one reader of a number in an input file; ParseError naming ``column`` otherwise.
+
+    A number is ASCII text without ``_``: ``int`` and ``float`` also take digit
+    separators (``1_995``) and other scripts' digits (``١٩٩٥``), which are refused
+    here. An ``int`` is read exactly.
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ParseError(f"non-numeric value {text!r} in column {column}", path, line)
 
 
 def read_lines(path: Path, error: type[DataFileError]) -> list[str]:
@@ -241,7 +249,7 @@ def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, 
     header, so a loader's own row errors still come in file order. Raises
     :class:`SchemaError` for an unknown or duplicate key, a stray line before
     the header, a missing header or a duplicate year, and :class:`ParseError`
-    for a byte that is not UTF-8, a wrong column count or a non-numeric year;
+    for a byte that is not UTF-8, a wrong column count or a year that is not an integer;
     each names its line.
     """
     lines = enumerate(read_lines(path, ParseError), start=1)
@@ -273,10 +281,7 @@ def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, 
                 continue
             if len(fields) != len(columns):
                 raise ParseError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
-            try:
-                year = int(fields[0])
-            except ValueError:
-                raise ParseError(f"non-numeric year {fields[0]!r}", path, lineno) from None
+            year = parse_number(fields[0], "year", path, lineno, int)
             if year in seen_years:
                 raise SchemaError(f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno)
             seen_years[year] = lineno
@@ -307,9 +312,9 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     for lineno, year, fields in rows:
         if fields[10] == "":
             raise ParseError("production_t is required", path, lineno)
-        production = _parse_number(fields[10], "production_t", path, lineno)
+        production = parse_number(fields[10], "production_t", path, lineno)
         exports = (
-            production if fields[11] == "" else _parse_number(fields[11], "exports_t", path, lineno)
+            production if fields[11] == "" else parse_number(fields[11], "exports_t", path, lineno)
         )
 
         financial = fields[1:10]  # revenue .. net_loan_payments; taxes_paid is index 6
@@ -317,10 +322,10 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
         if all(blank[i] for i in range(len(blank)) if i != 6):
             taxes = None
             if not blank[6]:
-                taxes = _parse_number(financial[6], "taxes_paid", path, lineno)
+                taxes = parse_number(financial[6], "taxes_paid", path, lineno)
             physical.append(PhysicalYear(year, production, exports, taxes))
         elif not any(blank):
-            values = [_parse_number(cell, column, path, lineno) for column, cell in zip(MINE_COLUMNS[1:10], financial)]
+            values = [parse_number(cell, column, path, lineno) for column, cell in zip(MINE_COLUMNS[1:10], financial)]
             records.append(MineYearRecord(year, *values, production, exports))
         else:
             raise ParseError(
@@ -348,8 +353,8 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     for key, kind, noun in (("opening_year", int, "an integer"), ("capital_paid_first_year", float, "a number")):
         value, lineno = meta_lines[key]
         try:
-            numbers[key] = kind(value)
-        except ValueError:
+            numbers[key] = parse_number(value, key, path, lineno, kind)
+        except ParseError:
             raise SchemaError(f"{key} must be {noun}, got {value!r}", path, lineno) from None
     tax_rule_text, tax_rule_line = meta_lines.get("escondida_tax_rule", ("false", None))
     if tax_rule_text not in ("true", "false"):
@@ -399,9 +404,9 @@ def load_market_series(path: str | Path) -> MarketSeries:
     fund_rate = DEFAULT_FUND_RATE
     if "fund_rate" in meta:
         text, line = meta["fund_rate"]
-        fund_rate = _parse_number(text, "fund_rate", path, line)
+        fund_rate = parse_number(text, "fund_rate", path, line)
     entries = [
-        MarketYear(year, *(_parse_number(fields[i], MARKET_COLUMNS[i], path, lineno) for i in (1, 2, 3)))
+        MarketYear(year, *(parse_number(fields[i], MARKET_COLUMNS[i], path, lineno) for i in (1, 2, 3)))
         for lineno, year, fields in rows
     ]
     entries.sort(key=lambda ent: ent.year)

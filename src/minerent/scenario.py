@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .concession_sim import Bidder
-from .data_model import USD_PER_MUSD, DataFileError, read_lines, summarize_gaps
+from .data_model import USD_PER_MUSD, DataFileError, ParseError, parse_number, read_lines, summarize_gaps
 from .valuation import CashFlowSeries, Rate
 
 
@@ -118,21 +118,37 @@ _SCENARIO_SECTIONS = {
 }
 
 
-def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
+def _exact_integer(text: str) -> int | None:
+    """The integer a finite number text names exactly (``40``, ``40.0``, ``4e1``); None for ``3.7``.
+
+    ``float`` rounds past 2**53, so ``9007199254740993`` must not pass through it.
+    """
     try:
-        number = float(value)
-    except ValueError:
+        return int(text)
+    except ValueError:  # a fraction or an exponent; only these pay for importing decimal
+        from decimal import Decimal
+
+        exact = Decimal(text)
+        return int(exact) if exact == exact.to_integral_value() else None
+
+
+def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
+    """``value`` as ``key``'s number, checked against its bound; an integer field is an exact ``int``."""
+    try:
+        number = parse_number(value, key, path, line)
+    except ParseError:
         raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
     op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
+    integer = key in _SCENARIO_INTEGERS
     if not math.isfinite(number):
         problem = "must be finite"
-    elif key in _SCENARIO_INTEGERS and not number.is_integer():
-        problem = "must be an integer"
+    elif integer and (exact := _exact_integer(value)) is None:
+        problem, number = "must be an integer", value.strip()  # as written, not rounded to a float
     elif not (number > bound if op == ">" else number >= bound):
         problem = f"must be {op} {bound}"
     else:
-        return number
-    raise ScenarioError(f"{key} {problem}, got {number!r}", path, line)
+        return exact if integer else number
+    raise ScenarioError(f"{key} {problem}, got {number}", path, line)
 
 
 def _period_values(section: str, rows: list[tuple[int, list[str]]], path: Path) -> dict[int, float]:
@@ -140,7 +156,7 @@ def _period_values(section: str, rows: list[tuple[int, list[str]]], path: Path) 
     value_key = _SCENARIO_SECTIONS[section][1]
     values: dict[int, float] = {}
     for lineno, fields in rows:
-        period = int(_scenario_number(fields[0], "period", path, lineno))
+        period = _scenario_number(fields[0], "period", path, lineno)
         if period in values:
             raise ScenarioError(f"duplicate period {period}", path, lineno)
         values[period] = _scenario_number(fields[1], value_key, path, lineno)
@@ -247,7 +263,8 @@ def load_scenario(path: str | Path) -> Scenario:
     cells = (horizon if explicit_path is None else len(explicit_path)) * replications
     if cells > MAX_SIMULATED_PERIODS:
         line = scalar_lines["horizon"] if explicit_path is None else scalar_lines.get("replications")
-        raise ScenarioError(f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {cells!r}", path, line)
+        message = f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {float(cells)!r}"
+        raise ScenarioError(message, path, line)
     drift = scalars.get("drift", 0.0)
     if explicit_path is None:
         # The forecast peaks at the last period; it can only overflow for a drift > 0.
@@ -281,9 +298,9 @@ def load_scenario(path: str | Path) -> Scenario:
         initial_price=initial_price,
         drift=drift,
         volatility=scalars.get("volatility", 0.0),
-        horizon=int(horizon) if horizon is not None else None,
-        seed=int(scalars.get("seed", 0)),
-        replications=int(replications),
+        horizon=horizon,
+        seed=scalars.get("seed", 0),
+        replications=replications,
         tax_constant=scalars.get("tax_per_year", 0.0),
         tax_schedule=tax_schedule,
     )

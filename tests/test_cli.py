@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -19,8 +20,11 @@ import minerent.cli
 import minerent.data_model
 from minerent import PricePathParams, generate_price_path
 from minerent.cli import main
-from minerent.data_model import MINE_COLUMNS, load_market_series
+from minerent.concession_sim import AuctionError
+from minerent.data_model import MINE_COLUMNS, DataFileError, ValidationIssue, ValidationReport, load_market_series
+from minerent.reconstruction import InvalidDatasetError
 from minerent.rent_analysis import summary_rows
+from minerent.scenario import load_scenario
 
 from conftest import MARKET_FILE, MINES_DIR, set_cells
 
@@ -43,6 +47,9 @@ bidder_id,i0,cost_of_capital
 slim,90,0.12
 heavy,140,0.12
 """
+
+# Number texts that int() and float() read but an input file refuses: a digit separator, 1995 in Arabic-Indic digits.
+OFF_GRAMMAR_NUMBERS = ["1_995", "\u0661\u0669\u0669\u0665", "8_50.0"]
 
 MONTE_CARLO_SCENARIO = """\
 announced_rate=0.05
@@ -240,6 +247,33 @@ class TestLoadAndValidate:
         assert self.run(command, mines, tmp_path) == 1
         message = "opening_year must be an integer, got '1997.5'"
         assert capsys.readouterr().err.splitlines() == [f"error: {alpha}:2: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", OFF_GRAMMAR_NUMBERS)
+    @pytest.mark.parametrize(
+        "kind, lineno, old",
+        [
+            ("mine", 2, "1995"),
+            ("mine", 3, "850.0"),
+            ("mine", 6, "310000.0"),
+            ("market", 1, "0.0507"),
+            ("market", 3, "1984"),
+        ],
+        ids=["opening_year", "capital_paid_first_year", "production_t", "fund_rate", "market-year"],
+    )
+    def test_number_outside_the_ascii_grammar_is_one_error_line(
+        self, tmp_path, capsys, command, kind, lineno, old, text
+    ):
+        mines, market = copy_mines(tmp_path), tmp_path / "market.csv"
+        shutil.copy(MARKET_FILE, market)
+        path = mines / "alpha.csv" if kind == "mine" else market
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[lineno - 1] = lines[lineno - 1].replace(old, text, 1)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        argv = [command, "--mines", str(mines), "--market", str(market), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:{lineno}: ") and repr(text) in err[0], err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("year", [1997, 2003])  # a pre-history row, a reported row
@@ -837,6 +871,42 @@ class TestSimulateConcession:
             assert err.splitlines() == [f"error: {scenario}:{lineno}: {message}, got {float(value)!r}"]
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", OFF_GRAMMAR_NUMBERS)
+    @pytest.mark.parametrize("key", ["vpi", "horizon"])
+    def test_number_outside_the_ascii_grammar_is_one_error_line(self, tmp_path, capsys, key, text):
+        lines = CONSTANT_SCENARIO.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key}="))
+        lines[lineno - 1] = f"{key}={text}"
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command in ("simulate-concession", "auction"):
+            assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {scenario}:{lineno}: non-numeric value {text!r} for {key}"]
+            assert not (tmp_path / "out").exists()
+
+    def test_integer_fields_are_read_exactly(self, tmp_path, capsys):
+        # Through float(), 2**53 + 1 became 2**53, so these two seeds drew the same price paths.
+        outcomes = []
+        for seed in (2**53, 2**53 + 1):
+            scenario = tmp_path / f"scenario-{seed}.txt"
+            scenario.write_text(MONTE_CARLO_SCENARIO.replace("seed=42", f"seed={seed}").replace("=100\n", "=3\n"))
+            out = tmp_path / f"out-{seed}"
+            assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
+            assert json.loads((out / "run_manifest.json").read_text())["seed"] == seed
+            outcomes.append((out / "concession_outcome.csv").read_bytes())
+        assert outcomes[0] != outcomes[1]
+        scenario = tmp_path / "scenario.txt"
+        for text, value in [("9007199254740993.0", 2**53 + 1), ("9.007199254740993e15", 2**53 + 1), ("1e3", 1000)]:
+            scenario.write_text(CONSTANT_SCENARIO + f"seed={text}\n")
+            assert load_scenario(scenario).seed == value
+        scenario.write_text(CONSTANT_SCENARIO + "seed=9007199254740993.5\n")
+        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        lineno = len(CONSTANT_SCENARIO.splitlines()) + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}:{lineno}: seed must be an integer, got 9007199254740993.5"
+        ]
+
     @pytest.mark.parametrize(
         "section, row, message",
         [
@@ -1157,6 +1227,77 @@ def test_format_flag_is_a_usage_error(capsys, argv):
     assert err.startswith("usage: minerent") and err.endswith("error: unrecognized arguments: --format json\n")
 
 
+def _invalid_dataset() -> InvalidDatasetError:
+    exc = InvalidDatasetError("alpha: [capital-paid-positive] capital_paid_first_year must be > 0, got 0.0")
+    exc.report = ValidationReport(
+        errors=(ValidationIssue("alpha", "capital-paid-positive", "capital_paid_first_year must be > 0, got 0.0"),),
+        warnings=(ValidationIssue("alpha:2005", "exports-exceed-production", "exports exceed production"),),
+    )
+    return exc
+
+
+@pytest.mark.parametrize(
+    "refusal, code, err",
+    [
+        (DataFileError("bad cell", "f.csv", 3), 1, ["error: f.csv:3: bad cell"]),
+        (AuctionError("auction failed: no feasible bids"), 1, ["error: auction failed: no feasible bids"]),
+        (ValueError("overflow"), 1, ["error: overflow"]),
+        (OSError(28, "No space left on device"), 2, ["error: [Errno 28] No space left on device"]),
+        (
+            _invalid_dataset(),
+            1,
+            [
+                "warning: alpha:2005: exports exceed production",
+                "error: alpha: [capital-paid-positive] capital_paid_first_year must be > 0, got 0.0",
+            ],
+        ),
+    ],
+    ids=["DataFileError", "AuctionError", "ValueError", "OSError", "InvalidDatasetError"],
+)
+@pytest.mark.parametrize(
+    "command, callee",
+    [
+        ("analyze", "write_summary_table"),  # write phase
+        ("reconstruct", "reconstruct_all"),  # library
+        ("simulate-concession", "load_scenario"),  # load phase
+        ("auction", "_write_manifest"),  # write phase
+    ],
+)
+def test_main_alone_maps_each_refusal_to_its_exit_code(
+    tmp_path, capsys, monkeypatch, command, callee, refusal, code, err
+):
+    def refuse(*args, **kwargs):
+        raise refusal
+
+    monkeypatch.setattr(minerent.cli, callee, refuse)
+    if command in ("analyze", "reconstruct"):
+        inputs = ["--mines", str(MINES_DIR), "--market", str(MARKET_FILE)]
+    else:
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(AUCTION_SCENARIO)
+        inputs = ["--scenario", str(scenario)]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.splitlines() == err
+
+
+def test_only_main_handles_a_refusal():
+    """Each command raises its refusals; ``main`` alone maps them to ``error:`` lines and exit codes.
+
+    A bare ``except`` or one naming ``Exception`` would catch a refusal too.
+    """
+    refusals = {"DataFileError", "InvalidDatasetError", "AuctionError", "OSError"}
+    catching = refusals | {"Exception", "BaseException", "except:"}
+    tree = ast.parse(Path(minerent.cli.__file__).read_text(encoding="utf-8"))
+    handled: dict[str, set[str]] = {}
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        for handler in (node for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)):
+            types = ast.walk(handler.type) if handler.type else [ast.Name("except:")]
+            names = {node.id for node in types if isinstance(node, ast.Name)} & catching
+            if names:
+                handled.setdefault(func.name, set()).update(names)
+    assert handled == {"main": refusals}
+
+
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -1164,8 +1305,9 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-# numpy is needed by price paths only; the others cost start-up time and serve no command.
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "logging", "statistics"])
+# numpy is needed by price paths only, decimal by a scenario integer written with a fraction or an
+# exponent; the others cost start-up time and serve no command.
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "logging", "statistics", "decimal"])
 def test_cli_import_leaves_module_unloaded(module):
     result = _fresh_python(f"import minerent.cli, sys; assert {module!r} not in sys.modules, '{module} imported'")
     assert result.returncode == 0, result.stderr

@@ -19,7 +19,7 @@ from minerent import (
     validate_dataset,
     write_mine_dataset,
 )
-from minerent.data_model import NO_HISTORY_WARNING
+from minerent.data_model import MARKET_COLUMNS, MINE_COLUMNS, NO_HISTORY_WARNING
 
 from conftest import MARKET_FILE, make_market, make_mine, make_record
 
@@ -34,6 +34,8 @@ META = [
     "capital_paid_first_year=500.0",
     "escondida_tax_rule=false",
 ]
+# 1995 in Arabic-Indic digits, which int() and float() read as 1995.
+ARABIC_INDIC_1995 = "\u0661\u0669\u0669\u0665"
 
 
 def full_row(year, value=100.0, production=150000.0, exports=None):
@@ -129,8 +131,19 @@ class TestLoadMineDataset:
             ("opening_year=1997.5", "opening_year must be an integer, got '1997.5'"),
             ("capital_paid_first_year=abc", "capital_paid_first_year must be a number, got 'abc'"),
             ("escondida_tax_rule=yes", "escondida_tax_rule must be 'true' or 'false', got 'yes'"),
+            # int() and float() take these; a number in an input file is ASCII without "_".
+            ("opening_year=1_995", "opening_year must be an integer, got '1_995'"),
+            (f"opening_year={ARABIC_INDIC_1995}", f"opening_year must be an integer, got '{ARABIC_INDIC_1995}'"),
+            ("capital_paid_first_year=8_50.0", "capital_paid_first_year must be a number, got '8_50.0'"),
         ],
-        ids=["opening_year", "capital_paid_first_year", "escondida_tax_rule"],
+        ids=[
+            "opening_year",
+            "capital_paid_first_year",
+            "escondida_tax_rule",
+            "opening_year-underscore",
+            "opening_year-arabic-indic",
+            "capital_paid_first_year-underscore",
+        ],
     )
     def test_bad_metadata_value_names_line_and_key(self, tmp_path, line, message):
         key = line.partition("=")[0]
@@ -142,6 +155,17 @@ class TestLoadMineDataset:
         lineno = meta.index(line) + 1
         assert excinfo.value.line == lineno
         assert str(excinfo.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("text", ["1_995", ARABIC_INDIC_1995, "8_50.0"])
+    @pytest.mark.parametrize("column", ["year", "revenue", "production_t"])
+    def test_number_outside_the_ascii_grammar_names_line(self, tmp_path, column, text):
+        path = tmp_path / "demo.csv"
+        cells = full_row(2001).split(",")
+        cells[MINE_COLUMNS.index(column)] = text
+        write_mine_file(path, [",".join(cells)])
+        with pytest.raises(ParseError) as excinfo:
+            load_mine_dataset(path)
+        assert str(excinfo.value) == f"{path}:6: non-numeric value {text!r} in column {column}"
 
     def test_rows_sorted_after_load(self, tmp_path):
         path = tmp_path / "demo.csv"
@@ -249,6 +273,21 @@ class TestMarketSeries:
         )
         with pytest.raises(SchemaError):
             load_market_series(path)
+
+    @pytest.mark.parametrize("text", ["1_995", ARABIC_INDIC_1995, "8_50.0"])
+    @pytest.mark.parametrize("column", ["fund_rate", "year", "gdp_usd_m"])
+    def test_number_outside_the_ascii_grammar_names_line(self, tmp_path, column, text):
+        row = dict(zip(MARKET_COLUMNS, ["2001", "1580", "50000", "0.003"]), fund_rate="0.05")
+        row[column] = text
+        path = tmp_path / "market.csv"
+        path.write_text(
+            f"fund_rate={row.pop('fund_rate')}\n{','.join(MARKET_COLUMNS)}\n{','.join(row.values())}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_market_series(path)
+        lineno = 1 if column == "fund_rate" else 3
+        assert str(excinfo.value) == f"{path}:{lineno}: non-numeric value {text!r} in column {column}"
 
     def test_duplicate_fund_rate_names_line(self, tmp_path):
         path = tmp_path / "market.csv"
