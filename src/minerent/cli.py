@@ -199,7 +199,7 @@ def cmd_simulate_concession(args: argparse.Namespace) -> None:
         # Replication 0 is accrued once, with its rows. Each call raises ValueError
         # when a price, a revenue or an accrued PV overflows a float.
         outcome = simulate_concession(vpi, first, scenario.quantity, rate, tax_policy)
-        if params is None:  # every replication repeats the one explicit path
+        if params is None or params.horizon == 1:  # every replication repeats one path; one period draws no shock
             durations = [outcome.duration] * scenario.replications
         else:
             # The kernel streams the other replications in blocks, so only replication 0's path is held whole.

@@ -208,13 +208,21 @@ def parse_number(text: str, column: str, path: Path, line: int | None, kind: typ
 
     A number is ASCII text without ``_``: ``int`` and ``float`` also take digit
     separators (``1_995``) and other scripts' digits (``١٩٩٥``), which are refused
-    here. An ``int`` is read exactly.
+    here. An ``int`` is the integer a finite text names exactly: ``40``, ``40.0`` or
+    ``4e1``, never ``3.7``; ``9007199254740993.0`` does not round through a float.
     """
     if text.isascii() and "_" not in text:
         try:
             return kind(text)
         except ValueError:
             pass
+        # An int written with a fraction or an exponent: finite first, or Decimal builds 1e999999's digits.
+        if kind is int and math.isfinite(parse_number(text, column, path, line)):
+            from decimal import Decimal  # imported only for these rare texts
+
+            exact = Decimal(text)
+            if exact == exact.to_integral_value():
+                return int(exact)
     raise ParseError(f"non-numeric value {text!r} in column {column}", path, line)
 
 

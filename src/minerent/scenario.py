@@ -118,37 +118,26 @@ _SCENARIO_SECTIONS = {
 }
 
 
-def _exact_integer(text: str) -> int | None:
-    """The integer a finite number text names exactly (``40``, ``40.0``, ``4e1``); None for ``3.7``.
-
-    ``float`` rounds past 2**53, so ``9007199254740993`` must not pass through it.
-    """
-    try:
-        return int(text)
-    except ValueError:  # a fraction or an exponent; only these pay for importing decimal
-        from decimal import Decimal
-
-        exact = Decimal(text)
-        return int(exact) if exact == exact.to_integral_value() else None
-
-
 def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
     """``value`` as ``key``'s number, checked against its bound; an integer field is an exact ``int``."""
-    try:
-        number = parse_number(value, key, path, line)
+    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
+    try:  # isfinite raises OverflowError for an int past the float range, refused below as inf
+        number = parse_number(value, key, path, line, int if key in _SCENARIO_INTEGERS else float)
+        if math.isfinite(number) and (number > bound if op == ">" else number >= bound):
+            return number
+    except (ParseError, OverflowError):
+        number = None
+    try:  # refused: the text read as a float picks the message
+        as_float = parse_number(value, key, path, line)
     except ParseError:
         raise ScenarioError(f"non-numeric value {value!r} for {key}", path, line) from None
-    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
-    integer = key in _SCENARIO_INTEGERS
-    if not math.isfinite(number):
+    if not math.isfinite(as_float):
         problem = "must be finite"
-    elif integer and (exact := _exact_integer(value)) is None:
-        problem, number = "must be an integer", value.strip()  # as written, not rounded to a float
-    elif not (number > bound if op == ">" else number >= bound):
-        problem = f"must be {op} {bound}"
+    elif number is None:
+        problem, as_float = "must be an integer", value.strip()  # as written, not rounded to a float
     else:
-        return exact if integer else number
-    raise ScenarioError(f"{key} {problem}, got {number}", path, line)
+        problem = f"must be {op} {bound}"
+    raise ScenarioError(f"{key} {problem}, got {as_float}", path, line)
 
 
 def _period_values(section: str, rows: list[tuple[int, list[str]]], path: Path) -> dict[int, float]:

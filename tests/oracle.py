@@ -196,5 +196,30 @@ def bid_brute(
     return None
 
 
+def accrue_brute(
+    vpi: float, prices: list[float], quantity: float, announced_rate: float, tax: float | dict[int, float]
+) -> tuple[int | None, list[tuple]]:
+    """One LPVR concession stepped period by period, from the definitions.
+
+    Period t's gross revenue is price (USD/t) times quantity (t) in million
+    USD. The voluntary tax asked for it, a constant or a ``{period: tax}``
+    schedule (0 where absent), is clamped to [0, gross]. The rest counts,
+    discounted by ``(1 + r) ** t``, towards the accrued PV, and the concession
+    expires in the first period whose accrued PV reaches ``vpi``. Returns the
+    duration (None when the path ends first) and one ``(period, price, gross,
+    tax, counted, accrued)`` row per period run.
+    """
+    accrued, rows = 0.0, []
+    for t, price in enumerate(prices, start=1):
+        gross = price * quantity / 1e6
+        asked = tax.get(t, 0.0) if isinstance(tax, dict) else tax
+        paid = min(max(asked, 0.0), gross)
+        accrued += (gross - paid) / (1 + announced_rate) ** t
+        rows.append((t, price, gross, paid, gross - paid, accrued))
+        if accrued >= vpi:
+            return t, rows
+    return None, rows
+
+
 def rel_close(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)

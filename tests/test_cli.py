@@ -276,6 +276,37 @@ class TestLoadAndValidate:
         assert len(err) == 1 and err[0].startswith(f"error: {path}:{lineno}: ") and repr(text) in err[0], err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, old, new, error",
+        [
+            ("mine", "opening_year=1995\n", "opening_year=1995.0\n", None),
+            ("mine", "opening_year=1995\n", "opening_year=1.995e3\n", None),
+            ("mine", "\n2001,", "\n2001.0,", None),
+            ("market", "\n1990,", "\n1990.0,", None),
+            # Past the float range it is refused at once: read exactly, it would be a million-digit integer.
+            ("mine", "\n2001,", "\n1e999999,", "11: non-numeric value '1e999999' in column year"),
+        ],
+        ids=["opening_year", "opening_year-exponent", "mine-year", "market-year", "mine-year-past-float-range"],
+    )
+    def test_integer_field_is_read_exactly(self, tmp_path, capsys, command, kind, old, new, error):
+        # Every integer field of every input file reads 2001, 2001.0 and 2.001e3 alike, never 2001.5.
+        mines, market = copy_mines(tmp_path), tmp_path / "market.csv"
+        shutil.copy(MARKET_FILE, market)
+        out = tmp_path / "out"
+        argv = [command, "--mines", str(mines), "--market", str(market), "--out", str(out)]
+        assert main(argv) == 0
+        written = read_artifacts(out)
+        shutil.rmtree(out)
+        path = mines / "alpha.csv" if kind == "mine" else market
+        path.write_text(path.read_text().replace(old, new, 1))
+        if error is None:
+            assert main(argv) == 0
+            assert read_artifacts(out) == written
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {path}:{error}"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("year", [1997, 2003])  # a pre-history row, a reported row
     @pytest.mark.parametrize("column", ["production_t", "exports_t"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -855,6 +886,9 @@ class TestSimulateConcession:
                 "quantity_t_per_year overflows the peak forecast revenue price * quantity_t_per_year / 1e6",
             ),
             ("horizon=1e12", "periods * replications must be <= 300000"),
+            # Refused at once, as floats: exactly, 1e1000000 would be a million-digit integer.
+            ("seed=1e1000000", "seed must be finite"),
+            ("horizon=1e400", "horizon must be finite"),
         ],
     )
     def test_bad_integer_field_is_one_error_line(self, tmp_path, capsys, line, message):
@@ -994,6 +1028,12 @@ class TestSimulateConcession:
                 None,
                 id="explicit-path",
             ),
+            pytest.param(
+                MONTE_CARLO_SCENARIO.replace("vpi=120", "vpi=10").replace("horizon=60", "horizon=1")
+                .replace("replications=100", "replications=5"),
+                None,
+                id="one-period",  # a seeded path of one period draws no shock, so all repeat replication 0's
+            ),
         ],
     )
     def test_replication_0_is_accrued_once(self, tmp_path, monkeypatch, text, accrued):
@@ -1014,7 +1054,8 @@ class TestSimulateConcession:
         assert histogram[1] == f"0,{outcome['duration']}"
         if accrued is None:
             assert drawn == []
-            assert histogram == ["replication,duration"] + [f"{replication},3" for replication in range(5)]
+            duration = outcome["duration"]
+            assert histogram == ["replication,duration"] + [f"{replication},{duration}" for replication in range(5)]
         else:
             [paths] = drawn
             assert len(paths) == accrued
@@ -1305,7 +1346,7 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-# numpy is needed by price paths only, decimal by a scenario integer written with a fraction or an
+# numpy is needed by price paths only, decimal by an integer field written with a fraction or an
 # exponent; the others cost start-up time and serve no command.
 @pytest.mark.parametrize("module", ["numpy", "dataclasses", "logging", "statistics", "decimal"])
 def test_cli_import_leaves_module_unloaded(module):

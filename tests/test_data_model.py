@@ -135,6 +135,8 @@ class TestLoadMineDataset:
             ("opening_year=1_995", "opening_year must be an integer, got '1_995'"),
             (f"opening_year={ARABIC_INDIC_1995}", f"opening_year must be an integer, got '{ARABIC_INDIC_1995}'"),
             ("capital_paid_first_year=8_50.0", "capital_paid_first_year must be a number, got '8_50.0'"),
+            # Past the float range: refused at once, never expanded into its 401 digits.
+            ("opening_year=1e400", "opening_year must be an integer, got '1e400'"),
         ],
         ids=[
             "opening_year",
@@ -143,6 +145,7 @@ class TestLoadMineDataset:
             "opening_year-underscore",
             "opening_year-arabic-indic",
             "capital_paid_first_year-underscore",
+            "opening_year-past-float-range",
         ],
     )
     def test_bad_metadata_value_names_line_and_key(self, tmp_path, line, message):
