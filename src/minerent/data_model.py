@@ -310,10 +310,37 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
 
     Raises :class:`ParseError` for malformed rows or a byte that is not UTF-8, and
     :class:`SchemaError` for duplicate years, bad headers, or bad metadata; both name the line.
+    The metadata block is checked before any row is read, so the error is the file's first
+    fault in line order.
     """
     path = Path(path)
     meta_lines, rows = _read_table(path, MINE_COLUMNS, MINE_METADATA_KEYS)
-    meta = {key: value for key, (value, _) in meta_lines.items()}
+    for key in ("mine_id", "opening_year", "capital_paid_first_year"):
+        if key not in meta_lines:
+            raise SchemaError(f"missing metadata key {key!r}", path)
+    mine_id, mine_id_line = meta_lines["mine_id"]
+    if not mine_id:
+        raise SchemaError("mine_id must be non-empty", path)
+    if mine_id in (".", "..") or not _MINE_ID_FORBIDDEN.isdisjoint(mine_id):
+        raise SchemaError(
+            f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character",
+            path,
+            mine_id_line,
+        )
+    if (size := len(mine_id.encode("utf-8"))) > MINE_ID_MAX_BYTES:
+        message = f"mine_id is {size} bytes in UTF-8; at most {MINE_ID_MAX_BYTES} fit in an output file name"
+        raise SchemaError(message, path, mine_id_line)
+    numbers = {}  # the two numeric keys, named as MineDataset's fields
+    for key, kind, noun in (("opening_year", int, "an integer"), ("capital_paid_first_year", float, "a number")):
+        value, lineno = meta_lines[key]
+        try:
+            numbers[key] = parse_number(value, key, path, lineno, kind)
+        except ParseError:
+            raise SchemaError(f"{key} must be {noun}, got {value!r}", path, lineno) from None
+    tax_rule_text, tax_rule_line = meta_lines.get("escondida_tax_rule", ("false", None))
+    if tax_rule_text not in ("true", "false"):
+        raise SchemaError(f"escondida_tax_rule must be 'true' or 'false', got {tax_rule_text!r}", path, tax_rule_line)
+
     records: list[MineYearRecord] = []
     physical: list[PhysicalYear] = []
 
@@ -341,32 +368,6 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
                 path,
                 lineno,
             )
-
-    for key in ("mine_id", "opening_year", "capital_paid_first_year"):
-        if key not in meta:
-            raise SchemaError(f"missing metadata key {key!r}", path)
-    mine_id = meta["mine_id"]
-    if not mine_id:
-        raise SchemaError("mine_id must be non-empty", path)
-    if mine_id in (".", "..") or not _MINE_ID_FORBIDDEN.isdisjoint(mine_id):
-        raise SchemaError(
-            f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character",
-            path,
-            meta_lines["mine_id"][1],
-        )
-    if (size := len(mine_id.encode("utf-8"))) > MINE_ID_MAX_BYTES:
-        message = f"mine_id is {size} bytes in UTF-8; at most {MINE_ID_MAX_BYTES} fit in an output file name"
-        raise SchemaError(message, path, meta_lines["mine_id"][1])
-    numbers = {}  # the two numeric keys, named as MineDataset's fields
-    for key, kind, noun in (("opening_year", int, "an integer"), ("capital_paid_first_year", float, "a number")):
-        value, lineno = meta_lines[key]
-        try:
-            numbers[key] = parse_number(value, key, path, lineno, kind)
-        except ParseError:
-            raise SchemaError(f"{key} must be {noun}, got {value!r}", path, lineno) from None
-    tax_rule_text, tax_rule_line = meta_lines.get("escondida_tax_rule", ("false", None))
-    if tax_rule_text not in ("true", "false"):
-        raise SchemaError(f"escondida_tax_rule must be 'true' or 'false', got {tax_rule_text!r}", path, tax_rule_line)
 
     records.sort(key=lambda rec: rec.year)
     physical.sort(key=lambda phys: phys.year)
@@ -468,7 +469,7 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
     def warn(locator, rule, message):
         warnings.append(ValidationIssue(locator, rule, message))
 
-    market_years = {ent.year for ent in market.entries}
+    market_years = Counter(ent.year for ent in market.entries)
     low, high = DEFAULT_BASELINE_WINDOW
     mine_ids: Counter[str] = Counter()
     for mine in mines:
@@ -530,6 +531,8 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             )
         if _check_range(err, locator, "money-range", [("gdp", ent.gdp)]) and ent.gdp < 0:
             err(locator, "gdp-nonnegative", f"gdp must be >= 0, got {ent.gdp}")
+    if dupes := sorted(year for year, count in market_years.items() if count > 1):
+        err("market", "duplicate-year", f"duplicate years: {dupes}")
     missing, shown = summarize_gaps(sorted(market_years))
     if missing:
         err("market", "market-contiguous", f"non-contiguous market coverage: {missing} year(s) missing: {shown}")

@@ -207,10 +207,10 @@ def impute_exploration(
     warnings: list[str] = []
     total_private = 0.0
 
-    for year in sorted(market.years):
+    for entry in sorted(market.entries, key=lambda ent: ent.year):
+        year = entry.year
         if not window[0] <= year <= window[1]:
             continue
-        entry = market.entry(year)
         national = entry.gdp * entry.exploration_spend_pct_gdp
         private = PRIVATE_EXPLORATION_SHARE * national
         total_private += private

@@ -145,9 +145,10 @@ def sensitivity_report(
     Exploration imputation is capitalized at each scenario's rate, so the initial investment varies
     across columns. The arguments are checked before any mine is validated: no labeled rate, a
     repeated label, a resolved rate outside [0, ``RATE_MAX``], or a valuation year after
-    ``VALUATION_YEAR_MAX`` or before any mine's last reported year raises ValueError. Then
-    ``reconstruct_all``'s :class:`InvalidDatasetError` is the only refusal; with the inputs validated,
-    every result is finite. The result carries the validation warnings.
+    ``VALUATION_YEAR_MAX`` raises ValueError. Then ``reconstruct_all`` may raise
+    :class:`InvalidDatasetError`, and a valuation year before any validated mine's last reported
+    year raises ValueError; with the inputs validated, every result is finite. The result carries
+    the validation warnings.
     """
     if not specs:
         raise ValueError("at least one labeled rate is required")
@@ -159,11 +160,11 @@ def sensitivity_report(
             raise ValueError(f"discount rate {label!r} must lie in [0, {RATE_MAX:g}], got {rate.value!r}")
     if valuation_year > VALUATION_YEAR_MAX:
         raise ValueError(f"valuation_year {valuation_year} is after {VALUATION_YEAR_MAX}")
-    last = max((rec.year for mine in mines for rec in mine.records), default=valuation_year)
-    if valuation_year < last:
-        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {last}")
 
     full_mines, warnings = reconstruct_all(mines, market, audit)
+    last = max((rec.year for mine in full_mines for rec in mine.records), default=valuation_year)
+    if valuation_year < last:
+        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {last}")
     series: dict[tuple[str, str], RvpSeries] = {}
     for label, rate in rates.items():
         exploration = impute_exploration(market, full_mines, rate.value)

@@ -21,7 +21,9 @@ from .valuation import CashFlowSeries, Rate
 
 # Bound on periods × replications. The accrual kernel streams replications in fixed-size
 # blocks, so replication 0's rows, all built and written, set the bound: at it one
-# never-expiring replication of 300,000 periods peaks at about 138 MB RSS.
+# never-expiring replication of 300,000 periods peaks at about 138 MB RSS. The product is
+# taken in floats, so one past the float range (horizon=10, replications=1e308) is refused
+# as "got inf".
 MAX_SIMULATED_PERIODS = 300_000
 
 
@@ -140,18 +142,6 @@ def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
     raise ScenarioError(f"{key} {problem}, got {as_float}", path, line)
 
 
-def _period_values(section: str, rows: list[tuple[int, list[str]]], path: Path) -> dict[int, float]:
-    """A ``period,value`` section as a dict; a period given twice raises ScenarioError."""
-    value_key = _SCENARIO_SECTIONS[section][1]
-    values: dict[int, float] = {}
-    for lineno, fields in rows:
-        period = _scenario_number(fields[0], "period", path, lineno)
-        if period in values:
-            raise ScenarioError(f"duplicate period {period}", path, lineno)
-        values[period] = _scenario_number(fields[1], value_key, path, lineno)
-    return values
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a concession scenario: key=value lines plus optional sections.
 
@@ -163,12 +153,14 @@ def load_scenario(path: str | Path) -> Scenario:
     line, as does a ``drift`` or ``quantity_t_per_year`` that overflows the
     forecast price or revenue, or periods (``horizon`` or ``[price_path]``
     rows) × ``replications`` above ``MAX_SIMULATED_PERIODS``. So does a byte
-    that is not UTF-8.
+    that is not UTF-8. Each line is checked as it is read, so the error is the
+    file's first fault in line order; the whole-file checks come after the last line.
     """
     path = Path(path)
     scalars: dict[str, float] = {}
     scalar_lines: dict[str, int] = {}
-    tables: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SCENARIO_SECTIONS}
+    # Each section's rows, checked as read: bidder_id -> (i0, cost_of_capital), period -> (value,).
+    keyed: dict[str, dict] = {name: {} for name in _SCENARIO_SECTIONS}
     section: str | None = None
     header_pending = False
 
@@ -194,50 +186,40 @@ def load_scenario(path: str | Path) -> Scenario:
             scalars[key] = _scenario_number(value, key, path, lineno)
             scalar_lines[key] = lineno
             continue
-        expected = ",".join(_SCENARIO_SECTIONS[section])
+        columns = _SCENARIO_SECTIONS[section]
         if header_pending:
-            if line != expected:
+            if line != (expected := ",".join(columns)):
                 raise ScenarioError(f"section [{section}] must start with header {expected!r}", path, lineno)
             header_pending = False
             continue
         fields = line.split(",")
-        if len(fields) != len(_SCENARIO_SECTIONS[section]):
-            raise ScenarioError(
-                f"expected {len(_SCENARIO_SECTIONS[section])} columns, got {len(fields)}", path, lineno
-            )
-        tables[section].append((lineno, fields))
-
-    if "announced_rate" not in scalars:
-        raise ScenarioError("missing required key 'announced_rate'", path)
-    if "quantity_t_per_year" not in scalars:
-        raise ScenarioError("missing required key 'quantity_t_per_year'", path)
-
-    bidders = []
-    seen_bidders = set()
-    for lineno, fields in tables["bidders"]:
-        bidder_id = fields[0].strip()
-        if not bidder_id or not bidder_id.isprintable():  # it becomes a cell of auction_result.csv
-            raise ScenarioError(f"bidder_id must be non-empty and printable, got {bidder_id!r}", path, lineno)
-        if bidder_id in seen_bidders:
-            raise ScenarioError(f"duplicate bidder_id {bidder_id!r}", path, lineno)
-        seen_bidders.add(bidder_id)
-        bidders.append(
-            (
-                bidder_id,
-                _scenario_number(fields[1], "i0", path, lineno),
-                _scenario_number(fields[2], "cost_of_capital", path, lineno),
-            )
+        if len(fields) != len(columns):
+            raise ScenarioError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
+        if section == "bidders":
+            key = fields[0].strip()
+            if not key or not key.isprintable():  # it becomes a cell of auction_result.csv
+                raise ScenarioError(f"bidder_id must be non-empty and printable, got {key!r}", path, lineno)
+        else:
+            key = _scenario_number(fields[0], "period", path, lineno)
+        if key in keyed[section]:
+            raise ScenarioError(f"duplicate {columns[0]} {key!r}", path, lineno)
+        keyed[section][key] = tuple(
+            _scenario_number(cell, column, path, lineno) for column, cell in zip(columns[1:], fields[1:])
         )
 
+    for key in ("announced_rate", "quantity_t_per_year"):
+        if key not in scalars:
+            raise ScenarioError(f"missing required key {key!r}", path)
+
+    bidders = tuple((bidder_id, *values) for bidder_id, values in keyed["bidders"].items())
     explicit_path: tuple[float, ...] | None = None
-    if tables["price_path"]:
-        by_period = _period_values("price_path", tables["price_path"], path)
-        periods = sorted(by_period)
+    if keyed["price_path"]:
+        periods = sorted(keyed["price_path"])
         missing, shown = summarize_gaps([0, *periods])  # from 0, so a missing period 1 counts too
         if missing:
             raise ScenarioError(f"price path periods must run 1..n: {missing} period(s) missing: {shown}", path)
-        explicit_path = tuple(by_period[p] for p in periods)
-    tax_schedule = _period_values("tax_schedule", tables["tax_schedule"], path) if tables["tax_schedule"] else None
+        explicit_path = tuple(keyed["price_path"][p][0] for p in periods)
+    tax_schedule = {period: tax for period, (tax,) in keyed["tax_schedule"].items()} or None
 
     vpi = scalars.get("vpi")
     if vpi is None and not bidders:
@@ -249,10 +231,10 @@ def load_scenario(path: str | Path) -> Scenario:
             "scenario needs either a [price_path] section or initial_price and horizon", path
         )
     replications = scalars.get("replications", 1)
-    cells = (horizon if explicit_path is None else len(explicit_path)) * replications
+    cells = float(horizon if explicit_path is None else len(explicit_path)) * float(replications)
     if cells > MAX_SIMULATED_PERIODS:
         line = scalar_lines["horizon"] if explicit_path is None else scalar_lines.get("replications")
-        message = f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {float(cells)!r}"
+        message = f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {cells!r}"
         raise ScenarioError(message, path, line)
     drift = scalars.get("drift", 0.0)
     if explicit_path is None:
@@ -282,7 +264,7 @@ def load_scenario(path: str | Path) -> Scenario:
         announced_rate=scalars["announced_rate"],
         quantity=quantity,
         vpi=vpi,
-        bidders=tuple(bidders),
+        bidders=bidders,
         explicit_path=explicit_path,
         initial_price=initial_price,
         drift=drift,

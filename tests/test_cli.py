@@ -48,6 +48,9 @@ slim,90,0.12
 heavy,140,0.12
 """
 
+# alpha.csv from its opening_year line through the year cell of its first row.
+ALPHA_HEAD = "opening_year=1995\ncapital_paid_first_year=850.0\nescondida_tax_rule=false\n" + ",".join(MINE_COLUMNS) + "\n1996,"
+
 # Number texts that int() and float() read but an input file refuses: a digit separator, 1995 in Arabic-Indic digits.
 OFF_GRAMMAR_NUMBERS = ["1_995", "\u0661\u0669\u0669\u0665", "8_50.0"]
 
@@ -240,6 +243,16 @@ class TestLoadAndValidate:
         ]
         assert len(err[0]) < 1024
 
+    def test_mine_year_past_the_window_is_a_validation_error(self, tmp_path, capsys, command):
+        # analyze compared it with --valuation-year first: "valuation_year 2012 precedes last flow year 2013".
+        mines = copy_mines(tmp_path)
+        alpha = mines / "alpha.csv"
+        alpha.write_text(alpha.read_text().replace("\n2001,", "\n2013,"))
+        assert self.run(command, mines, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: alpha:2013: [year-window] year 2013 outside [1984, 2012]"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_metadata_value_is_one_error_line(self, tmp_path, capsys, command):
         mines = copy_mines(tmp_path)
         alpha = mines / "alpha.csv"
@@ -285,8 +298,22 @@ class TestLoadAndValidate:
             ("market", "\n1990,", "\n1990.0,", None),
             # Past the float range it is refused at once: read exactly, it would be a million-digit integer.
             ("mine", "\n2001,", "\n1e999999,", "11: non-numeric value '1e999999' in column year"),
+            # The metadata block is checked before any row, so a bad year cell below does not hide it.
+            (
+                "mine",
+                ALPHA_HEAD,
+                ALPHA_HEAD.replace("=1995\n", "=1995.5\n").replace("\n1996,", "\n1996.5,"),
+                "2: opening_year must be an integer, got '1995.5'",
+            ),
         ],
-        ids=["opening_year", "opening_year-exponent", "mine-year", "market-year", "mine-year-past-float-range"],
+        ids=[
+            "opening_year",
+            "opening_year-exponent",
+            "mine-year",
+            "market-year",
+            "mine-year-past-float-range",
+            "opening_year-before-mine-year",
+        ],
     )
     def test_integer_field_is_read_exactly(self, tmp_path, capsys, command, kind, old, new, error):
         # Every integer field of every input file reads 2001, 2001.0 and 2.001e3 alike, never 2001.5.
@@ -951,6 +978,9 @@ class TestSimulateConcession:
             ("price_path", "1,-1000", "price_usd_per_t must be >= 0, got -1000.0"),
             ("price_path", "1.5,1000", "period must be an integer, got 1.5"),
             ("tax_schedule", "2.5,1", "period must be an integer, got 2.5"),
+            # Each row is checked at its own line, so a fault on a later line does not hide it.
+            ("bidders", "slim,-5,0.12\n[oops]", "i0 must be > 0, got -5.0"),
+            ("tax_schedule", "2,nan\n[price_path]\nperiod,price_usd_per_t\n1,1000\n1,1000", "tax must be finite, got nan"),
         ],
     )
     def test_bad_section_row_is_one_error_line(self, tmp_path, capsys, section, row, message):
@@ -960,7 +990,7 @@ class TestSimulateConcession:
         scenario.write_text(text)
         code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
         assert code == 1
-        lineno = len(text.splitlines())
+        lineno = len(CONSTANT_SCENARIO.splitlines()) + 3  # the row's first line
         assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:{lineno}: {message}"]
         assert not (tmp_path / "out").exists()
 

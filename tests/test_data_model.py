@@ -470,6 +470,14 @@ class TestValidateDataset:
         assert "non-contiguous market coverage" in gaps[0].message
         assert "1997" in gaps[0].message
 
+    def test_market_year_given_twice_is_one_error(self):
+        # Unrefused, reconstruction read the last 1990 entry and the imputation counted the first one twice.
+        market = make_market(years=[*range(1984, 2013), 1990])
+        mine = make_mine(mine_id="m", records=[make_record(2001)])
+        assert validate_dataset([mine], market).errors == (
+            ValidationIssue("market", "duplicate-year", "duplicate years: [1990]"),
+        )
+
     def test_market_checked_once_for_many_mines(self):
         market = MarketSeries(entries=(MarketYear(2001, -1.0, 50000.0, 0.003),))
         mines = [make_mine(mine_id=f"m{i}", records=[make_record(2001)]) for i in range(3)]

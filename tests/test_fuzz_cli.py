@@ -242,6 +242,7 @@ def run_pipeline(command: str, mines: Path, market: Path, out: Path) -> tuple[in
 )
 @example(text=SCENARIO.replace("horizon=40", "horizon=1e12"), command="auction")
 @example(text=SCENARIO.replace("replications=25", f"replications={MAX_SIMULATED_PERIODS + 1}"), command="simulate-concession")
+@example(text=SCENARIO.replace("replications=25", "replications=1e308"), command="simulate-concession")
 def test_scenario_slot(text, command):
     assume(isinstance(text, bytes) or _small(text))
     with tempfile.TemporaryDirectory() as tmp:

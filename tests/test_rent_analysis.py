@@ -277,7 +277,6 @@ class TestSensitivityReport:
             ([("r", 0.1), ("r", 0.2)], 2012),
             ([("r", 2.0)], 2012),
             ([("r", 0.1)], 2113),
-            ([("r", 0.1)], 2010),
         ],
     )
     def test_arguments_are_checked_before_the_inputs(self, specs, valuation_year):
@@ -285,6 +284,14 @@ class TestSensitivityReport:
         mine, market = sensitivity_fixture()
         with pytest.raises(ValueError):
             sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, specs, valuation_year)
+
+    def test_valuation_year_is_checked_against_the_validated_mines(self):
+        # The last flow year is read from validated mines, so an invalid mine is refused as such first.
+        mine, market = sensitivity_fixture()
+        with pytest.raises(InvalidDatasetError):
+            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, [("r", 0.1)], 2010)
+        with pytest.raises(ValueError, match="^valuation_year 2010 precedes last flow year 2011$"):
+            sensitivity_report([mine], market, [("r", 0.1)], 2010)
 
     def test_mines_sharing_an_id_are_refused(self, corpus_mines, corpus_market):
         # Unchecked, both "alpha" rows held beta's numbers: the imputation keys its allocations by id.
