@@ -80,11 +80,11 @@ def _load_inputs(args: argparse.Namespace):
     """
     market = load_market_series(args.market)
     # iterdir, unlike glob, raises when the directory is missing.
-    mine_paths = sorted(str(path) for path in args.mines.iterdir() if path.name.endswith(".csv"))
-    mines = [load_mine_dataset(path) for path in mine_paths]
+    paths = sorted(path for path in args.mines.iterdir() if path.name.endswith(".csv"))
+    mines = [load_mine_dataset(path) for path in paths]
     if not mines:
         raise DataFileError(f"no mine datasets found in {args.mines}")
-    return market, mine_paths, mines
+    return market, [str(path) for path in paths], mines
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
@@ -99,11 +99,15 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     # Each document goes straight into its file, so none is ever held whole.
     args.out.mkdir(parents=True, exist_ok=True)
     for (mine_id, label), series in sorted(report.series.items()):
-        write_plot_data(series, args.out / f"{mine_id}_rvp_{label}.csv")
+        write_plot_data(series, os.path.join(args.out, f"{mine_id}_rvp_{label}.csv"))
     write_summary_table(report, args.out / SUMMARY_TABLE_NAME)
+    # json.dump(rows, sort_keys=True, indent=2) row by row; json's C encoder writes a flat row's items.
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
     with open(args.out / SUMMARY_JSON_NAME, "w", encoding="utf-8") as fh:
-        json.dump(summary_rows(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("[")
+        for i, row in enumerate(summary_rows(report)):  # never empty: a run has at least one mine
+            fh.write(f"{',' if i else ''}\n  {{\n    {encode(row)[1:-1]}\n  }}")
+        fh.write("\n]\n")
     _write_audit(args.out / AUDIT_LOG_NAME, audit)
     _write_manifest(
         args,

@@ -137,8 +137,7 @@ class MineDataset(NamedTuple):
 
     def mean_production(self) -> float:
         """Arithmetic mean of annual production over every year on file."""
-        per_year = {phys.year: phys.production for phys in self.physical_history}
-        per_year.update({rec.year: rec.production for rec in self.records})
+        per_year = {row.year: row.production for row in (*self.physical_history, *self.records)}  # records win
         if not per_year:
             return 0.0
         return sum(per_year.values()) / len(per_year)
@@ -226,12 +225,13 @@ def parse_number(text: str, column: str, path: Path, line: int | None, kind: typ
     raise ParseError(f"non-numeric value {text!r} in column {column}", path, line)
 
 
-def read_lines(path: Path, error: type[DataFileError]) -> list[str]:
+def read_lines(path: str | Path, error: type[DataFileError]) -> list[str]:
     """The text of a UTF-8 file split at each ``"\\n"``, the only line break a line number counts.
 
     A byte that is not UTF-8 raises ``error`` naming the line that holds it.
     """
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -249,12 +249,14 @@ def summarize_gaps(values: list[int]) -> tuple[int, str]:
     return missing, ", ".join(gaps[:3]) + (", ..." if len(gaps) > 3 else "")
 
 
-def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, ...]):
+def _read_table(path: str | Path, columns: tuple[str, ...], metadata_keys: tuple[str, ...]):
     """Read a ``key=value`` metadata block and the exact header row of a table file.
 
     Returns ``(meta, rows)``. ``meta`` maps each key to ``(value, line)``.
-    ``rows`` lazily yields ``(line, year, fields)`` for each row after the
-    header, so a loader's own row errors still come in file order. Raises
+    ``rows`` lazily yields ``(line, year, fields, plain)`` for each row after
+    the header, so a loader's own row errors still come in file order; a
+    ``plain`` row is ASCII without ``_``, so ``float`` reads each of its cells
+    as :func:`parse_number` does. Raises
     :class:`SchemaError` for an unknown or duplicate key, a stray line before
     the header, a missing header or a duplicate year, and :class:`ParseError`
     for a byte that is not UTF-8, a wrong column count or a year that is not an integer;
@@ -284,16 +286,18 @@ def _read_table(path: Path, columns: tuple[str, ...], metadata_keys: tuple[str, 
     def rows():
         seen_years: dict[int, int] = {}
         for lineno, raw in lines:
-            fields = raw.strip().split(",")
-            if fields == [""]:
+            line = raw.strip()
+            if not line:
                 continue
+            fields = line.split(",")
             if len(fields) != len(columns):
                 raise ParseError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
-            year = parse_number(fields[0], "year", path, lineno, int)
+            plain, text = line.isascii() and "_" not in line, fields[0]
+            year = int(text) if plain and text.isdigit() else parse_number(text, "year", path, lineno, int)
             if year in seen_years:
                 raise SchemaError(f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno)
             seen_years[year] = lineno
-            yield lineno, year, fields
+            yield lineno, year, fields, plain
 
     return meta, rows()
 
@@ -311,16 +315,17 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     Raises :class:`ParseError` for malformed rows or a byte that is not UTF-8, and
     :class:`SchemaError` for duplicate years, bad headers, or bad metadata; both name the line.
     The metadata block is checked before any row is read, so the error is the file's first
-    fault in line order.
+    fault in line order. A row in the number grammar (ASCII, no ``_``) is converted in one pass,
+    its year with ``int`` and its cells with ``float``; only a row that fails goes through
+    :func:`parse_number` cell by cell, which names the bad column with the same message.
     """
-    path = Path(path)
     meta_lines, rows = _read_table(path, MINE_COLUMNS, MINE_METADATA_KEYS)
     for key in ("mine_id", "opening_year", "capital_paid_first_year"):
         if key not in meta_lines:
             raise SchemaError(f"missing metadata key {key!r}", path)
     mine_id, mine_id_line = meta_lines["mine_id"]
     if not mine_id:
-        raise SchemaError("mine_id must be non-empty", path)
+        raise SchemaError("mine_id must be non-empty", path, mine_id_line)
     if mine_id in (".", "..") or not _MINE_ID_FORBIDDEN.isdisjoint(mine_id):
         raise SchemaError(
             f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character",
@@ -344,30 +349,33 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     records: list[MineYearRecord] = []
     physical: list[PhysicalYear] = []
 
-    for lineno, year, fields in rows:
+    for lineno, year, fields, plain in rows:
         if fields[10] == "":
             raise ParseError("production_t is required", path, lineno)
-        production = parse_number(fields[10], "production_t", path, lineno)
-        exports = (
-            production if fields[11] == "" else parse_number(fields[11], "exports_t", path, lineno)
-        )
-
         financial = fields[1:10]  # revenue .. net_loan_payments; taxes_paid is index 6
-        blank = [value == "" for value in financial]
-        if all(blank[i] for i in range(len(blank)) if i != 6):
-            taxes = None
-            if not blank[6]:
-                taxes = parse_number(financial[6], "taxes_paid", path, lineno)
-            physical.append(PhysicalYear(year, production, exports, taxes))
-        elif not any(blank):
-            values = [parse_number(cell, column, path, lineno) for column, cell in zip(MINE_COLUMNS[1:10], financial)]
-            records.append(MineYearRecord(year, *values, production, exports))
+        blank = financial.count("")
+        history = blank == 9 or blank == 8 and financial[6] != ""
+        mixed = blank and not history
+        cells = None  # the columns after the year: financial (as indexed above), production_t, exports_t
+        if plain:
+            try:
+                cells = [float(cell) if cell else None for cell in fields[1:]]
+            except ValueError:
+                pass
+        if cells is None:
+            # Some cell is bad. Name it as the checks run: the tonnages, then, unless the row mixes
+            # blank and filled financial cells (refused below), the financial cells.
+            for i in (10, 11) if mixed else (10, 11, *range(1, 10)):
+                if fields[i]:
+                    parse_number(fields[i], MINE_COLUMNS[i], path, lineno)
+        if mixed:
+            raise ParseError("financial columns must be all blank (pre-history row) or all present", path, lineno)
+        if cells[10] is None:  # a blank exports_t is production_t
+            cells[10] = cells[9]
+        if history:
+            physical.append(PhysicalYear(year, cells[9], cells[10], cells[6]))
         else:
-            raise ParseError(
-                "financial columns must be all blank (pre-history row) or all present",
-                path,
-                lineno,
-            )
+            records.append(MineYearRecord(year, *cells))
 
     records.sort(key=lambda rec: rec.year)
     physical.sort(key=lambda phys: phys.year)
@@ -416,7 +424,7 @@ def load_market_series(path: str | Path) -> MarketSeries:
         fund_rate = parse_number(text, "fund_rate", path, line)
     entries = [
         MarketYear(year, *(parse_number(fields[i], MARKET_COLUMNS[i], path, lineno) for i in (1, 2, 3)))
-        for lineno, year, fields in rows
+        for lineno, year, fields, _ in rows
     ]
     entries.sort(key=lambda ent: ent.year)
     return MarketSeries(entries=tuple(entries), fund_rate=fund_rate)
@@ -433,7 +441,15 @@ def _check_range(err, locator: str, rule: str, fields: Iterable[tuple[str, float
 
 
 def _check_physical_row(mine_id: str, row: MineYearRecord | PhysicalYear, err, warn) -> None:
-    locator, production, exports = f"{mine_id}:{row.year}", row.production, row.exports
+    production, exports = row.production, row.exports
+    if (  # each comparison is False for NaN, so a row that passes them all breaks no rule below
+        YEAR_MIN <= row.year <= YEAR_MAX
+        and (production == 0 or TONNAGE_FLOOR <= production <= TONNAGE_BOUND)
+        and (exports == 0 or TONNAGE_FLOOR <= exports <= TONNAGE_BOUND)
+        and exports <= 1.10 * production
+    ):
+        return
+    locator = f"{mine_id}:{row.year}"
     if not YEAR_MIN <= row.year <= YEAR_MAX:
         err(locator, "year-window", f"year {row.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     if not _check_range(err, locator, "tonnage-range", (("production", production), ("exports", exports))):
@@ -458,7 +474,9 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
     the magnitude bounds it checks, every value the analysis derives is finite,
     and every mine it accepts can be backfilled: its pre-history lies before
     its reported years, in years the market covers, with a producing year in
-    ``DEFAULT_BASELINE_WINDOW`` to average over.
+    ``DEFAULT_BASELINE_WINDOW`` to average over. A mine row's ranges are plain
+    comparisons, each False for NaN, and an issue's text is built only when its
+    check fails.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -495,20 +513,24 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
 
         for rec in mine.records:
             _check_physical_row(mine.mine_id, rec, err, warn)
-            _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", rec.money_fields().items())
+            for value in rec[1:10]:  # the money fields
+                if not (value == 0 or MONEY_FLOOR <= abs(value) <= MONEY_BOUND):
+                    _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", rec.money_fields().items())
+                    break
         for phys in mine.physical_history:
-            locator = f"{mine.mine_id}:{phys.year}"
             _check_physical_row(mine.mine_id, phys, err, warn)
-            if phys.taxes_paid is not None:
-                _check_range(err, locator, "money-range", [("taxes_paid", phys.taxes_paid)])
-            if phys.year < mine.opening_year:
-                message = f"pre-history year {phys.year} precedes opening_year {mine.opening_year}"
-                err(locator, "history-after-opening", message)
-            if first is not None and phys.year >= first:
-                message = f"pre-history year {phys.year} is not before first reported year {first}"
-                err(locator, "history-before-reports", message)
-            if phys.year not in market_years:
-                err(locator, "market-coverage", f"market series has no row for pre-history year {phys.year}")
+            year, taxes = phys.year, phys.taxes_paid
+            if taxes is not None and not (taxes == 0 or MONEY_FLOOR <= abs(taxes) <= MONEY_BOUND):
+                _check_range(err, f"{mine.mine_id}:{year}", "money-range", [("taxes_paid", taxes)])
+            if year < mine.opening_year:
+                message = f"pre-history year {year} precedes opening_year {mine.opening_year}"
+                err(f"{mine.mine_id}:{year}", "history-after-opening", message)
+            if first is not None and year >= first:
+                message = f"pre-history year {year} is not before first reported year {first}"
+                err(f"{mine.mine_id}:{year}", "history-before-reports", message)
+            if year not in market_years:
+                message = f"market series has no row for pre-history year {year}"
+                err(f"{mine.mine_id}:{year}", "market-coverage", message)
         if mine.physical_history and not any(low <= rec.year <= high and rec.production > 0 for rec in mine.records):
             message = f"pre-history needs a reported year {low}-{high} with production > 0 to backfill from"
             err(mine.mine_id, "baseline-window", message)

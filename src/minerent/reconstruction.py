@@ -101,55 +101,57 @@ def reconstruct_year(
 
     Tonnages come from ``phys``; only financials are reconstructed. The mine gives its id and tax rule.
     """
-    price = entry.copper_price
-    by_production = price * phys.production / USD_PER_MUSD
-    by_exports = price * phys.exports / USD_PER_MUSD
-    revenue = min(by_production, by_exports)
-    operating_cost = baseline.avg_unit_cost * phys.production
-    admin = baseline.gav_ratio * operating_cost
-    operating_result = revenue - operating_cost - admin
-    pretax = operating_result + baseline.avg_nonoperating
-    if mine.escondida_tax_rule and phys.taxes_paid is not None:
-        taxes = phys.taxes_paid
-        tax_rule = "actual payment kept (escondida tax rule)"
-    else:
-        taxes = 0.0
-        tax_rule = "zeroed"
+    return _reconstruct_years(mine, (phys,), {phys.year: entry}, baseline, audit)[0]
 
+
+def _reconstruct_years(
+    mine: MineDataset,
+    history: Sequence[PhysicalYear],
+    entries: dict[int, MarketYear],
+    baseline: BaselineStats,
+    audit: list[str] | None,
+) -> list[MineYearRecord]:
+    """:func:`reconstruct_year` for each row of ``history``; the audit formats the mine's baseline once."""
     if audit is not None:
-        who = f"{mine.mine_id} {phys.year}"
-        audit.extend(
-            [
-                f"{who} revenue: min(price*production, price*exports) = "
-                f"min({by_production!r}, {by_exports!r}) -> {revenue!r}",
-                f"{who} operating_cost: avg_unit_cost*production = "
-                f"{baseline.avg_unit_cost!r}*{phys.production!r} -> {operating_cost!r}",
-                f"{who} admin_sales_expense: gav_ratio*operating_cost = "
-                f"{baseline.gav_ratio!r}*{operating_cost!r} -> {admin!r}",
-                f"{who} pretax_result: operating result + avg nonoperating = "
-                f"{operating_result!r} + {baseline.avg_nonoperating!r} -> {pretax!r}",
-                f"{who} dep_amort: baseline average -> {baseline.avg_dep_amort!r}",
-                f"{who} fixed_asset_additions: baseline average -> {baseline.avg_fixed_asset_additions!r}",
-                f"{who} net_loan_payments: baseline average -> {baseline.avg_net_loan_payments!r}",
-                f"{who} taxes_paid: {tax_rule} -> {taxes!r}",
-            ]
-        )
+        unit_cost, gav_ratio, nonoperating, fixed_assets, dep_amort, loans = map(repr, baseline)
+    rebuilt = []
+    for phys in history:
+        price = entries[phys.year].copper_price
+        by_production = price * phys.production / USD_PER_MUSD
+        by_exports = price * phys.exports / USD_PER_MUSD
+        revenue = min(by_production, by_exports)
+        operating_cost = baseline.avg_unit_cost * phys.production
+        admin = baseline.gav_ratio * operating_cost
+        operating_result = revenue - operating_cost - admin
+        pretax = operating_result + baseline.avg_nonoperating
+        if mine.escondida_tax_rule and phys.taxes_paid is not None:
+            taxes = phys.taxes_paid
+            tax_rule = "actual payment kept (escondida tax rule)"
+        else:
+            taxes = 0.0
+            tax_rule = "zeroed"
 
-    return MineYearRecord(
-        year=phys.year,
-        revenue=revenue,
-        operating_cost=operating_cost,
-        admin_sales_expense=admin,
-        pretax_result=pretax,
-        depreciation_amortization=baseline.avg_dep_amort,
-        capital_paid_increase=0.0,
-        taxes_paid=taxes,
-        fixed_asset_additions=baseline.avg_fixed_asset_additions,
-        net_loan_payments=baseline.avg_net_loan_payments,
-        production=phys.production,
-        exports=phys.exports,
-        reconstructed=True,
-    )
+        if audit is not None:
+            who, cost = f"{mine.mine_id} {phys.year}", repr(operating_cost)
+            audit.extend(
+                [
+                    f"{who} revenue: min(price*production, price*exports) = "
+                    f"min({by_production!r}, {by_exports!r}) -> {revenue!r}",
+                    f"{who} operating_cost: avg_unit_cost*production = {unit_cost}*{phys.production!r} -> {cost}",
+                    f"{who} admin_sales_expense: gav_ratio*operating_cost = {gav_ratio}*{cost} -> {admin!r}",
+                    f"{who} pretax_result: operating result + avg nonoperating = "
+                    f"{operating_result!r} + {nonoperating} -> {pretax!r}",
+                    f"{who} dep_amort: baseline average -> {dep_amort}",
+                    f"{who} fixed_asset_additions: baseline average -> {fixed_assets}",
+                    f"{who} net_loan_payments: baseline average -> {loans}",
+                    f"{who} taxes_paid: {tax_rule} -> {taxes!r}",
+                ]
+            )
+        # The money fields in MINE_COLUMNS order; a reconstructed year has no paid-in capital increase.
+        money = revenue, operating_cost, admin, pretax, baseline.avg_dep_amort, 0.0, taxes
+        money += baseline.avg_fixed_asset_additions, baseline.avg_net_loan_payments
+        rebuilt.append(MineYearRecord(phys.year, *money, phys.production, phys.exports, reconstructed=True))
+    return rebuilt
 
 
 def reconstruct_all(
@@ -174,7 +176,7 @@ def reconstruct_all(
     for mine in mines:
         if mine.physical_history:
             baseline = compute_baseline_stats(mine.records)
-            rebuilt = [reconstruct_year(mine, p, entries[p.year], baseline, audit) for p in mine.physical_history]
+            rebuilt = _reconstruct_years(mine, mine.physical_history, entries, baseline, audit)
             merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
             mine = mine._replace(records=merged, physical_history=())
         completed.append(mine)

@@ -45,12 +45,12 @@ class RvpSeries(NamedTuple):
 
 def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float) -> RvpSeries:
     """Cumulative discounted cash flow minus the initial investment, per year."""
-    r = as_rate(rate)
+    r, base, total = as_rate(rate).value, flows.base_year, investment.total
     cumulative = 0.0
     points: list[tuple[int, float]] = []
     for year, amount in flows.flows:
-        cumulative += discount(amount, r.value, year - flows.base_year)
-        points.append((year, cumulative - investment.total))
+        cumulative += discount(amount, r, year - base)
+        points.append((year, cumulative - total))
     final = points[-1][1] if points else 0.0
     series = RvpSeries(points=tuple(points), momento_x=None, rent_pv=max(final, 0.0))
     return series._replace(momento_x=momento_x(series))
@@ -76,8 +76,8 @@ def rent_forward_value(
     lies strictly after ``x``. Raises ValueError for a valuation year before
     the last flow year, whatever ``x`` is.
     """
-    if flows.flows and valuation_year < flows.years[-1]:
-        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {flows.years[-1]}")
+    if flows.flows and valuation_year < (last := flows.flows[-1][0]):
+        raise ValueError(f"valuation_year {valuation_year} precedes last flow year {last}")
     if x is None:
         return 0.0
     rate = as_rate(fund_rate).value
@@ -212,6 +212,6 @@ def write_summary_table(report: SensitivityReport, path: str | Path) -> None:
 
 def write_plot_data(series: RvpSeries, path: str | Path) -> None:
     """Two-column year/rvp file for external plotting."""
-    lines = ["year,rvp"]
-    lines.extend(f"{year},{value!r}" for year, value in series.points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = ["year,rvp", *(f"{year},{value!r}" for year, value in series.points)]
+    with open(path, "wb") as fh:  # ASCII text; a binary file has no text layer to build
+        fh.write(("\n".join(lines) + "\n").encode())

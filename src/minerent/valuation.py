@@ -122,11 +122,12 @@ def annual_cash_flow(record: MineYearRecord) -> float:
 
 
 def mine_cash_flows(mine: MineDataset) -> CashFlowSeries:
-    """Annual cash flows of a mine, anchored at its opening year."""
-    return CashFlowSeries(
-        base_year=mine.opening_year,
-        flows=tuple((rec.year, annual_cash_flow(rec)) for rec in mine.records),
-    )
+    """Annual cash flows of a mine, anchored at its opening year.
+
+    The records of a loaded or reconstructed mine are sorted by year, without repeats, and validation holds
+    them on or after the opening year, so ``_make`` builds the series without ``CashFlowSeries``' checks.
+    """
+    return CashFlowSeries._make((mine.opening_year, tuple((rec.year, annual_cash_flow(rec)) for rec in mine.records)))
 
 
 def initial_investment(mine: MineDataset, exploration) -> InitialInvestment:

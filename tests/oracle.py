@@ -3,7 +3,8 @@
 Everything here is deliberately naive: compounding factors are built by
 repeated multiplication, every cumulative sum is rebuilt from scratch per
 year, and the pipeline is recomposed from these pieces without calling any
-engine computation. Only the engine's plain data containers are reused.
+engine computation. Only the engine's plain data containers (and, in
+``load_mine_brute``, its error types) are reused.
 """
 
 from __future__ import annotations
@@ -223,3 +224,100 @@ def accrue_brute(
 
 def rel_close(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
+
+
+MINE_HEADER = (
+    "year,revenue,operating_cost,admin_sales_expense,pretax_result,dep_amort,capital_paid_increase,"
+    "taxes_paid,fixed_asset_additions,net_loan_payments,production_t,exports_t"
+)
+
+
+def number_brute(text: str, integer: bool = False):
+    """A number cell as the README defines it, or ValueError.
+
+    ASCII text without ``_`` that ``float`` reads. An integer is the whole
+    number such a text names, read exactly: ``40``, ``40.0`` or ``4e1``.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    value = float(text)
+    if not integer:
+        return value
+    if not math.isfinite(value):
+        raise ValueError(text)
+    from decimal import Decimal  # imported here, as the engine does, so that importing the oracle stays light
+
+    exact = Decimal(text)
+    if exact != int(exact):
+        raise ValueError(text)
+    return int(exact)
+
+
+def load_mine_brute(path):
+    """A mine file read cell by cell from the README grammar, raising the engine's error for the first fault.
+
+    The metadata block is taken as valid, apart from an empty ``mine_id``.
+    Each row is then checked in this order: the column count, the year and
+    its uniqueness, the required ``production_t``, both tonnages, the blank
+    pattern of the nine financial columns, then each financial cell.
+    """
+    from minerent import MineDataset, MineYearRecord, ParseError, PhysicalYear, SchemaError
+
+    def cell(text, column, line, integer=False):
+        try:
+            return number_brute(text, integer)
+        except ValueError:
+            raise ParseError(f"non-numeric value {text!r} in column {column}", path, line) from None
+
+    columns = MINE_HEADER.split(",")
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    meta = {}
+    for at, raw in enumerate(lines):
+        line = raw.strip()
+        if line == MINE_HEADER:
+            break
+        if line:
+            key, _, value = line.partition("=")
+            meta[key.strip()] = (value.strip(), at + 1)
+    else:
+        raise SchemaError("missing header row", path)
+    mine_id, mine_id_line = meta["mine_id"]
+    if not mine_id:
+        raise SchemaError("mine_id must be non-empty", path, mine_id_line)
+    opening_year = int(meta["opening_year"][0])
+    capital = float(meta["capital_paid_first_year"][0])
+    tax_rule = meta.get("escondida_tax_rule", ("false", None))[0] == "true"
+
+    records, history, seen = [], [], {}
+    for number, raw in enumerate(lines[at + 1 :], start=at + 2):
+        row = raw.strip()
+        if not row:
+            continue
+        cells = row.split(",")
+        if len(cells) != len(columns):
+            raise ParseError(f"expected {len(columns)} columns, got {len(cells)}", path, number)
+        year = cell(cells[0], "year", number, integer=True)
+        if year in seen:
+            raise SchemaError(f"duplicate year {year} (first seen at line {seen[year]})", path, number)
+        seen[year] = number
+        if cells[10] == "":
+            raise ParseError("production_t is required", path, number)
+        production = cell(cells[10], "production_t", number)
+        exports = production if cells[11] == "" else cell(cells[11], "exports_t", number)
+        filled = [i for i in range(1, 10) if cells[i] != ""]
+        if filled in ([], [7]):
+            taxes = cell(cells[7], "taxes_paid", number) if filled else None
+            history.append(PhysicalYear(year, production, exports, taxes))
+        elif len(filled) == 9:
+            money = [cell(cells[i], columns[i], number) for i in range(1, 10)]
+            records.append(MineYearRecord(year, *money, production, exports))
+        else:
+            raise ParseError("financial columns must be all blank (pre-history row) or all present", path, number)
+    return MineDataset(
+        mine_id=mine_id,
+        opening_year=opening_year,
+        capital_paid_first_year=capital,
+        records=tuple(sorted(records, key=lambda rec: rec.year)),
+        escondida_tax_rule=tax_rule,
+        physical_history=tuple(sorted(history, key=lambda phys: phys.year)),
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from minerent.reconstruction import InvalidDatasetError
 from minerent.rent_analysis import summary_rows
 from minerent.scenario import load_scenario
 
-from conftest import MARKET_FILE, MINES_DIR, set_cells
+from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, set_cells
 
 CONSTANT_SCENARIO = """\
 # constant-revenue concession: 10 million per year against a 30 million target
@@ -733,6 +734,40 @@ class TestReconstruct:
         # alpha 1996-2000 and beta 1998-2000: eight reconstructed years, 8 lines each
         assert len(audit) == 8 * 8
         assert any(line.startswith("alpha 1996 revenue") for line in audit)
+
+
+# SHA-256 of every artifact of `analyze` (both presets) and `reconstruct` on the shipped corpus, run from
+# tests/data with relative input paths so that the manifest does not depend on where the tree lives.
+GOLDEN_DIGESTS = {
+    "analyze": {
+        "alpha_rvp_base.csv": "fb4a04deb81c8a8fead878377ccc591a8b7d369ea4bd64c3b204fbfb548881f3",
+        "alpha_rvp_conservative.csv": "9dd13692550f0da92d326b095a3383f88646c5a02459ecb91f1c9b9ae46d3c41",
+        "beta_rvp_base.csv": "bcf899e251f9eb9679e357c7af3abfa4d48052a82eb579535d068cf460f8fe1f",
+        "beta_rvp_conservative.csv": "9cd14d00006246e9e2a2322e3bc9f35a50917635aaf6c36a546850c9a8e11088",
+        "gamma_rvp_base.csv": "a569cda0b386c714a802a9597b99e52999a0d623c71710dd5fac09e41d35a1d6",
+        "gamma_rvp_conservative.csv": "f3c86f362aa3aaf222e6e59dda09001648ff31fea9d0c1a76c8abfe28b0467ad",
+        "reconstruction_audit.log": "f70190fd9b73392aaa1c030caaddace49c924eb5a8c6198c83c56616aa4527e1",
+        "run_manifest.json": "e96fe5a21ea14f8e1d3bfd2b9265d31ae10b3f622d5397df4889e7c03632bb77",
+        "summary_cuadro1.csv": "36c2d7a886ed7bf7848af951f4475c7aea2505b267002e90f3e0cc63108a084a",
+        "summary_cuadro1.json": "0d322fe7aa2bbca2718fa4cd4fb08905bda4dcb2f85ff8969657a1744e38c726",
+    },
+    "reconstruct": {
+        "alpha_reconstructed.csv": "d34af4017e07c7ad5c5b0c12375044127d742d6825cd87d66adc360c459751ba",
+        "beta_reconstructed.csv": "10cf258aac91c88d3d41694576243941041507fd483d236958aa00a6227e1e1a",
+        "gamma_reconstructed.csv": "d42adc6c2cd00423815c6d380c80036dd6c99400ee01f4cf0399ff2e7aa84137",
+        "reconstruction_audit.log": "f70190fd9b73392aaa1c030caaddace49c924eb5a8c6198c83c56616aa4527e1",
+        "run_manifest.json": "961c71b9c8211c14b88ce421cc4829f4614432c68ec97893b723799470bb2794",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+def test_corpus_artifacts_match_golden_digests(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(DATA_DIR)
+    out = tmp_path / "out"
+    assert main([command, "--mines", "mines", "--market", "market.csv", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_artifacts(out).items()}
+    assert digests == GOLDEN_DIGESTS[command]
 
 
 class TestStreamedWriters:

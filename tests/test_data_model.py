@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minerent import (
     MarketSeries,
@@ -19,9 +24,10 @@ from minerent import (
     validate_dataset,
     write_mine_dataset,
 )
-from minerent.data_model import MARKET_COLUMNS, MINE_COLUMNS, NO_HISTORY_WARNING
+from minerent.data_model import MARKET_COLUMNS, MINE_COLUMNS, NO_HISTORY_WARNING, MineYearRecord
 
-from conftest import MARKET_FILE, make_market, make_mine, make_record
+from conftest import MARKET_FILE, MINES_DIR, make_market, make_mine, make_record
+from oracle import load_mine_brute
 
 HEADER = (
     "year,revenue,operating_cost,admin_sales_expense,pretax_result,dep_amort,"
@@ -213,6 +219,15 @@ class TestLoadMineDataset:
         assert str(excinfo.value) == (
             f"{path}:2: mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character"
         )
+
+    @pytest.mark.parametrize("meta", [["mine_id="] + META[1:], ["opening_year=1995", "mine_id= "] + META[2:]])
+    def test_empty_mine_id_names_its_line(self, tmp_path, meta):
+        path = tmp_path / "demo.csv"
+        write_mine_file(path, [full_row(2001)], meta=meta)
+        with pytest.raises(SchemaError) as excinfo:
+            load_mine_dataset(path)
+        lineno = next(at for at, entry in enumerate(meta, start=1) if entry.startswith("mine_id="))
+        assert str(excinfo.value) == f"{path}:{lineno}: mine_id must be non-empty"
 
     @pytest.mark.parametrize("mine_id", ["alpha", "alpha-0000", "a..b", ".hidden", "Mina Escondida", "ñandú_2"])
     def test_file_name_safe_mine_id_loads(self, tmp_path, mine_id):
@@ -536,3 +551,119 @@ class TestValidateDataset:
         )
         report = validate_dataset([mine], corpus_market)
         assert [e.rule for e in report.errors] == ["records-sorted"]
+
+
+# Cell texts at the edges of the number grammar: blank, padded, not finite, past the float range, a digit
+# separator, another script's digit, hex, a sign, and integers written with an exponent or a fraction.
+EDGE_CELLS = ["", " 1.5", "nan", "-inf", "1e999", "1_0", "\u0661", "0x1", "+5", "4e1", "40.0", "-0.0", "2e-7", "x"]
+ALPHA_LINES = (MINES_DIR / "alpha.csv").read_text(encoding="utf-8").split("\n")
+ALPHA_ROWS = [at for at, line in enumerate(ALPHA_LINES) if line[:4].isdigit()]
+
+
+@st.composite
+def mutated_alpha(draw) -> str:
+    """alpha.csv with 1-3 row cells replaced by edge texts, and now and then a stray column."""
+    lines = list(ALPHA_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(ALPHA_ROWS))
+        cells = lines[at].split(",")
+        column = draw(st.integers(0, len(cells) - 1))
+        cells[column] = draw(st.sampled_from(EDGE_CELLS))
+        if draw(st.integers(0, 9)) == 0:
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(EDGE_CELLS)))
+        lines[at] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestLoadAgainstBrute:
+    """``load_mine_dataset`` against ``oracle.load_mine_brute``, a per-cell reader of the README grammar."""
+
+    @given(text=mutated_alpha())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_rows_load_or_fail_alike(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "alpha.csv"
+            path.write_text(text, encoding="utf-8")
+            outcomes = []
+            for load in (load_mine_dataset, load_mine_brute):
+                try:
+                    outcomes.append(("loaded", repr(load(path))))  # repr: a nan cell equals itself
+                except (ParseError, SchemaError) as exc:
+                    outcomes.append((type(exc).__name__, str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+    def test_shipped_mines_load_alike(self):
+        for path in sorted(MINES_DIR.glob("*.csv")):
+            assert repr(load_mine_dataset(path)) == repr(load_mine_brute(path))
+
+
+
+def boundary_values(floor: float, bound: float) -> list[tuple[float, bool]]:
+    """``(value, inside)`` around a range of magnitudes ``0`` or ``[floor, bound]``: each edge, one step either side."""
+    return [
+        (math.nextafter(floor, 0.0), False),
+        (floor, True),
+        (math.nextafter(floor, math.inf), True),
+        (math.nextafter(bound, 0.0), True),
+        (bound, True),
+        (math.nextafter(bound, math.inf), False),
+        (-floor, True),
+        (-bound, True),
+        (-math.nextafter(bound, math.inf), False),
+        (0.0, True),
+        (-0.0, True),
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+    ]
+
+
+def range_table() -> list[tuple[str, float, tuple[str, str, str] | None]]:
+    """``(column, value, error)``: the one error validation reports for ``value`` in ``column``, or None."""
+    money = "values must be 0 or between 1e-06 and 1e+12 M USD in magnitude, got {}={}"
+    tonnage = "values must be 0 or between 1 and 1e+12 t in magnitude, got {}={}"
+    table = []
+    for value, inside in boundary_values(1e-6, 1e12):
+        for column in MINE_COLUMNS[1:10]:
+            table.append((column, value, None if inside else ("m:2001", "money-range", money.format(column, value))))
+        error = None if inside else ("m:1996", "money-range", money.format("taxes_paid", value))
+        table.append(("pre-history taxes_paid", value, error))
+        column = "capital_paid_first_year"
+        error = ("m", "money-range", money.format(column, value)) if not inside else None
+        if inside and value <= 0:
+            error = ("m", "capital-paid-positive", f"{column} must be > 0, got {value}")
+        table.append((column, value, error))
+    for value, inside in boundary_values(1.0, 1e12):
+        for column in ("production", "exports"):
+            error = ("m:2001", "tonnage-range", tonnage.format(column, value)) if not inside else None
+            if inside and value < 0:
+                error = ("m:2001", f"{column}-nonnegative", f"{column} must be nonnegative, got {value}")
+            table.append((column, value, error))
+    return table
+
+
+RANGE_TABLE = range_table()
+
+
+class TestRangeBoundaries:
+    """validate_dataset's verdict and full message at the edges of every money and tonnage range."""
+
+    @pytest.mark.parametrize(
+        "column, value, error", RANGE_TABLE, ids=[f"{column}={value!r}" for column, value, _ in RANGE_TABLE]
+    )
+    def test_rule_and_message(self, column, value, error):
+        record = make_record(2001, production=1e5, exports=1e5)
+        history, capital = [PhysicalYear(1996, 1e5, 1e5)], 500.0
+        if column == "pre-history taxes_paid":
+            history = [PhysicalYear(1996, 1e5, 1e5, taxes_paid=value)]
+        elif column == "capital_paid_first_year":
+            capital = value
+        elif column == "production":  # exports 0, so no draw-down warning; no history, so no baseline rule
+            record, history = record._replace(production=value, exports=0.0), []
+        elif column == "exports":
+            record, history = record._replace(exports=value), []
+        else:
+            record = record._replace(**{MineYearRecord._fields[MINE_COLUMNS.index(column)]: value})
+        mine = make_mine(mine_id="m", capital_paid_first_year=capital, records=[record], physical_history=history)
+        errors = [tuple(found) for found in validate_dataset([mine], make_market()).errors]
+        assert errors == ([] if error is None else [error])
