@@ -46,7 +46,6 @@ from .reconstruction import (
     impute_exploration,
     reconstruct_all,
     reconstruct_dataset,
-    reconstruct_year,
 )
 from .rent_analysis import (
     RvpSeries,

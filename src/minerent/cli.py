@@ -79,8 +79,8 @@ def _load_inputs(args: argparse.Namespace):
     unreadable file or a missing directory.
     """
     market = load_market_series(args.market)
-    # iterdir, unlike glob, raises when the directory is missing.
-    paths = sorted(path for path in args.mines.iterdir() if path.name.endswith(".csv"))
+    # iterdir, unlike glob, raises when the directory is missing; the paths share a parent, so names order them.
+    paths = sorted((path for path in args.mines.iterdir() if path.name.endswith(".csv")), key=lambda path: path.name)
     mines = [load_mine_dataset(path) for path in paths]
     if not mines:
         raise DataFileError(f"no mine datasets found in {args.mines}")

@@ -102,10 +102,6 @@ class MineYearRecord(NamedTuple):
     exports: float
     reconstructed: bool = False
 
-    def money_fields(self) -> dict[str, float]:
-        """The nine money values, keyed by their mine-file column names."""
-        return dict(zip(MINE_COLUMNS[1:10], self[1:10]))
-
 
 class PhysicalYear(NamedTuple):
     """Pre-history year: tonnages observed, financials not yet reconstructed.
@@ -156,16 +152,6 @@ class MarketSeries(NamedTuple):
     entries: tuple[MarketYear, ...]
     fund_rate: float = DEFAULT_FUND_RATE
 
-    def entry(self, year: int) -> MarketYear | None:
-        for ent in self.entries:
-            if ent.year == year:
-                return ent
-        return None
-
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(ent.year for ent in self.entries)
-
 
 class _DiscountSpecFields(NamedTuple):
     risk_free: float
@@ -196,10 +182,6 @@ class ValidationIssue(NamedTuple):
 class ValidationReport(NamedTuple):
     errors: tuple[ValidationIssue, ...]
     warnings: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def parse_number(text: str, column: str, path: Path, line: int | None, kind: type = float) -> float:
@@ -292,8 +274,8 @@ def _read_table(path: str | Path, columns: tuple[str, ...], metadata_keys: tuple
             fields = line.split(",")
             if len(fields) != len(columns):
                 raise ParseError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
-            plain, text = line.isascii() and "_" not in line, fields[0]
-            year = int(text) if plain and text.isdigit() else parse_number(text, "year", path, lineno, int)
+            plain = line.isascii() and "_" not in line
+            year = parse_number(fields[0], "year", path, lineno, int)
             if year in seen_years:
                 raise SchemaError(f"duplicate year {year} (first seen at line {seen_years[year]})", path, lineno)
             seen_years[year] = lineno
@@ -315,9 +297,9 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
     Raises :class:`ParseError` for malformed rows or a byte that is not UTF-8, and
     :class:`SchemaError` for duplicate years, bad headers, or bad metadata; both name the line.
     The metadata block is checked before any row is read, so the error is the file's first
-    fault in line order. A row in the number grammar (ASCII, no ``_``) is converted in one pass,
-    its year with ``int`` and its cells with ``float``; only a row that fails goes through
-    :func:`parse_number` cell by cell, which names the bad column with the same message.
+    fault in line order. Every year goes through :func:`parse_number`. A row in the number grammar
+    (ASCII, no ``_``) has its other cells converted with ``float`` in one pass; only a row that fails
+    goes through :func:`parse_number` cell by cell, which names the bad column with the same message.
     """
     meta_lines, rows = _read_table(path, MINE_COLUMNS, MINE_METADATA_KEYS)
     for key in ("mine_id", "opening_year", "capital_paid_first_year"):
@@ -441,26 +423,22 @@ def _check_range(err, locator: str, rule: str, fields: Iterable[tuple[str, float
 
 
 def _check_physical_row(mine_id: str, row: MineYearRecord | PhysicalYear, err, warn) -> None:
-    production, exports = row.production, row.exports
-    if (  # each comparison is False for NaN, so a row that passes them all breaks no rule below
-        YEAR_MIN <= row.year <= YEAR_MAX
-        and (production == 0 or TONNAGE_FLOOR <= production <= TONNAGE_BOUND)
-        and (exports == 0 or TONNAGE_FLOOR <= exports <= TONNAGE_BOUND)
-        and exports <= 1.10 * production
+    year, production, exports = row.year, row.production, row.exports
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        err(f"{mine_id}:{year}", "year-window", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    if not (
+        (production == 0 or TONNAGE_FLOOR <= abs(production) <= TONNAGE_BOUND)
+        and (exports == 0 or TONNAGE_FLOOR <= abs(exports) <= TONNAGE_BOUND)
     ):
-        return
-    locator = f"{mine_id}:{row.year}"
-    if not YEAR_MIN <= row.year <= YEAR_MAX:
-        err(locator, "year-window", f"year {row.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    if not _check_range(err, locator, "tonnage-range", (("production", production), ("exports", exports))):
+        _check_range(err, f"{mine_id}:{year}", "tonnage-range", (("production", production), ("exports", exports)))
         return
     if production < 0:
-        err(locator, "production-nonnegative", f"production must be nonnegative, got {production}")
+        err(f"{mine_id}:{year}", "production-nonnegative", f"production must be nonnegative, got {production}")
     if exports < 0:
-        err(locator, "exports-nonnegative", f"exports must be nonnegative, got {exports}")
+        err(f"{mine_id}:{year}", "exports-nonnegative", f"exports must be nonnegative, got {exports}")
     if exports > 1.10 * production:
         warn(
-            locator,
+            f"{mine_id}:{year}",
             "exports-exceed-production",
             "exports exceed production by more than 10% (possible inventory draw-down)",
         )
@@ -515,7 +493,7 @@ def validate_dataset(mines: Iterable[MineDataset], market: MarketSeries) -> Vali
             _check_physical_row(mine.mine_id, rec, err, warn)
             for value in rec[1:10]:  # the money fields
                 if not (value == 0 or MONEY_FLOOR <= abs(value) <= MONEY_BOUND):
-                    _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", rec.money_fields().items())
+                    _check_range(err, f"{mine.mine_id}:{rec.year}", "money-range", zip(MINE_COLUMNS[1:10], rec[1:10]))
                     break
         for phys in mine.physical_history:
             _check_physical_row(mine.mine_id, phys, err, warn)

@@ -90,20 +90,6 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
     )
 
 
-def reconstruct_year(
-    mine: MineDataset,
-    phys: PhysicalYear,
-    entry: MarketYear,
-    baseline: BaselineStats,
-    audit: list[str] | None = None,
-) -> MineYearRecord:
-    """Build the financial record of the pre-history year ``phys`` from the market's ``entry`` for that year.
-
-    Tonnages come from ``phys``; only financials are reconstructed. The mine gives its id and tax rule.
-    """
-    return _reconstruct_years(mine, (phys,), {phys.year: entry}, baseline, audit)[0]
-
-
 def _reconstruct_years(
     mine: MineDataset,
     history: Sequence[PhysicalYear],
@@ -111,7 +97,7 @@ def _reconstruct_years(
     baseline: BaselineStats,
     audit: list[str] | None,
 ) -> list[MineYearRecord]:
-    """:func:`reconstruct_year` for each row of ``history``; the audit formats the mine's baseline once."""
+    """One reconstructed record per row of ``history``; the audit formats the mine's baseline once."""
     if audit is not None:
         unit_cost, gav_ratio, nonoperating, fixed_assets, dep_amort, loans = map(repr, baseline)
     rebuilt = []

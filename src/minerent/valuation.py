@@ -53,14 +53,6 @@ class CashFlowSeries(_CashFlowSeriesFields):
             raise ValueError(f"base_year {base_year} is after first flow year {years[0]}")
         return super().__new__(cls, base_year, flows)
 
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(year for year, _ in self.flows)
-
-    @property
-    def amounts(self) -> tuple[float, ...]:
-        return tuple(amount for _, amount in self.flows)
-
 
 class _InitialInvestmentFields(NamedTuple):
     extraction: float
@@ -74,7 +66,7 @@ class InitialInvestment(_InitialInvestmentFields):
     __slots__ = ()
 
     def __new__(cls, extraction: float, exploration: float, total: float):
-        if not math.isclose(total, extraction + exploration, rel_tol=1e-12, abs_tol=1e-12):
+        if total != extraction + exploration:
             raise ValueError("total must equal extraction + exploration")
         if total <= 0:
             raise ValueError(f"total initial investment must be > 0, got {total}")

@@ -5,6 +5,12 @@ repeated multiplication, every cumulative sum is rebuilt from scratch per
 year, and the pipeline is recomposed from these pieces without calling any
 engine computation. Only the engine's plain data containers (and, in
 ``load_mine_brute``, its error types) are reused.
+
+The concession oracles are the exception: ``bid_brute`` and ``accrue_brute``
+both divide by ``(1 + r) ** t``, as the LPVR definition and the engine do. A
+winning bid is the accrued prefix at its payback period, so the concession
+must expire exactly there; a bid discounted by repeated multiplication can
+differ from that prefix by one ulp and move the oracle's own expiry a period.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def reconstruct_flows_brute(mine, market, window: tuple[int, int]) -> list[tuple
     base = baseline_brute(mine.records, window) if mine.physical_history else None
     flows = {}
     for phys in mine.physical_history:
-        price = market.entry(phys.year).copper_price
+        price = next(ent.copper_price for ent in market.entries if ent.year == phys.year)
         revenue = min(price * phys.production / 1e6, price * phys.exports / 1e6)
         operating_cost = base["avg_unit_cost"] * phys.production
         admin = base["gav_ratio"] * operating_cost
@@ -128,10 +134,10 @@ def imputation_brute(
     cohort_window_years: int = 5,
 ) -> dict[str, float]:
     allocations = {m.mine_id: 0.0 for m in mines}
-    for year in sorted(market.years):
+    for year in sorted(ent.year for ent in market.entries):
         if not window[0] <= year <= window[1]:
             continue
-        entry = market.entry(year)
+        entry = next(ent for ent in market.entries if ent.year == year)
         private = private_share * entry.gdp * entry.exploration_spend_pct_gdp
         eligible = [
             m for m in mines if m.opening_year - cohort_window_years <= year <= m.opening_year
@@ -188,11 +194,11 @@ def bid_brute(
     for k in range(1, n + 1):
         own = 0.0
         for j in range(1, k + 1):
-            own += revenues[j - 1] / compound(cost_of_capital, j)
+            own += revenues[j - 1] / (1 + cost_of_capital) ** j
         if own >= investment:
             accrued = 0.0
             for j in range(1, k + 1):
-                accrued += revenues[j - 1] / compound(announced_rate, j)
+                accrued += revenues[j - 1] / (1 + announced_rate) ** j
             return accrued
     return None
 

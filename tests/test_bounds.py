@@ -175,13 +175,13 @@ def test_every_value_within_bounds_stays_below_the_largest_intermediate(
     market = MarketSeries(
         entries=tuple(MarketYear(YEAR_MIN + i, *entry) for i, entry in enumerate(entries)), fund_rate=fund_rate
     )
-    assert validate_dataset(mines, market).ok  # every drawn value is in bound
+    assert not validate_dataset(mines, market).errors  # every drawn value is in bound
     report = sensitivity_report(mines, market, [("r", rate)], valuation_year)
     values = [
         value
         for mine in mines
         for rec in reconstruct_dataset(mine, market).records
-        for value in rec.money_fields().values()
+        for value in rec[1:10]  # the money fields
     ]
     for series in report.series.values():
         values += [value for _, value in series.points] + [series.rent_pv, series.rent_forward]

@@ -165,7 +165,7 @@ class TestLoadAndValidate:
 
         monkeypatch.setattr(minerent.data_model, "_check_range", counted)
         assert self.run(command, MINES_DIR, tmp_path) == 0
-        rows = Counter(f"market:{year}" for year in load_market_series(MARKET_FILE).years)
+        rows = Counter(f"market:{ent.year}" for ent in load_market_series(MARKET_FILE).entries)
         assert Counter(locator for locator in checked if locator.startswith("market")) == rows
 
     @pytest.mark.parametrize("opening_year, years", [(1997, [1996]), (1999, [1996, 1997, 1998])])

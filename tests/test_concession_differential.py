@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from minerent import PricePathParams, generate_price_path
@@ -122,6 +122,19 @@ def assert_refused(code: int, err: list[str], out: Path) -> None:
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(s=scenarios())
+# An LPVR tie: the winning bid equals the accrued PV at its payback period 19, so the concession expires there.
+@example(
+    Drawn(
+        announced_rate=-0.71875,
+        quantity=26.0,
+        replications=1,
+        vpi=None,
+        bidders=(("b0", 26.0, -0.5), ("b1", 1.0, 0.0), ("b2", 1.0, 0.0), ("b3", 1.0, 0.0)),
+        path=None,
+        gbm=(1.0, 0.0, 0.0, 119, 0),
+        tax=0.0,
+    )
+)
 def test_every_duration_and_pv_matches_the_oracle(s):
     bids = oracle_bids(s)
     feasible = sorted((bid, bidder_id) for bidder_id, bid in bids.items() if bid is not None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -329,6 +330,32 @@ class TestSimulateConcession:
             assert vpi <= state.accrued_pv < vpi + final_pv + 1e-12
         else:
             assert state.accrued_pv < vpi
+
+
+class TestLpvrIdentity:
+    """A bidder whose forecast is the realised flat path: the bid is the accrued PV at its payback period."""
+
+    @pytest.mark.parametrize(
+        "announced, own, investment",
+        [
+            (-0.71875, -0.8, 1000.0),
+            (-0.71875, -0.5, 1000.0),
+            (0.0, -0.05, 100.0),
+            (0.0, 0.1, 100.0),
+            (0.06, 0.0, 100.0),
+            (0.06, 0.12, 100.0),
+        ],
+    )
+    def test_winning_bid_expires_the_concession_at_its_payback_period(self, announced, own, investment):
+        path, quantity = [2000.0] * 40, 10_000.0  # 20 million USD a period
+        revenues = [price * quantity / 1e6 for price in path]
+        vpi = equilibrium_bid(bidder(investment, own, revenues), Rate(announced))
+        own_pv = itertools.accumulate(revenue / (1 + own) ** t for t, revenue in enumerate(revenues, start=1))
+        payback = next(t for t, pv in enumerate(own_pv, start=1) if pv >= investment)
+        outcome = simulate_concession(vpi, path, quantity, Rate(announced))
+        assert outcome.duration == payback
+        assert outcome.final_state.accrued_pv == vpi  # bit for bit
+        assert accrue_concessions(vpi, [path], quantity, Rate(announced)) == [payback]
 
 
 def stepped_run(vpi, prices, quantity, rate, tax_policy):

@@ -138,7 +138,7 @@ class TestRvpSeries:
         for i in range(1, len(series.points)):
             year, value = series.points[i]
             _, prev = series.points[i - 1]
-            step = flows.amounts[i] / 1.13 ** (year - 2000)
+            step = flows.flows[i][1] / 1.13 ** (year - 2000)
             assert value - prev == pytest.approx(step, rel=1e-9)
 
 

@@ -173,8 +173,8 @@ class TestCashFlowSeries:
         mine = make_mine(opening_year=1998, records=[make_record(y) for y in (1999, 2000)])
         flows = mine_cash_flows(mine)
         assert flows.base_year == 1998
-        assert flows.years == (1999, 2000)
-        assert flows.amounts == tuple(annual_cash_flow(r) for r in mine.records)
+        assert flows.flows == tuple((r.year, annual_cash_flow(r)) for r in mine.records)
+        assert [year for year, _ in flows.flows] == [1999, 2000]
 
 
 class TestPresentValue:
