@@ -10,6 +10,7 @@ an exit code: 0 success, 1 validation or content errors (``InvalidDatasetError``
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -153,7 +154,7 @@ _OUTCOME_ROW_JSON = (
 )
 
 
-def _write_outcome(outcome, vpi: float, out_dir: Path) -> None:
+def _write_outcome(outcome, out_dir: Path) -> None:
     """Stream replication 0's rows into the outcome table and JSON, formatting each row once.
 
     Every float in a row is finite, where json writes its ``repr``, and a
@@ -161,7 +162,7 @@ def _write_outcome(outcome, vpi: float, out_dir: Path) -> None:
     its JSON object. The encoder writes the frame around the rows.
     """
     frame = {
-        "vpi_target": vpi,
+        "vpi_target": outcome.final_state.vpi_target,
         "duration": outcome.duration,
         "status": outcome.final_state.status.value,
         "accrued_pv": outcome.final_state.accrued_pv,
@@ -223,7 +224,7 @@ def cmd_simulate_concession(args: argparse.Namespace) -> None:
         )
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_outcome(outcome, vpi, args.out)
+    _write_outcome(outcome, args.out)
     if scenario.replications > 1:
         lines = ["replication,duration", *(f"{i},{'' if d is None else d}" for i, d in enumerate(durations))]
         (args.out / HISTOGRAM_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -284,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="rent analysis over a mine directory")
+    analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("--mines", required=True, type=Path, help="directory of mine files")
     analyze.add_argument("--market", required=True, type=Path, help="market series file")
     analyze.add_argument("--rate", action="append", choices=sorted(PRESETS), help="preset rate; repeatable")
@@ -295,15 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", required=True, type=Path, help="output directory")
 
     reconstruct = sub.add_parser("reconstruct", help="backfill pre-history mine years")
+    reconstruct.set_defaults(run=cmd_reconstruct)
     reconstruct.add_argument("--mines", required=True, type=Path)
     reconstruct.add_argument("--market", required=True, type=Path)
     reconstruct.add_argument("--out", required=True, type=Path)
 
     simulate = sub.add_parser("simulate-concession", help="run a concession scenario")
+    simulate.set_defaults(run=cmd_simulate_concession)
     simulate.add_argument("--scenario", required=True, type=Path)
     simulate.add_argument("--out", required=True, type=Path)
 
     auction = sub.add_parser("auction", help="equilibrium bids and winner for a scenario")
+    auction.set_defaults(run=cmd_auction)
     auction.add_argument("--scenario", required=True, type=Path)
     auction.add_argument("--out", required=True, type=Path)
 
@@ -317,14 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     # whether a second core is free. Must be set before numpy is imported.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    commands = {
-        "analyze": cmd_analyze,
-        "reconstruct": cmd_reconstruct,
-        "simulate-concession": cmd_simulate_concession,
-        "auction": cmd_auction,
-    }
+    gc.disable()  # a run's objects live until it ends and hold no cycle, so collections would only rescan them
     try:
-        commands[args.command](args)
+        args.run(args)
     except InvalidDatasetError as exc:  # validation's report: its warnings, then one line per error
         _warn(exc.report.warnings)
         for issue in exc.report.errors:
@@ -336,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.enable()
     return 0
 
 

@@ -14,7 +14,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .data_model import DEFAULT_BASELINE_WINDOW, USD_PER_MUSD, MarketSeries, MarketYear, MineDataset, MineYearRecord
-from .data_model import PhysicalYear, ValidationIssue, validate_dataset
+from .data_model import ValidationIssue, validate_dataset
 from .valuation import compound
 
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
@@ -91,17 +91,14 @@ def compute_baseline_stats(records: tuple[MineYearRecord, ...] | list[MineYearRe
 
 
 def _reconstruct_years(
-    mine: MineDataset,
-    history: Sequence[PhysicalYear],
-    entries: dict[int, MarketYear],
-    baseline: BaselineStats,
-    audit: list[str] | None,
+    mine: MineDataset, entries: dict[int, MarketYear], audit: list[str] | None
 ) -> list[MineYearRecord]:
-    """One reconstructed record per row of ``history``; the audit formats the mine's baseline once."""
+    """One reconstructed record per row of the mine's physical history; the audit formats its baseline once."""
+    baseline = compute_baseline_stats(mine.records)
     if audit is not None:
         unit_cost, gav_ratio, nonoperating, fixed_assets, dep_amort, loans = map(repr, baseline)
     rebuilt = []
-    for phys in history:
+    for phys in mine.physical_history:
         price = entries[phys.year].copper_price
         by_production = price * phys.production / USD_PER_MUSD
         by_exports = price * phys.exports / USD_PER_MUSD
@@ -161,8 +158,7 @@ def reconstruct_all(
     completed = []
     for mine in mines:
         if mine.physical_history:
-            baseline = compute_baseline_stats(mine.records)
-            rebuilt = _reconstruct_years(mine, mine.physical_history, entries, baseline, audit)
+            rebuilt = _reconstruct_years(mine, entries, audit)
             merged = tuple(sorted(rebuilt + list(mine.records), key=lambda rec: rec.year))
             mine = mine._replace(records=merged, physical_history=())
         completed.append(mine)

@@ -83,48 +83,42 @@ class Scenario(NamedTuple):
         return self.tax_constant if self.tax_schedule is None else self.tax_schedule
 
 
-_SCENARIO_SCALARS = {
-    "announced_rate",
-    "quantity_t_per_year",
-    "vpi",
-    "initial_price",
-    "drift",
-    "volatility",
-    "horizon",
-    "seed",
-    "replications",
-    "tax_per_year",
-}
-# Every scenario number must be finite. Some fields must also be integers,
-# and some must satisfy ``value <op> bound``. The price-path generator takes
-# seed + replication, which numpy requires to be >= 0.
-_SCENARIO_INTEGERS = {"horizon", "replications", "seed", "period"}
-_SCENARIO_BOUNDS = {
-    "announced_rate": (">", -1),
-    "cost_of_capital": (">", -1),
-    "vpi": (">", 0),
-    "i0": (">", 0),
-    "initial_price": (">", 0),
-    "volatility": (">=", 0),
-    "quantity_t_per_year": (">=", 0),
-    "price_usd_per_t": (">=", 0),
-    "horizon": (">=", 1),
-    "replications": (">=", 1),
-    "seed": (">=", 0),
-    "period": (">=", 1),
+# Each scenario field: its kind, its bound as ``value <op> bound`` and, for a ``key=value`` field, its default.
+# Every number must be finite. The price-path generator takes seed + replication, which numpy requires to be >= 0.
+_REQUIRED = "required"
+_SCENARIO_FIELDS = {
+    "announced_rate": (float, ">", -1, _REQUIRED),
+    "quantity_t_per_year": (float, ">=", 0, _REQUIRED),
+    "vpi": (float, ">", 0, None),
+    "initial_price": (float, ">", 0, None),
+    "drift": (float, ">=", -math.inf, 0.0),
+    "volatility": (float, ">=", 0, 0.0),
+    "horizon": (int, ">=", 1, None),
+    "seed": (int, ">=", 0, 0),
+    "replications": (int, ">=", 1, 1),
+    "tax_per_year": (float, ">=", -math.inf, 0.0),
+    "i0": (float, ">", 0, None),
+    "cost_of_capital": (float, ">", -1, None),
+    "period": (int, ">=", 1, None),
+    "price_usd_per_t": (float, ">=", 0, None),
+    "tax": (float, ">=", -math.inf, None),
 }
 _SCENARIO_SECTIONS = {
     "bidders": ("bidder_id", "i0", "cost_of_capital"),
     "price_path": ("period", "price_usd_per_t"),
     "tax_schedule": ("period", "tax"),
 }
+# The ``key=value`` fields with their defaults, in table order: every field that is not a section column.
+_SCENARIO_DEFAULTS = {
+    key: field[3] for key, field in _SCENARIO_FIELDS.items() if not any(key in c for c in _SCENARIO_SECTIONS.values())
+}
 
 
 def _scenario_number(value: str, key: str, path: Path, line: int) -> float:
     """``value`` as ``key``'s number, checked against its bound; an integer field is an exact ``int``."""
-    op, bound = _SCENARIO_BOUNDS.get(key, (">=", -math.inf))
+    kind, op, bound, _ = _SCENARIO_FIELDS[key]
     try:  # isfinite raises OverflowError for an int past the float range, refused below as inf
-        number = parse_number(value, key, path, line, int if key in _SCENARIO_INTEGERS else float)
+        number = parse_number(value, key, path, line, kind)
         if math.isfinite(number) and (number > bound if op == ">" else number >= bound):
             return number
     except (ParseError, OverflowError):
@@ -179,7 +173,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError("expected key=value line", path, lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _SCENARIO_SCALARS:
+            if key not in _SCENARIO_DEFAULTS:
                 raise ScenarioError(f"unknown key {key!r}", path, lineno)
             if key in scalars:
                 raise ScenarioError(f"duplicate key {key!r}", path, lineno)
@@ -207,9 +201,10 @@ def load_scenario(path: str | Path) -> Scenario:
             _scenario_number(cell, column, path, lineno) for column, cell in zip(columns[1:], fields[1:])
         )
 
-    for key in ("announced_rate", "quantity_t_per_year"):
-        if key not in scalars:
+    for key, default in _SCENARIO_DEFAULTS.items():
+        if default is _REQUIRED and key not in scalars:
             raise ScenarioError(f"missing required key {key!r}", path)
+        scalars.setdefault(key, default)
 
     bidders = tuple((bidder_id, *values) for bidder_id, values in keyed["bidders"].items())
     explicit_path: tuple[float, ...] | None = None
@@ -221,22 +216,22 @@ def load_scenario(path: str | Path) -> Scenario:
         explicit_path = tuple(keyed["price_path"][p][0] for p in periods)
     tax_schedule = {period: tax for period, (tax,) in keyed["tax_schedule"].items()} or None
 
-    vpi = scalars.get("vpi")
+    vpi = scalars["vpi"]
     if vpi is None and not bidders:
         raise ScenarioError("scenario needs either 'vpi' or a [bidders] section", path)
-    initial_price = scalars.get("initial_price")
-    horizon = scalars.get("horizon")
+    initial_price = scalars["initial_price"]
+    horizon = scalars["horizon"]
     if explicit_path is None and (initial_price is None or horizon is None):
         raise ScenarioError(
             "scenario needs either a [price_path] section or initial_price and horizon", path
         )
-    replications = scalars.get("replications", 1)
+    replications = scalars["replications"]
     cells = float(horizon if explicit_path is None else len(explicit_path)) * float(replications)
     if cells > MAX_SIMULATED_PERIODS:
         line = scalar_lines["horizon"] if explicit_path is None else scalar_lines.get("replications")
         message = f"periods * replications must be <= {MAX_SIMULATED_PERIODS}, got {cells!r}"
         raise ScenarioError(message, path, line)
-    drift = scalars.get("drift", 0.0)
+    drift = scalars["drift"]
     if explicit_path is None:
         # The forecast peaks at the last period; it can only overflow for a drift > 0.
         peak_price = _forecast_price(initial_price, drift, horizon - 1)
@@ -268,10 +263,10 @@ def load_scenario(path: str | Path) -> Scenario:
         explicit_path=explicit_path,
         initial_price=initial_price,
         drift=drift,
-        volatility=scalars.get("volatility", 0.0),
+        volatility=scalars["volatility"],
         horizon=horizon,
-        seed=scalars.get("seed", 0),
+        seed=scalars["seed"],
         replications=replications,
-        tax_constant=scalars.get("tax_per_year", 0.0),
+        tax_constant=scalars["tax_per_year"],
         tax_schedule=tax_schedule,
     )

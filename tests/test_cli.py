@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import shutil
@@ -19,6 +21,7 @@ import pytest
 
 import minerent.cli
 import minerent.data_model
+import minerent.scenario
 from minerent import PricePathParams, generate_price_path
 from minerent.cli import main
 from minerent.concession_sim import AuctionError
@@ -144,6 +147,14 @@ class TestLoadAndValidate:
             "error: alpha: [duplicate-mine-id] 2 mines share this mine_id",
             "error: gamma: [duplicate-mine-id] 2 mines share this mine_id",
         ]
+        assert not (tmp_path / "out").exists()
+
+    def test_market_without_rows_is_one_error_line(self, tmp_path, capsys, command):
+        market = tmp_path / "market.csv"
+        market.write_text("".join(MARKET_FILE.read_text().splitlines(keepends=True)[:2]))  # fund_rate, header
+        mines = copy_mines_without_prehistory(tmp_path)
+        assert main([command, "--mines", str(mines), "--market", str(market), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: market: [market-empty] market series has no entries"]
         assert not (tmp_path / "out").exists()
 
     def test_validation_warnings_are_printed(self, tmp_path, capsys, command):
@@ -849,6 +860,160 @@ class TestStreamedWriters:
         assert peak - window[0] - rows_size < document, (peak - window[0], rows_size, document)
 
 
+def _without(*keys):
+    """CONSTANT_SCENARIO without the ``key=value`` lines of ``keys``."""
+    return "".join(line for line in CONSTANT_SCENARIO.splitlines(keepends=True) if line.partition("=")[0] not in keys)
+
+
+# A section holding one row, with "{}" where a field's value goes.
+_SECTION_ROWS = {
+    "i0": "[bidders]\nbidder_id,i0,cost_of_capital\nslim,{},0.12\n",
+    "cost_of_capital": "[bidders]\nbidder_id,i0,cost_of_capital\nslim,90,{}\n",
+    "period": "[price_path]\nperiod,price_usd_per_t\n{},1000\n",
+    "price_usd_per_t": "[price_path]\nperiod,price_usd_per_t\n1,{}\n",
+    "tax": "[tax_schedule]\nperiod,tax\n1,{}\n",
+}
+
+
+def _field_refusal(field, value, message):
+    """CONSTANT_SCENARIO with ``field`` set to ``value``, the line that holds it, and the refusal."""
+    lines = CONSTANT_SCENARIO.splitlines(keepends=True)
+    if field in _SECTION_ROWS:
+        text = CONSTANT_SCENARIO + _SECTION_ROWS[field].format(value)
+        lineno = len(lines) + 3
+    else:
+        lineno = next((i for i, line in enumerate(lines, 1) if line.startswith(f"{field}=")), len(lines) + 1)
+        lines[lineno - 1 : lineno] = [f"{field}={value}\n"]
+        text = "".join(lines)
+    return pytest.param(text, lineno, message, id=f"{field}={value}")
+
+
+# Every load_scenario refusal: a non-numeric, a non-finite, a non-integer (integer fields only) and an
+# out-of-bound (bounded fields only) value for every field, then each refusal of the file's structure.
+SCENARIO_REFUSALS = [
+    _field_refusal(field, value, message)
+    for field, cases in {
+        "announced_rate": [
+            ("abc", "non-numeric value 'abc' for announced_rate"),
+            ("inf", "announced_rate must be finite, got inf"),
+            ("-1", "announced_rate must be > -1, got -1.0"),
+        ],
+        "quantity_t_per_year": [
+            ("abc", "non-numeric value 'abc' for quantity_t_per_year"),
+            ("inf", "quantity_t_per_year must be finite, got inf"),
+            ("-1", "quantity_t_per_year must be >= 0, got -1.0"),
+        ],
+        "vpi": [
+            ("abc", "non-numeric value 'abc' for vpi"),
+            ("nan", "vpi must be finite, got nan"),
+            ("0", "vpi must be > 0, got 0.0"),
+        ],
+        "initial_price": [
+            ("abc", "non-numeric value 'abc' for initial_price"),
+            ("-inf", "initial_price must be finite, got -inf"),
+            ("0", "initial_price must be > 0, got 0.0"),
+        ],
+        "drift": [
+            ("abc", "non-numeric value 'abc' for drift"),
+            ("inf", "drift must be finite, got inf"),
+        ],
+        "volatility": [
+            ("abc", "non-numeric value 'abc' for volatility"),
+            ("nan", "volatility must be finite, got nan"),
+            ("-0.5", "volatility must be >= 0, got -0.5"),
+        ],
+        "horizon": [
+            ("abc", "non-numeric value 'abc' for horizon"),
+            ("inf", "horizon must be finite, got inf"),
+            ("2.5", "horizon must be an integer, got 2.5"),
+            ("0", "horizon must be >= 1, got 0.0"),
+        ],
+        "seed": [
+            ("abc", "non-numeric value 'abc' for seed"),
+            ("nan", "seed must be finite, got nan"),
+            ("0.5", "seed must be an integer, got 0.5"),
+            ("-1", "seed must be >= 0, got -1.0"),
+        ],
+        "replications": [
+            ("abc", "non-numeric value 'abc' for replications"),
+            ("inf", "replications must be finite, got inf"),
+            ("1.5", "replications must be an integer, got 1.5"),
+            ("0", "replications must be >= 1, got 0.0"),
+        ],
+        "tax_per_year": [
+            ("abc", "non-numeric value 'abc' for tax_per_year"),
+            ("nan", "tax_per_year must be finite, got nan"),
+        ],
+        "i0": [
+            ("abc", "non-numeric value 'abc' for i0"),
+            ("inf", "i0 must be finite, got inf"),
+            ("0", "i0 must be > 0, got 0.0"),
+        ],
+        "cost_of_capital": [
+            ("abc", "non-numeric value 'abc' for cost_of_capital"),
+            ("nan", "cost_of_capital must be finite, got nan"),
+            ("-1", "cost_of_capital must be > -1, got -1.0"),
+        ],
+        "period": [
+            ("abc", "non-numeric value 'abc' for period"),
+            ("inf", "period must be finite, got inf"),
+            ("1.5", "period must be an integer, got 1.5"),
+            ("0", "period must be >= 1, got 0.0"),
+        ],
+        "price_usd_per_t": [
+            ("abc", "non-numeric value 'abc' for price_usd_per_t"),
+            ("nan", "price_usd_per_t must be finite, got nan"),
+            ("-1", "price_usd_per_t must be >= 0, got -1.0"),
+        ],
+        "tax": [
+            ("abc", "non-numeric value 'abc' for tax"),
+            ("inf", "tax must be finite, got inf"),
+        ],
+    }.items()
+    for value, message in cases
+] + [
+    pytest.param(*case, id=case[2]) for case in [
+        (_without("announced_rate", "quantity_t_per_year"), None, "missing required key 'announced_rate'"),
+        (_without("quantity_t_per_year"), None, "missing required key 'quantity_t_per_year'"),
+        (CONSTANT_SCENARIO + "bogus=1\n", 7, "unknown key 'bogus'"),
+        (CONSTANT_SCENARIO + "i0=90\n", 7, "unknown key 'i0'"),  # a section column, not a key
+        (CONSTANT_SCENARIO + "vpi=31\n", 7, "duplicate key 'vpi'"),
+        (CONSTANT_SCENARIO + "vpi 31\n", 7, "expected key=value line"),
+        (CONSTANT_SCENARIO + "[oops]\n", 7, "unknown section 'oops'"),
+        (CONSTANT_SCENARIO + "[tax_schedule]\nperiod,value\n", 8, "section [tax_schedule] must start with header 'period,tax'"),
+        (CONSTANT_SCENARIO + "[tax_schedule]\nperiod,tax\n1,2\n1,3\n", 10, "duplicate period 1"),
+        (
+            CONSTANT_SCENARIO + "[bidders]\nbidder_id,i0,cost_of_capital\nslim,90,0.12\nslim,95,0.12\n",
+            10,
+            "duplicate bidder_id 'slim'",
+        ),
+        (_without("vpi"), None, "scenario needs either 'vpi' or a [bidders] section"),
+        (_without("horizon"), None, "scenario needs either a [price_path] section or initial_price and horizon"),
+        (_without("initial_price"), None, "scenario needs either a [price_path] section or initial_price and horizon"),
+    ]
+]
+
+
+def test_readme_field_table_matches_the_scenario_format():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = readme.index("| field | kind | bound | default |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), readme[start:]):
+        field, kind, bound, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[field.strip("`")] = kind, bound, default
+    expected = {}
+    for field, (kind, op, bound, default) in minerent.scenario._SCENARIO_FIELDS.items():
+        sections = [f"`[{name}]`" for name, columns in minerent.scenario._SCENARIO_SECTIONS.items() if field in columns]
+        if sections:
+            default = f"{', '.join(sections)} column"
+        else:
+            default = {minerent.scenario._REQUIRED: "required", None: "unset"}.get(default, repr(default))
+        bound = "" if bound == -math.inf else f"{op} {bound}"
+        expected[field] = {int: "integer", float: "float"}[kind], bound, default
+    assert rows == expected
+    assert list(rows) == list(minerent.scenario._SCENARIO_FIELDS)
+
+
 class TestSimulateConcession:
     def test_constant_revenue_duration(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
@@ -1036,6 +1201,16 @@ class TestSimulateConcession:
         assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {scenario}:4: not UTF-8 text: byte 0xe9 (invalid continuation byte)"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, lineno, message", SCENARIO_REFUSALS)
+    @pytest.mark.parametrize("command", ["simulate-concession", "auction"])
+    def test_scenario_refusal_is_one_error_line(self, tmp_path, capsys, command, text, lineno, message):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(text)
+        assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        where = f"{scenario}" if lineno is None else f"{scenario}:{lineno}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {where}: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_gapped_price_path_is_one_short_error_line(self, tmp_path, capsys):

@@ -74,6 +74,11 @@ class TestEquilibriumBid:
         with pytest.raises(ValueError):  # also after the period that repays
             equilibrium_bid(bidder(5.0, 0.1, [50.0, 5.0, -1.0]), Rate(0.05))
 
+    @pytest.mark.parametrize("investment", [0.0, float("nan")])
+    def test_investment_must_be_finite_and_positive(self, investment):
+        with pytest.raises(ValueError, match=rf"^investment must be finite and > 0, got {investment!r}$"):
+            bidder(investment, 0.1, [5.0])
+
     def test_path_must_start_after_award(self):
         path = CashFlowSeries(0, ((0, 5.0), (1, 5.0)))
         with pytest.raises(ValueError):
@@ -161,6 +166,11 @@ class TestStepConcession:
             accrued.append(state.accrued_pv)
         assert accrued == pytest.approx([5.4545, 10.4132, 14.9211, 19.0192, 22.7447], abs=1e-4)
         assert state.current_year == 5
+
+    @pytest.mark.parametrize("vpi", [0.0, float("nan")])
+    def test_vpi_must_be_finite_and_positive(self, vpi):
+        with pytest.raises(ValueError, match=rf"^vpi_target must be finite and > 0, got {vpi!r}$"):
+            new_concession(vpi, Rate(0.1))
 
     def test_stepping_terminal_state_rejected(self):
         state = new_concession(5.0, Rate(0.0))

@@ -78,8 +78,9 @@ class TestLoadMineDataset:
         path = tmp_path / "demo.csv"
         write_mine_file(path, [])
         mine = load_mine_dataset(path)
-        assert mine.records == ()
+        assert mine.records == () and mine.physical_history == ()
         assert mine.first_reported_year is None
+        assert mine.mean_production() == 0.0
         assert NO_HISTORY_WARNING in [w.message for w in validate_dataset([mine], corpus_market).warnings]
 
     def test_blank_exports_defaults_to_production(self, tmp_path):
