@@ -325,12 +325,6 @@ class TestValidateDataset:
             report = validate_dataset([mine], corpus_market)
             assert report.errors == ()
 
-    def test_negative_production_flagged(self, corpus_market):
-        mine = make_mine(records=[make_record(2001, production=-5.0, exports=0.0)])
-        report = validate_dataset([mine], corpus_market)
-        assert len(report.errors) == 1
-        assert report.errors[0].rule == "production-nonnegative"
-
     @pytest.mark.parametrize(
         "production, exports, rules",
         [
@@ -511,16 +505,6 @@ class TestValidateDataset:
         mine = make_mine(records=[make_record(1983)], opening_year=1980)
         report = validate_dataset([mine], corpus_market)
         assert any(e.rule == "year-window" for e in report.errors)
-
-    def test_nonfinite_money_flagged(self, corpus_market):
-        mine = make_mine(records=[make_record(2001, revenue=float("nan"))])
-        report = validate_dataset([mine], corpus_market)
-        assert any(e.rule == "money-range" for e in report.errors)
-
-    def test_capital_paid_must_be_positive(self, corpus_market):
-        mine = make_mine(records=[make_record(2001)], capital_paid_first_year=0.0)
-        report = validate_dataset([mine], corpus_market)
-        assert any(e.rule == "capital-paid-positive" for e in report.errors)
 
     def test_no_history_warning(self, corpus_market):
         mine = make_mine(records=())

@@ -293,6 +293,13 @@ class TestSensitivityReport:
         with pytest.raises(ValueError, match="^valuation_year 2010 precedes last flow year 2011$"):
             sensitivity_report([mine], market, [("r", 0.1)], 2010)
 
+    def test_valuation_year_is_checked_against_the_last_mine_to_end(self):
+        # The run's last flow year, 2012, is named before a per-mine check could name edge's 2011.
+        mine, market = sensitivity_fixture()
+        late = mine._replace(mine_id="late", records=(*mine.records, mine.records[-1]._replace(year=2012)))
+        with pytest.raises(ValueError, match="^valuation_year 2010 precedes last flow year 2012$"):
+            sensitivity_report([mine, late], market, [("r", 0.1)], 2010)
+
     def test_mines_sharing_an_id_are_refused(self, corpus_mines, corpus_market):
         # Unchecked, both "alpha" rows held beta's numbers: the imputation keys its allocations by id.
         alpha, beta, _ = corpus_mines
