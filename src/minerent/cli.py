@@ -146,43 +146,24 @@ def _auction(scenario: Scenario) -> tuple[dict[str, float | None], str, float]:
     return bids, winner_id, winning_vpi
 
 
-_OUTCOME_HEADER = "period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status\n"
-# One row object as json.dumps(indent=2, sort_keys=True) writes it, filled with a CSV line's cells.
-_OUTCOME_ROW_JSON = (
-    '    {{\n      "accrued_pv": {5},\n      "counted_revenue": {4},\n      "gross_revenue": {2},\n'
-    '      "period": {0},\n      "price": {1},\n      "status": "{6}",\n      "voluntary_tax": {3}\n    }}'
-)
-
-
 def _write_outcome(outcome, out_dir: Path) -> None:
-    """Stream replication 0's rows into the outcome table and JSON, formatting each row once.
+    """Stream replication 0's rows into the outcome table; the outcome JSON holds its five scalars alone.
 
-    Every float in a row is finite, where json writes its ``repr``, and a
-    status is ``active`` or ``expired``, so each row's CSV cells also fill
-    its JSON object. The encoder writes the frame around the rows.
+    Each row is one CSV line, every float its ``repr``. The JSON gives the
+    VPI target, the duration (null if still active), the final status, the
+    final accrued PV and the still-active warning (or null).
     """
+    with open(out_dir / OUTCOME_TABLE_NAME, "w", encoding="utf-8") as table:
+        table.write("period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status\n")
+        table.writelines(",".join((str(row.period), *map(repr, row[1:6]), row.status)) + "\n" for row in outcome.rows)
     frame = {
         "vpi_target": outcome.final_state.vpi_target,
         "duration": outcome.duration,
         "status": outcome.final_state.status.value,
         "accrued_pv": outcome.final_state.accrued_pv,
         "warning": outcome.warning,
-        "rows": [],
     }
-    head, _, tail = json.dumps(frame, sort_keys=True, indent=2).partition('"rows": []')
-    with (
-        open(out_dir / OUTCOME_TABLE_NAME, "w", encoding="utf-8") as table,
-        open(out_dir / OUTCOME_JSON_NAME, "w", encoding="utf-8") as doc,
-    ):
-        table.write(_OUTCOME_HEADER)
-        doc.write(head + '"rows": [')
-        separator = "\n"
-        for row in outcome.rows:
-            cells = (str(row.period), *map(repr, row[1:6]), row.status)
-            table.write(",".join(cells) + "\n")
-            doc.write(separator + _OUTCOME_ROW_JSON.format(*cells))
-            separator = ",\n"
-        doc.write(("\n  ]" if outcome.rows else "]") + tail + "\n")
+    (out_dir / OUTCOME_JSON_NAME).write_text(json.dumps(frame, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def cmd_simulate_concession(args: argparse.Namespace) -> None:

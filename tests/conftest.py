@@ -1,10 +1,11 @@
-"""Shared fixtures: the shipped 3-mine corpus and dataset builders."""
+"""Shared fixtures: the shipped 3-mine corpus, dataset builders, and the suite's one Hypothesis profile."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from minerent import (
     MarketSeries,
@@ -19,6 +20,16 @@ from minerent.data_model import MINE_COLUMNS
 DATA_DIR = Path(__file__).parent / "data"
 MINES_DIR = DATA_DIR / "mines"
 MARKET_FILE = DATA_DIR / "market.csv"
+
+# Every run draws the same examples, so a test's verdict never hangs on a draw; a test sets only max_examples.
+settings.register_profile(
+    "minerent",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.load_profile("minerent")
 
 
 def make_record(
@@ -82,6 +93,20 @@ def set_cells(text: str, column: str, value: str, years) -> str:
             fields[index] = value
             lines[at] = ",".join(fields)
     return "\n".join(lines) + "\n"
+
+
+def read_outcome_rows(out: Path) -> list[dict]:
+    """Replication 0's rows from ``concession_outcome.csv``, keyed by the header's columns.
+
+    ``period`` is an int and ``status`` a string; every other cell is the ``repr`` of a float, which
+    ``float`` reads back exactly.
+    """
+    header, *lines = (out / "concession_outcome.csv").read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines:
+        period, *floats, status = line.split(",")
+        rows.append(dict(zip(header.split(","), (int(period), *map(float, floats), status))))
+    return rows
 
 
 def make_market(

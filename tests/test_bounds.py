@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minerent
@@ -167,7 +167,7 @@ def worst_case_mine() -> MineDataset:
     rate=0.0,
     valuation_year=VALUATION_YEAR_MAX,
 )
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@settings(max_examples=60)
 def test_every_value_within_bounds_stays_below_the_largest_intermediate(
     mines, entries, fund_rate, rate, valuation_year
 ):

@@ -31,7 +31,7 @@ from minerent.reconstruction import InvalidDatasetError
 from minerent.rent_analysis import summary_rows
 from minerent.scenario import load_scenario
 
-from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, set_cells
+from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, read_outcome_rows, set_cells
 
 CONSTANT_SCENARIO = """\
 # constant-revenue concession: 10 million per year against a 30 million target
@@ -661,8 +661,9 @@ class TestReconstruct:
         assert any(line.startswith("alpha 1996 revenue") for line in audit)
 
 
-# SHA-256 of every artifact of `analyze` (both presets) and `reconstruct` on the shipped corpus, run from
-# tests/data with relative input paths so that the manifest does not depend on where the tree lives.
+# SHA-256 of every artifact of `analyze` (both presets) and `reconstruct` on the shipped corpus, and of
+# `simulate-concession` and `auction` on the README scenario, run from tests/data with relative input paths so
+# that the manifest does not depend on where the tree lives.
 GOLDEN_DIGESTS = {
     "analyze": {
         "alpha_rvp_base.csv": "fb4a04deb81c8a8fead878377ccc591a8b7d369ea4bd64c3b204fbfb548881f3",
@@ -683,6 +684,16 @@ GOLDEN_DIGESTS = {
         "reconstruction_audit.log": "f70190fd9b73392aaa1c030caaddace49c924eb5a8c6198c83c56616aa4527e1",
         "run_manifest.json": "961c71b9c8211c14b88ce421cc4829f4614432c68ec97893b723799470bb2794",
     },
+    "simulate-concession": {
+        "concession_outcome.csv": "d3cf9c87c61401aed26578930c59649a96fa49918dbdd318e78e3c14db4540fa",
+        "concession_outcome.json": "f996b165750ea997959b5b4a2355d8da2611ca1446b701fce06f4f2a246accea",
+        "duration_histogram.csv": "30e4d86f753abb0374b16e2c2c53ba97934a6ea08ba9bd28e9afdc9d673c3e96",
+        "run_manifest.json": "cfbb9e1488fd1fea5493802230c2fbb7ea594fa99a482e8b6f04031efcac82d6",
+    },
+    "auction": {
+        "auction_result.csv": "b66dfe9db1889652d36dc67c7211443ec7b40f109c09a6036374ccee72cfec8d",
+        "run_manifest.json": "b0e51f652b8e5370f4eb8b0d3142c2005c3dd2e27be6d3f7de4178fb9c14d502",
+    },
 }
 
 
@@ -690,9 +701,25 @@ GOLDEN_DIGESTS = {
 def test_corpus_artifacts_match_golden_digests(tmp_path, monkeypatch, command):
     monkeypatch.chdir(DATA_DIR)
     out = tmp_path / "out"
-    assert main([command, "--mines", "mines", "--market", "market.csv", "--out", str(out)]) == 0
+    if command in ("simulate-concession", "auction"):
+        inputs = ["--scenario", "scenario.txt"]
+    else:
+        inputs = ["--mines", "mines", "--market", "market.csv"]
+    assert main([command, *inputs, "--out", str(out)]) == 0
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_artifacts(out).items()}
     assert digests == GOLDEN_DIGESTS[command]
+
+
+def test_readme_outcome_rebuilds_the_former_json_document(tmp_path, monkeypatch):
+    # The outcome JSON once held the CSV's rows beside its five scalars: rebuilt from the two files, that
+    # document has the SHA-256 it had when it was written whole.
+    monkeypatch.chdir(DATA_DIR)
+    out = tmp_path / "out"
+    assert main(["simulate-concession", "--scenario", "scenario.txt", "--out", str(out)]) == 0
+    document = json.loads((out / "concession_outcome.json").read_text()) | {"rows": read_outcome_rows(out)}
+    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d93ed20d8a5261c370b91e1760d5e964d24201d32f87a5eac8f7ffe628e1ff33"
 
 
 class TestStreamedWriters:
@@ -1036,7 +1063,7 @@ class TestSimulateConcession:
         assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
         outcome = json.loads((out / "concession_outcome.json").read_text())
         assert outcome["duration"] == 3
-        assert outcome["rows"][2]["gross_revenue"] == pytest.approx(15.0)
+        assert read_outcome_rows(out)[2]["gross_revenue"] == pytest.approx(15.0)
 
     @pytest.mark.parametrize("text", OFF_GRAMMAR_NUMBERS)
     @pytest.mark.parametrize("key", ["vpi", "horizon"])
@@ -1228,9 +1255,9 @@ class TestSimulateConcession:
         out = tmp_path / "out"
         assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert capsys.readouterr().err.startswith("warning: replication 0: concession still active after 400 periods")
-        outcome = json.loads((out / "concession_outcome.json").read_text())
-        assert len(outcome["rows"]) == 400
-        assert {repr(row["accrued_pv"]) for row in outcome["rows"]} == {"0.10000000000000002"}
+        rows = read_outcome_rows(out)
+        assert len(rows) == 400
+        assert {repr(row["accrued_pv"]) for row in rows} == {"0.10000000000000002"}
 
     @pytest.mark.parametrize(
         "vpi, replication_0_active, active",
@@ -1268,8 +1295,8 @@ class TestSimulateConcession:
         assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: replication 0: concession still active after 20000 periods")
-        outcome = json.loads((out / "concession_outcome.json").read_text())
-        assert outcome["rows"][12179]["accrued_pv"] == outcome["rows"][-1]["accrued_pv"] == outcome["accrued_pv"]
+        outcome, rows = json.loads((out / "concession_outcome.json").read_text()), read_outcome_rows(out)
+        assert rows[12179]["accrued_pv"] == rows[-1]["accrued_pv"] == outcome["accrued_pv"]
         assert outcome["accrued_pv"] == pytest.approx(10.0 / 0.06, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -1288,7 +1315,8 @@ class TestSimulateConcession:
         ],
     )
     def test_outcome_files_match_json_dumps(self, tmp_path, monkeypatch, text, duration):
-        # The oracle is the writer the streaming one replaced: one dict per row through json.dumps.
+        # The oracle is a CSV line per row and json.dumps of the five scalars. The two files together rebuild, byte
+        # for byte, the one document that once held the scalars and the rows, so no fact was lost.
         runs, simulate = [], minerent.cli.simulate_concession
 
         def recorded(vpi, *args):
@@ -1314,7 +1342,6 @@ class TestSimulateConcession:
             "status": outcome.final_state.status.value,
             "accrued_pv": outcome.final_state.accrued_pv,
             "warning": outcome.warning,
-            "rows": [row._asdict() for row in outcome.rows],
         }
         expected = {
             "concession_outcome.csv": "\n".join(lines) + "\n",
@@ -1322,6 +1349,9 @@ class TestSimulateConcession:
         }
         written = {name: (out / name).read_text() for name in expected}
         assert written == expected
+        rebuilt = json.loads(written["concession_outcome.json"]) | {"rows": read_outcome_rows(out)}
+        document["rows"] = [row._asdict() for row in outcome.rows]
+        assert json.dumps(rebuilt, sort_keys=True, indent=2) == json.dumps(document, sort_keys=True, indent=2)
 
 
 class TestAuctionCommand:

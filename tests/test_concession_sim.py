@@ -92,7 +92,7 @@ class TestEquilibriumBid:
         announced=st.floats(min_value=0.0, max_value=0.25),
         cost=st.floats(min_value=0.0, max_value=0.35),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_stopping_year_enumeration(self, revenues, investment, announced, cost):
         got = equilibrium_bid(bidder(investment, cost, revenues), Rate(announced))
         want = bid_brute(revenues, investment, announced, cost)
@@ -227,7 +227,7 @@ class TestExpropriationIndemnity:
         revenues=st.lists(st.floats(min_value=0.0, max_value=80.0), min_size=1, max_size=30),
         rate=st.floats(min_value=0.0, max_value=0.3),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_indemnity_telescopes_and_never_grows(self, vpi, revenues, rate):
         state = new_concession(vpi, Rate(rate))
         previous = expropriation_indemnity(state)
@@ -331,7 +331,7 @@ class TestSimulateConcession:
         prices=st.lists(st.floats(min_value=100.0, max_value=12_000.0), min_size=1, max_size=40),
         rate=st.floats(min_value=0.0, max_value=0.3),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_overshoot_bounded_by_final_period(self, vpi, prices, rate):
         outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate))
         state = outcome.final_state

@@ -563,7 +563,7 @@ class TestLoadAgainstBrute:
     """``load_mine_dataset`` against ``oracle.load_mine_brute``, a per-cell reader of the README grammar."""
 
     @given(text=mutated_alpha())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_mutated_rows_load_or_fail_alike(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "alpha.csv"

@@ -32,7 +32,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from minerent import MarketSeries, MarketYear, MineDataset, MineYearRecord, PhysicalYear, validate_dataset
@@ -138,7 +138,7 @@ def run_analyze(mines: list[MineDataset], market: MarketSeries, custom_rate: flo
         return code, err.getvalue().splitlines(), summary
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@settings(max_examples=120)
 @given(corpus=corpora(), custom_rate=st.floats(0.01, 0.3))
 def test_every_summary_cell_matches_the_oracle(corpus, custom_rate):
     mines, market = corpus

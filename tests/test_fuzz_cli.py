@@ -35,14 +35,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minerent.cli import main
 from minerent.data_model import MINE_COLUMNS
 from minerent.scenario import MAX_SIMULATED_PERIODS
 
-from conftest import MARKET_FILE, MINES_DIR, set_cells
+from conftest import MARKET_FILE, MINES_DIR, read_outcome_rows, set_cells
 
 SCENARIO = """\
 announced_rate=0.06
@@ -78,7 +78,7 @@ MARKET = MARKET_FILE.read_text()
 SIZE_CAP = 10**18
 RUN_CAP = 10**4
 CELL_CAP = 2 * 10**5
-FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=150)
 
 numbers = st.one_of(
     st.floats().map(repr),
@@ -206,10 +206,10 @@ def numbers_written(out: Path) -> list[float]:
 
 
 def outcome_files_agree(out: Path) -> None:
-    """The outcome JSON holds the CSV's rows, each float equal by ``repr``, and ends as its last row."""
+    """Each CSV float cell is the ``repr`` of a float, and the outcome JSON ends as the CSV's last row."""
     table = (out / "concession_outcome.csv").read_text(encoding="utf-8").splitlines()[1:]
     outcome = json.loads((out / "concession_outcome.json").read_text(encoding="utf-8"))
-    rows = outcome["rows"]
+    rows = read_outcome_rows(out)
     assert len(rows) == len(table) > 0
     for line, row in zip(table, rows):
         cells = [str(row["period"])]

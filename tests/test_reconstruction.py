@@ -122,7 +122,7 @@ class TestBaselineStats:
         )
     )
     @example(rows=[(1e16, 1e16, 1e16, 1.0), (1.0, 1.0, 1.0, 1.0), (-1e16, 1e3, -1e16, 1.0)])
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_means_equal_statistics_fmean(self, rows):
         records = [
             make_record(
@@ -229,7 +229,7 @@ class TestReconstructYear:
         exports=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1e6)),
         price=st.floats(min_value=1.0, max_value=20_000.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_revenue_rule_invariant(self, production, exports, price):
         rec = rebuild(reconstruction_mine(physical_history=[PhysicalYear(1996, production, exports)]), price)
         assert rec.revenue <= price * production / 1e6 + 1e-9
@@ -359,7 +359,7 @@ class TestImputeExploration:
         pct=st.floats(min_value=0.0, max_value=0.02),
         productions=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=6),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_proration_conserves_private_spend(self, gdp, pct, productions):
         market = make_market(years=[1995], gdp=gdp, exploration_pct=pct)
         mines = [
@@ -375,7 +375,7 @@ class TestImputeExploration:
         productions=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=2, max_size=5),
         scale=st.floats(min_value=0.1, max_value=10.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_scale_covariance_of_shares(self, productions, scale):
         def build(factor):
             return [

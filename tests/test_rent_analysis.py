@@ -76,7 +76,7 @@ class TestRvpSeries:
         total=st.floats(min_value=1.0, max_value=1000.0),
         rate=st.floats(min_value=-0.5, max_value=0.9),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_bruteforce_recomputation(self, amounts, total, rate):
         flows = flows_of(2000, amounts)
         series = rvp_series(flows, investment(total), rate)
@@ -92,7 +92,7 @@ class TestRvpSeries:
         r1=st.floats(min_value=0.0, max_value=0.5),
         r2=st.floats(min_value=0.0, max_value=0.5),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_monotone_in_rate_for_nonnegative_flows(self, amounts, total, r1, r2):
         lo, hi = min(r1, r2), max(r1, r2)
         flows = flows_of(2000, amounts)
@@ -109,7 +109,7 @@ class TestRvpSeries:
         total=st.floats(min_value=1.0, max_value=500.0),
         rate=st.floats(min_value=-0.2, max_value=0.5),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_rent_decomposition(self, amounts, total, rate):
         flows = flows_of(2000, amounts)
         series = rvp_series(flows, investment(total), rate)
@@ -123,7 +123,7 @@ class TestRvpSeries:
         total=st.floats(min_value=1.0, max_value=500.0),
         rate=st.floats(min_value=0.01, max_value=0.5),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_shifting_flows_later_weakly_lowers_rvp(self, amounts, total, rate):
         flows = flows_of(2000, amounts)
         shifted = flows_of(2000, amounts, start_offset=2)

@@ -62,7 +62,7 @@ class TestDiscountRate:
         bump=st.floats(min_value=1e-6, max_value=0.05),
         which=st.integers(min_value=0, max_value=3),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_strictly_increasing_in_each_parameter(self, spec, bump, which):
         base = DiscountSpec(*spec)
         bumped_values = list(spec)
@@ -116,7 +116,7 @@ class TestAnnualCashFlow:
         values=st.tuples(*[st.floats(min_value=-500, max_value=500) for _ in range(6)]),
         scale=st.floats(min_value=-10, max_value=10),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_linear_in_money_fields(self, values, scale):
         pretax, dep, cap, tax, faa, nlp = values
         rec = make_record(
@@ -202,7 +202,7 @@ class TestPresentValue:
         r1=st.floats(min_value=0.0, max_value=0.5),
         r2=st.floats(min_value=0.0, max_value=0.5),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_nonincreasing_in_rate_for_nonnegative_flows(self, amounts, r1, r2):
         lo, hi = min(r1, r2), max(r1, r2)
         series = CashFlowSeries(2000, tuple((2001 + i, a) for i, a in enumerate(amounts)))
@@ -213,7 +213,7 @@ class TestPresentValue:
         right=st.lists(st.floats(min_value=-100, max_value=100), min_size=0, max_size=10),
         rate=st.floats(min_value=-0.5, max_value=0.5),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_additive_over_disjoint_series(self, left, right, rate):
         base = 2000
         left_flows = tuple((base + 1 + 2 * i, a) for i, a in enumerate(left))
@@ -231,7 +231,7 @@ class TestCompoundAndDiscount:
         rate=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
         t=st.integers(min_value=0, max_value=20_000),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_compound_is_the_plain_power(self, rate, t):
         try:
             power = (1.0 + rate) ** t
