@@ -182,13 +182,13 @@ def cmd_simulate_concession(args: argparse.Namespace) -> None:
                 scenario.initial_price, scenario.drift, scenario.volatility, scenario.horizon, scenario.seed
             )
             first = generate_price_path(params)
-        # Replication 0 is accrued once, with its rows. Each call raises ValueError
-        # when a price, a revenue or an accrued PV overflows a float.
+        # Replication 0 is accrued once, with its rows. Each call raises ValueError when a
+        # price overflows a float, or a revenue or an accrued PV does by the run's stop.
         outcome = simulate_concession(vpi, first, scenario.quantity, rate, tax_policy)
         if params is None or params.horizon == 1:  # every replication repeats one path; one period draws no shock
             durations = [outcome.duration] * scenario.replications
         else:
-            # The kernel streams the other replications in blocks, so only replication 0's path is held whole.
+            # Each path is drawn when its run is accrued, so only replication 0's path is held whole.
             others = range(1, scenario.replications)
             rest = (generate_price_path(params._replace(seed=params.seed + i)) for i in others)
             durations = accrue_concessions(vpi, rest, scenario.quantity, rate, tax_policy, first_run=1)

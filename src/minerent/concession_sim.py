@@ -11,7 +11,6 @@ the yet-unearned part of the target.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -254,68 +253,54 @@ def generate_price_path(params: PricePathParams) -> np.ndarray:
     return prices
 
 
-TaxPolicy = Callable[[int, float], float]
+def _accrual_terms(announced_rate: Rate | float, tax_policy: dict[int, float] | float | None, periods: int):
+    """Periods 1..n's discount factors and tax asks, built once per call and shared by its runs.
 
-# Cells (runs × periods) the accrual kernel holds per buffer: 16 runs of 2000
-# periods, or 32,768 runs of one. Sized in cells, not runs, so that short paths
-# still fill a block.
-_BLOCK_CELLS = 32_768
-
-
-def _discount_factors(rate: float, periods: int):
-    """Periods 1..n's discount factors: the Python float powers that ``discount`` divides by."""
-    import numpy as np
-
-    return np.array([compound(rate, period) for period in range(1, periods + 1)])
-
-
-def _accrue_block(vpi, quantity_per_year, factors, tax_policy, gross, tax, accrued, first_run: int):
-    """Accrue a ``(runs, periods)`` block of concessions in place; ``gross`` holds their prices.
-
-    Leaves each cell's gross revenue, clamped tax and accrued PV in ``gross``,
-    ``tax`` and ``accrued``, and returns each run's stop period (its expiry, or
-    the whole path) and expiry flag. Raises ValueError for the block's first
-    bad cell in run, then period, order, numbering the runs from ``first_run``.
+    A factor is the Python float power that ``discount`` divides by. An ask is
+    the ``{period: tax}`` schedule's entry (0.0 where absent) or the constant,
+    raised to 0.0 if negative: the first half of the clamp.
     """
-    import numpy as np
+    rate = as_rate(announced_rate).value
+    factors = [compound(rate, period) for period in range(1, periods + 1)]
+    if tax_policy is None or isinstance(tax_policy, (int, float)):
+        return factors, [max(float(tax_policy or 0.0), 0.0)] * periods
+    return factors, [max(float(tax_policy.get(period, 0.0)), 0.0) for period in range(1, periods + 1)]
 
-    runs, periods = gross.shape
-    # Overflows and non-finite values are reported below as errors, not warned about on the way.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.multiply(gross, quantity_per_year, out=gross)
-        np.divide(gross, USD_PER_MUSD, out=gross)
-        if callable(tax_policy):
-            requested = [[tax_policy(period, g) for period, g in enumerate(row, start=1)] for row in gross.tolist()]
-            np.copyto(tax, np.array(requested, dtype=float).reshape(gross.shape))
-        elif tax_policy is None or isinstance(tax_policy, (int, float)):
-            tax.fill(float(tax_policy or 0.0))
-        else:  # a schedule: {period: tax}
-            np.copyto(tax, [float(tax_policy.get(period, 0.0)) for period in range(1, periods + 1)])
-        np.copyto(tax, 0.0, where=tax < 0.0)
-        np.copyto(tax, gross, where=gross < tax)
-        np.subtract(gross, tax, out=accrued)
-        # A zero counted revenue adds +0.0: ``discount``'s limit over a factor underflowed
-        # to 0.0, and what -0.0 adds to a loop that starts from +0.0.
-        zero = accrued == 0
-        np.divide(accrued, factors, out=accrued, where=~zero)
-        accrued[zero] = 0.0
-        np.cumsum(accrued, axis=1, out=accrued)
-    hit = accrued >= vpi
-    expired = hit.any(axis=1)
-    stepped = np.where(expired, hit.argmax(axis=1) + 1, periods) if periods else np.zeros(runs, dtype=int)
-    in_run = np.arange(periods) < stepped[:, None]
-    valid = (0.0 <= tax) & (tax <= gross) & np.isfinite(accrued)
-    bad = ~np.isfinite(gross) | (in_run & ~valid)
-    if bad.any():
-        run, column = divmod(int(bad.argmax()), periods)
-        where = f"in run {first_run + run}, period {column + 1}"
-        g, t = gross[run, column].item(), tax[run, column].item()
-        if not math.isfinite(g):
-            raise ValueError(f"gross revenue is not finite {where}: {g!r}")
-        if not 0.0 <= t <= g:
-            raise _tax_error(t, g)
-        raise ValueError(f"accrued PV overflows a float {where}")
-    return stepped, expired
+
+def _accrue(vpi: float, path, quantity_per_year: float, factors, asks, run: int, rows=None) -> int | None:
+    """Accrue one concession over ``path``, period by period; return its expiry period, None if it outlives the path.
+
+    Each step is ``step_concession``'s, bit for bit: gross revenue is
+    ``price * quantity / USD_PER_MUSD``, the tax is clamped to [0, gross],
+    and the counted revenue over the period's factor is added to the accrued
+    PV. A zero counted revenue is skipped, as the +0.0 or -0.0 it would add
+    leaves a sum that starts from +0.0 unchanged; a factor a negative rate
+    underflowed to 0.0 makes any other an infinity (``discount``'s limits).
+    Stops at expiry. Raises ValueError at the first bad period, numbered in
+    run ``run``: a gross revenue that is not finite, a tax outside [0, gross]
+    (a negative price, or a NaN tax) or an accrued PV that overflows a float.
+    With ``rows`` a list, appends each period's ``OutcomeRow`` to it.
+    """
+    accrued = 0.0
+    for period, (price, factor, ask) in enumerate(zip(map(float, path), factors, asks), start=1):
+        gross = price * quantity_per_year / USD_PER_MUSD
+        if not math.isfinite(gross):
+            raise ValueError(f"gross revenue is not finite in run {run}, period {period}: {gross!r}")
+        tax = gross if gross < ask else ask
+        if not 0.0 <= tax <= gross:
+            raise _tax_error(tax, gross)
+        counted = gross - tax
+        if counted:
+            accrued += counted / factor if factor else math.inf
+            if not math.isfinite(accrued):
+                raise ValueError(f"accrued PV overflows a float in run {run}, period {period}")
+        expired = accrued >= vpi
+        if rows is not None:
+            status = ConcessionStatus.EXPIRED if expired else ConcessionStatus.ACTIVE
+            rows.append(OutcomeRow(period, price, gross, tax, counted, accrued, status.value))
+        if expired:
+            return period
+    return None
 
 
 def accrue_concessions(
@@ -323,7 +308,7 @@ def accrue_concessions(
     price_paths: Iterable[Sequence[float]],
     quantity_per_year: float,
     announced_rate: Rate | float,
-    tax_policy: TaxPolicy | dict[int, float] | float | None = None,
+    tax_policy: dict[int, float] | float | None = None,
     *,
     first_run: int = 0,
 ) -> list[int | None]:
@@ -331,49 +316,29 @@ def accrue_concessions(
 
     The paths may come from any iterable, a generator included, and must
     share one length; a path of another length raises ValueError when it is
-    reached. They are accrued ``_BLOCK_CELLS // periods`` runs (at least one)
-    at a time, in place in three fixed buffers. Every value equals what a loop
-    of ``step_concession`` calls gives, bit for bit: the same IEEE operations,
-    the same Python float powers as discount factors, and ``cumsum`` adding
-    each row left to right. Taxes are clamped to [0, gross] with Python's
-    ``max``/``min`` semantics; a callable policy is evaluated for every period
-    of every path, including periods after expiry.
+    reached. Each run is accrued by one loop that stops at its expiry, and
+    every value equals what a loop of ``step_concession`` calls gives, bit
+    for bit: the same IEEE operations and the same Python float powers as
+    discount factors. The tax policy is a ``{period: tax}`` schedule or a
+    constant, clamped to [0, gross] with Python's ``max``/``min`` semantics.
 
-    Raises ValueError, as soon as its block is accrued, for the first bad cell
-    in run, then period, order (runs numbered from ``first_run``): a gross
-    revenue that is not finite anywhere in the path, as when price × quantity
-    overflows; or, at or before the run's stop, a tax outside [0, gross] (a
-    negative price, or a NaN tax) or an accrued PV that overflows a float. So
-    later paths are not drawn. An error raised by the iterable itself (a price
-    path that cannot be generated) propagates when that path is drawn.
+    Raises ValueError for the first bad period in run, then period, order
+    (runs numbered from ``first_run``), at or before the run's stop: a gross
+    revenue that is not finite, as when price × quantity overflows; a tax
+    outside [0, gross] (a negative price, or a NaN tax); or an accrued PV
+    that overflows a float. A run is accrued before the next path is drawn,
+    so later paths are not drawn. An error raised by the iterable itself (a
+    price path that cannot be generated) propagates when that path is drawn.
     """
-    import numpy as np
-
-    paths = iter(price_paths)
-    first = next(paths, None)
-    if first is None:
-        return []
-    periods = len(first)
-    rows = max(1, _BLOCK_CELLS // max(periods, 1))
-    gross, tax, accrued = np.empty((3, rows, periods))
-    factors = _discount_factors(as_rate(announced_rate).value, periods)
     durations: list[int | None] = []
-    paths = itertools.chain([first], paths)
-    for block_start in itertools.count(first_run, rows):
-        runs = 0
-        for path in itertools.islice(paths, rows):
-            if len(path) != periods:
-                run = block_start + runs
-                raise ValueError(
-                    f"price paths must share one length: run {run} has {len(path)}, run {first_run} {periods}"
-                )
-            gross[runs] = path
-            runs += 1
-        if not runs:
-            return durations
-        block = (buffer[:runs] for buffer in (gross, tax, accrued))
-        stepped, expired = _accrue_block(vpi, quantity_per_year, factors, tax_policy, *block, block_start)
-        durations.extend(s if e else None for s, e in zip(stepped.tolist(), expired.tolist()))
+    for run, path in enumerate(price_paths, start=first_run):
+        if run == first_run:
+            periods = len(path)
+            terms = _accrual_terms(announced_rate, tax_policy, periods)
+        elif len(path) != periods:
+            raise ValueError(f"price paths must share one length: run {run} has {len(path)}, run {first_run} {periods}")
+        durations.append(_accrue(vpi, path, quantity_per_year, *terms, run))
+    return durations
 
 
 def simulate_concession(
@@ -381,36 +346,29 @@ def simulate_concession(
     price_path: Sequence[float] | np.ndarray,
     quantity_per_year: float,
     announced_rate: Rate | float,
-    tax_policy: TaxPolicy | dict[int, float] | float | None = None,
+    tax_policy: Callable[[int, float], float] | dict[int, float] | float | None = None,
 ) -> ConcessionOutcome:
     """Drive the concession over a price path until expiry or path end.
 
     Yearly gross revenue is price (USD/t) times quantity (t), expressed in
-    million USD. The tax policy may be a callable (period, gross) -> tax, a
-    per-period schedule, or a constant; taxes are clamped to [0, gross]. A
-    callable policy is evaluated for every period of the path, including
-    periods after expiry. The path is one block of the ``accrue_concessions``
-    kernel, numbered run 0, with its rows built out; it raises as that does.
+    million USD. The tax policy may be a per-period schedule or a constant,
+    as for ``accrue_concessions``, or a callable (period, gross) -> tax, which
+    is asked for every period of the path, including periods after expiry,
+    and used as the schedule it gives. The path is accrued as run 0 of
+    ``accrue_concessions``, with its rows built as it goes; it raises as that
+    does.
     """
-    import numpy as np
-
     state = new_concession(vpi, announced_rate)
-    gross, tax, accrued = np.empty((3, 1, len(price_path)))
-    gross[0] = price_path
-    factors = _discount_factors(state.announced_rate.value, len(price_path))
-    (stepped,), (expired,) = _accrue_block(vpi, quantity_per_year, factors, tax_policy, gross, tax, accrued, 0)
-    del factors  # not held while the rows are built
-    stepped, expired = int(stepped), bool(expired)
-    prices = np.asarray(price_path, dtype=float)[:stepped].tolist()
-    gross, tax, accrued = (column[0, :stepped].tolist() for column in (gross, tax, accrued))
-    status = ConcessionStatus.EXPIRED if expired else ConcessionStatus.ACTIVE
-    rows = tuple(
-        OutcomeRow(period, price, g, t, g - t, pv, (status if period == stepped else ConcessionStatus.ACTIVE).value)
-        for period, (price, g, t, pv) in enumerate(zip(prices, gross, tax, accrued), start=1)
-    )
-    final_pv = accrued[-1] if stepped else 0.0
-    warning = None
-    if not expired:
-        warning = f"concession still active after {stepped} periods: accrued {final_pv!r} of VPI target {vpi!r}"
-    final_state = state._replace(current_year=stepped, accrued_pv=final_pv, status=status)
-    return ConcessionOutcome(final_state, stepped if expired else None, rows, warning)
+    if callable(tax_policy):
+        grosses = (float(price) * quantity_per_year / USD_PER_MUSD for price in price_path)
+        tax_policy = {period: tax_policy(period, gross) for period, gross in enumerate(grosses, start=1)}
+    rows: list[OutcomeRow] = []
+    terms = _accrual_terms(state.announced_rate, tax_policy, len(price_path))
+    duration = _accrue(vpi, price_path, quantity_per_year, *terms, 0, rows)
+    final_pv = rows[-1].accrued_pv if rows else 0.0
+    status, warning = ConcessionStatus.EXPIRED, None
+    if duration is None:
+        status = ConcessionStatus.ACTIVE
+        warning = f"concession still active after {len(rows)} periods: accrued {final_pv!r} of VPI target {vpi!r}"
+    final_state = state._replace(current_year=len(rows), accrued_pv=final_pv, status=status)
+    return ConcessionOutcome(final_state, duration, tuple(rows), warning)

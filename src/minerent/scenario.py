@@ -19,9 +19,9 @@ from .data_model import USD_PER_MUSD, DataFileError, ParseError, parse_number, r
 from .valuation import CashFlowSeries, Rate
 
 
-# Bound on periods × replications. The accrual kernel streams replications in fixed-size
-# blocks, so replication 0's rows, all built and written, set the bound: at it one
-# never-expiring replication of 300,000 periods peaks at about 138 MB RSS. The product is
+# Bound on periods × replications. The accrual loop holds one replication at a time, so
+# replication 0's rows, all built and written, set the bound: at it one never-expiring
+# replication of 300,000 periods peaks at about 121 MB RSS. The product is
 # taken in floats, so one past the float range (horizon=10, replications=1e308) is refused
 # as "got inf".
 MAX_SIMULATED_PERIODS = 300_000

@@ -274,14 +274,24 @@ def _called_names(func: ast.AST) -> set[str]:
 def test_one_accrual_kernel():
     """One function in ``concession_sim`` sums discounted revenue, and both entry points accrue through it.
 
-    ``generate_price_path`` sums log-returns with ``cumsum``; every other ``cumsum`` is an accrual.
+    The kernel adds a quotient to a running sum (``accrued += counted / factor``); bids and
+    ``step_concession`` call ``discount`` instead. Only ``generate_price_path`` calls ``cumsum``,
+    on log-returns, so no vectorised accrual is left beside the kernel.
     """
     tree = ast.parse(Path(concession_sim.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     kernels = [
-        name for name, func in functions.items() if name != "generate_price_path" and "cumsum" in _called_names(func)
+        name
+        for name, func in functions.items()
+        if any(
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Add)
+            and any(isinstance(part, ast.BinOp) and isinstance(part.op, ast.Div) for part in ast.walk(node.value))
+            for node in ast.walk(func)
+        )
     ]
-    assert len(kernels) == 1, kernels
+    assert kernels == ["_accrue"]
+    assert [name for name, func in functions.items() if "cumsum" in _called_names(func)] == ["generate_price_path"]
     for entry in ("accrue_concessions", "simulate_concession"):
         reached, pending = set(), [entry]
         while pending:

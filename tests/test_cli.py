@@ -32,6 +32,7 @@ from minerent.rent_analysis import summary_rows
 from minerent.scenario import load_scenario
 
 from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, read_outcome_rows, set_cells
+from oracle import accrue_brute
 
 CONSTANT_SCENARIO = """\
 # constant-revenue concession: 10 million per year against a 30 million target
@@ -1135,9 +1136,10 @@ class TestSimulateConcession:
 
     def test_seeded_revenue_overflow_is_one_error_line(self, tmp_path, capsys):
         # The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7.
+        # Period 1 accrues 1e302 / 1.05, short of the VPI, so the run reaches period 2.
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e300\n"
+            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e308\n"
             "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=3\n"
         )
         with warnings.catch_warnings():
@@ -1149,11 +1151,28 @@ class TestSimulateConcession:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_revenue_overflow_after_expiry_is_no_error(self, tmp_path, capsys):
+        # Seed 3's path as above, but period 1 already reaches the VPI: period 2 is never accrued.
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1\n"
+            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=3\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        prices = generate_price_path(PricePathParams(1000.0, 0.0, 0.5, horizon=10, seed=3)).tolist()
+        duration, rows = accrue_brute(1.0, prices, 1e305, 0.05, 0.0)
+        assert json.loads((out / "concession_outcome.json").read_text())["duration"] == duration == 1
+        assert [tuple(row.values())[:6] for row in read_outcome_rows(out)] == rows
+
     def test_revenue_overflow_names_its_replication(self, tmp_path, capsys):
         # Replication 1 draws seed 3's path, whose second price overflows the revenue as above.
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e300\n"
+            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e308\n"
             "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=2\nreplications=3\n"
         )
         with warnings.catch_warnings():
@@ -1502,6 +1521,22 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
 def test_cli_import_leaves_module_unloaded(module):
     result = _fresh_python(f"import minerent.cli, sys; assert {module!r} not in sys.modules, '{module} imported'")
     assert result.returncode == 0, result.stderr
+
+
+def test_explicit_path_never_loads_numpy(tmp_path):
+    # Only a seeded path is generated with numpy; an explicit one is accrued in plain floats.
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=30\nreplications=3\n"
+        "[price_path]\nperiod,price_usd_per_t\n1,1000\n2,1000\n3,1500\n4,1000\n"
+    )
+    code = (
+        "import sys; from minerent.cli import main; code = main(sys.argv[1:]); "
+        "assert 'numpy' not in sys.modules, 'numpy imported'; sys.exit(code)"
+    )
+    result = _fresh_python(code, "simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "duration_histogram.csv").read_text().splitlines()[1:] == ["0,3", "1,3", "2,3"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")

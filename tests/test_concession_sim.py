@@ -29,7 +29,6 @@ from minerent import (
     simulate_concession,
     step_concession,
 )
-from minerent import concession_sim
 from minerent.cli import main
 
 from oracle import bid_brute, rel_close
@@ -309,6 +308,21 @@ class TestSimulateConcession:
         assert [row.voluntary_tax for row in outcome.rows[:3]] == [5.0, 5.0, 0.0]
         assert outcome.duration == 4  # counted 5,5,10,10
 
+    def test_callable_policy_is_the_schedule_it_gives(self):
+        # Asked once for every period, after expiry too, with that period's gross revenue.
+        prices, asked = [1000.0, 3000.0, 2500.0, 800.0, 4000.0], []
+
+        def policy(period, gross):
+            asked.append((period, gross))
+            return 0.3 * gross if period % 3 else -1.0
+
+        outcome = simulate_concession(20.0, prices, 10_000.0, Rate(0.1), policy)
+        grosses = [10.0, 30.0, 25.0, 8.0, 40.0]
+        assert asked == list(enumerate(grosses, start=1))
+        schedule = {period: 0.3 * gross if period % 3 else -1.0 for period, gross in asked}
+        assert repr(outcome) == repr(simulate_concession(20.0, prices, 10_000.0, Rate(0.1), schedule))
+        assert outcome.duration == 2
+
     def test_dominated_path_never_shortens(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -370,11 +384,9 @@ class TestLpvrIdentity:
 
 def stepped_run(vpi, prices, quantity, rate, tax_policy):
     """The accrual as a plain ``step_concession`` loop: the kernel's reference."""
-    def tax_for(period, gross):
+    def tax_for(period):
         if tax_policy is None:
             return 0.0
-        if callable(tax_policy):
-            return tax_policy(period, gross)
         if isinstance(tax_policy, dict):
             return tax_policy.get(period, 0.0)
         return tax_policy
@@ -383,7 +395,7 @@ def stepped_run(vpi, prices, quantity, rate, tax_policy):
     rows = []
     for period, price in enumerate(prices, start=1):
         gross = float(price) * quantity / 1e6
-        tax = min(max(tax_for(period, gross), 0.0), gross)
+        tax = min(max(tax_for(period), 0.0), gross)
         state = step_concession(state, gross, tax)
         rows.append((period, float(price), gross, tax, gross - tax, state.accrued_pv, state.status.value))
         if not state.active:
@@ -395,7 +407,6 @@ TAX_POLICIES = {
     "none": None,
     "constant": 2.0,
     "schedule": {1: 5.0, 2: 25.0, 4: 1e9},
-    "callable": lambda period, gross: 0.3 * gross if period % 3 else 1.0,
 }
 
 
@@ -446,6 +457,7 @@ class TestAccrualKernel:
         assert repr(outcome.final_state) == repr(state)
         assert outcome.duration == (state.current_year if not state.active else None)
         assert (outcome.warning is None) == (not state.active)
+        assert accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy) == [outcome.duration] * 5
 
     def test_rejects_bad_tax_only_before_stop(self):
         # A negative price makes the clamped tax exceed gross revenue.
@@ -478,46 +490,10 @@ def seeded_paths(count, horizon=2000):
         yield generate_price_path(PricePathParams(2000.0, 0.0, 0.15, horizon=horizon, seed=seed))
 
 
-class TestAccrualBlocks:
-    """The kernel streams its paths in blocks; no block boundary changes a value or an error."""
+class TestAccrualRuns:
+    """The kernel accrues one run at a time, in run order; a run's error is raised before the next path is drawn."""
 
-    @pytest.fixture
-    def block_cells(self, monkeypatch):
-        def shrink(cells):
-            monkeypatch.setattr(concession_sim, "_BLOCK_CELLS", cells)
-
-        return shrink
-
-    @pytest.mark.parametrize("cells", [7, 1000])  # 1 and 3 runs of 300 periods per block
-    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
-    @pytest.mark.parametrize("rate", [0.0, 0.06, 0.15])
-    def test_seeded_paths_across_blocks(self, block_cells, cells, rate, tax):
-        block_cells(cells)
-        TestAccrualKernel().test_matches_stepper_on_seeded_paths(rate, tax)
-
-    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
-    @pytest.mark.parametrize(
-        "prices, rate, vpi",
-        [
-            ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
-            ([1000.0] * 6, 0.0, 30.0),
-            ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
-            ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
-            ([2000.0] * 5200, 0.15, 1e6),
-            ([1.0] + [0.0] * 399, -0.9, 30.0),
-            ([], 0.05, 10.0),
-        ],
-    )
-    def test_explicit_paths_across_blocks(self, block_cells, prices, rate, vpi, tax):
-        block_cells(7)
-        TestAccrualKernel().test_matches_stepper_on_explicit_paths(prices, rate, vpi, tax)
-        policy = TAX_POLICIES[tax]
-        state, _ = stepped_run(vpi, prices, 10_000.0, rate, policy)
-        durations = accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy)
-        assert durations == [state.current_year if not state.active else None] * 5
-
-    def test_many_one_period_runs(self, block_cells):
-        block_cells(7)
+    def test_many_one_period_runs(self):
         prices = [[float(price)] for price in range(0, 5000, 100)]
         durations = accrue_concessions(20.0, prices, 10_000.0, Rate(0.06), 3.0)
         assert len(durations) == 50
@@ -528,8 +504,7 @@ class TestAccrualBlocks:
             assert repr(outcome.final_state) == repr(state)
         assert set(durations) == {None, 1}
 
-    def test_generator_matches_list(self, block_cells):
-        block_cells(5000)
+    def test_generator_matches_list(self):
         streamed = accrue_concessions(150.0, seeded_paths(20, horizon=300), 10_000.0, Rate(0.06), 2.0)
         listed = accrue_concessions(150.0, list(seeded_paths(20, horizon=300)), 10_000.0, Rate(0.06), 2.0)
         assert streamed == listed
@@ -539,8 +514,7 @@ class TestAccrualBlocks:
         assert accrue_concessions(10.0, iter([]), 10_000.0, Rate(0.06)) == []
 
     @pytest.mark.parametrize("ragged_run", [1, 4])
-    def test_ragged_paths_raise(self, block_cells, ragged_run):
-        block_cells(6)  # two runs of three periods per block
+    def test_ragged_paths_raise(self, ragged_run):
         paths = [[1000.0] * 3] * 5
         paths[ragged_run] = [1000.0] * 2
         with pytest.raises(ValueError, match=f"run {ragged_run} has 2, run 0 3"):
@@ -550,8 +524,7 @@ class TestAccrualBlocks:
     BAD_TAX = [1000.0, -1.0] + [1000.0] * 8
     HUGE = [1e300] * 10
 
-    # The first bad cell in run, then period, order, whatever the block size.
-    @pytest.mark.parametrize("cells", [10, 20, 30])  # 1, 2 and 3 runs per block
+    # The first bad period in run, then period, order.
     @pytest.mark.parametrize(
         "paths, quantity, rate, vpi, message",
         [
@@ -593,15 +566,12 @@ class TestAccrualBlocks:
             ),
         ],
     )
-    def test_first_error_across_blocks(self, block_cells, cells, paths, quantity, rate, vpi, message):
-        block_cells(cells)
+    def test_first_error_in_run_order(self, paths, quantity, rate, vpi, message):
         with pytest.raises(ValueError) as caught:
             accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("cells, drawn", [(10, 2), (20, 2), (30, 3)])  # 1, 2 and 3 runs per block
-    def test_accrual_error_stops_the_stream(self, block_cells, cells, drawn):
-        block_cells(cells)
+    def test_accrual_error_stops_the_stream(self):
         paths_drawn = []
 
         def paths():
@@ -612,16 +582,14 @@ class TestAccrualBlocks:
 
         with pytest.raises(ValueError, match="voluntary tax"):
             accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
-        assert len(paths_drawn) == drawn
+        assert len(paths_drawn) == 2
 
-    def test_path_error_in_the_block_comes_first(self, block_cells):
-        block_cells(30)  # the bad tax and the failing path share a block
-
+    def test_accrual_error_comes_before_the_next_path(self):
         def paths():
             yield [1000.0, -1.0] + [1000.0] * 8
             raise ValueError("price path (seed 1) has a non-finite price at step 3: inf")
 
-        with pytest.raises(ValueError, match=r"^price path \(seed 1\)"):
+        with pytest.raises(ValueError, match=r"^voluntary tax must lie in \[0, gross revenue\], got -0.01 vs -0.01$"):
             accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
 
     def test_memory_does_not_grow_with_runs(self):
