@@ -409,6 +409,16 @@ TAX_POLICIES = {
     "schedule": {1: 5.0, 2: 25.0, 4: 1e9},
 }
 
+EXPLICIT_PATHS = [
+    ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
+    ([1000.0] * 6, 0.0, 30.0),
+    ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
+    ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
+    ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
+    ([1.0] + [0.0] * 399, -0.9, 30.0),  # discount factors underflow to 0.0 past period 323
+    ([], 0.05, 10.0),
+]
+
 
 class TestAccrualKernel:
     """``accrue_concessions`` against the single-step oracle, bit for bit."""
@@ -436,18 +446,7 @@ class TestAccrualKernel:
         assert {duration is None for duration in durations} == {True, False}
 
     @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
-    @pytest.mark.parametrize(
-        "prices, rate, vpi",
-        [
-            ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
-            ([1000.0] * 6, 0.0, 30.0),
-            ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
-            ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
-            ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
-            ([1.0] + [0.0] * 399, -0.9, 30.0),  # discount factors underflow to 0.0 past period 323
-            ([], 0.05, 10.0),
-        ],
-    )
+    @pytest.mark.parametrize("prices, rate, vpi", EXPLICIT_PATHS)
     def test_matches_stepper_on_explicit_paths(self, prices, rate, vpi, tax):
         policy = TAX_POLICIES[tax]
         outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
@@ -492,6 +491,66 @@ def seeded_paths(count, horizon=2000):
 
 class TestAccrualRuns:
     """The kernel accrues one run at a time, in run order; a run's error is raised before the next path is drawn."""
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
+    @pytest.mark.parametrize("prices, rate, vpi", EXPLICIT_PATHS)
+    def test_run_is_its_own_in_any_position(self, prices, rate, vpi, tax, position):
+        # Neighbours that expire sooner, later or never share the call's discount factors and tax asks.
+        policy = TAX_POLICIES[tax]
+        neighbours = [[scale * price for price in prices] for scale in (3.0, 0.0, 1 / 3, 2.0)]
+        paths = neighbours[:position] + [prices] + neighbours[position:]
+        durations = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
+        want = []
+        for path in paths:
+            state, _ = stepped_run(vpi, path, 10_000.0, rate, policy)
+            want.append(state.current_year if not state.active else None)
+        assert durations == want
+        assert durations[position] == accrue_concessions(vpi, [prices], 10_000.0, Rate(rate), policy)[0]
+
+    OK = [1000.0] * 8  # 10 MUSD a period at 1e4 t and a zero rate: VPI 30 is reached at period 3
+
+    @pytest.mark.parametrize("run", [0, 2])
+    @pytest.mark.parametrize("period", [2, 3, 4, 8])
+    @pytest.mark.parametrize(
+        "price, message",
+        [
+            (1e305, "gross revenue is not finite in run {run}, period {period}: inf"),
+            (-1.0, "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01"),
+        ],
+        ids=["gross", "tax"],
+    )
+    def test_bad_period_raises_only_at_or_before_the_stop(self, price, message, period, run):
+        bad = list(self.OK)
+        bad[period - 1] = price
+        paths = [self.OK] * 3
+        paths[run] = bad
+        if period <= 3:
+            with pytest.raises(ValueError) as caught:
+                accrue_concessions(30.0, paths, 1e4, Rate(0.0))
+            assert str(caught.value) == message.format(run=run, period=period)
+            with pytest.raises(ValueError) as caught:
+                simulate_concession(30.0, bad, 1e4, Rate(0.0))
+            assert str(caught.value) == message.format(run=0, period=period)
+        else:
+            assert accrue_concessions(30.0, paths, 1e4, Rate(0.0)) == [3, 3, 3]
+            outcome = simulate_concession(30.0, bad, 1e4, Rate(0.0))
+            assert outcome.duration == 3 and len(outcome.rows) == 3
+
+    @pytest.mark.parametrize("run", [0, 2])
+    def test_overflow_after_the_stop_is_no_error(self, run):
+        # Period 7 lifts the PV to 1.711e308 >= VPI; period 8 would add 1e308 and overflow.
+        stops = [1e300] * 6 + [1.7e301] + [1e300] * 3
+        paths = [[0.0] * 10] * 3
+        paths[run] = stops
+        durations = accrue_concessions(1.7e308, paths, 1e6, Rate(-0.9))
+        assert durations == [7 if index == run else None for index in range(3)]
+        outcome = simulate_concession(1.7e308, stops, 1e6, Rate(-0.9))
+        assert outcome.duration == 7 and 1.7e308 <= outcome.final_state.accrued_pv < 1.8e308
+        # Short of the VPI at period 7, the same run reaches period 8 and overflows there.
+        paths[run] = stops[:6] + [1.6e301] + stops[7:]
+        with pytest.raises(ValueError, match=f"^accrued PV overflows a float in run {run}, period 8$"):
+            accrue_concessions(1.7e308, paths, 1e6, Rate(-0.9))
 
     def test_many_one_period_runs(self):
         prices = [[float(price)] for price in range(0, 5000, 100)]
