@@ -166,12 +166,6 @@ def run_auction(bids: dict[str, float | None]) -> tuple[str, float]:
     return min(feasible, key=lambda item: (item[1], item[0]))
 
 
-def _tax_error(voluntary_tax: float, gross_revenue: float) -> ValueError:
-    return ValueError(
-        f"voluntary tax must lie in [0, gross revenue], got {voluntary_tax!r} vs {gross_revenue!r}"
-    )
-
-
 def new_concession(vpi_target: float, announced_rate: Rate | float) -> ConcessionState:
     if not math.isfinite(vpi_target) or vpi_target <= 0:
         raise ValueError(f"vpi_target must be finite and > 0, got {vpi_target!r}")
@@ -193,7 +187,9 @@ def step_concession(state: ConcessionState, gross_revenue: float, voluntary_tax:
     if not state.active:
         raise StateMachineError(f"cannot step a concession in status {state.status.value!r}")
     if not 0.0 <= voluntary_tax <= gross_revenue:
-        raise _tax_error(voluntary_tax, gross_revenue)
+        raise ValueError(
+            f"voluntary tax must lie in [0, gross revenue], got {voluntary_tax!r} vs {gross_revenue!r}"
+        )
     counted = gross_revenue - voluntary_tax
     period = state.current_year + 1
     accrued = state.accrued_pv + discount(counted, state.announced_rate.value, period)
@@ -288,7 +284,9 @@ def _accrue(vpi: float, path, quantity_per_year: float, factors, asks, run: int,
             raise ValueError(f"gross revenue is not finite in run {run}, period {period}: {gross!r}")
         tax = gross if gross < ask else ask
         if not 0.0 <= tax <= gross:
-            raise _tax_error(tax, gross)
+            raise ValueError(
+                f"voluntary tax must lie in [0, gross revenue] in run {run}, period {period}, got {tax!r} vs {gross!r}"
+            )
         counted = gross - tax
         if counted:
             accrued += counted / factor if factor else math.inf
@@ -322,19 +320,22 @@ def accrue_concessions(
     discount factors. The tax policy is a ``{period: tax}`` schedule or a
     constant, clamped to [0, gross] with Python's ``max``/``min`` semantics.
 
-    Raises ValueError for the first bad period in run, then period, order
-    (runs numbered from ``first_run``), at or before the run's stop: a gross
+    Raises ValueError, before any path is drawn, for a VPI that is not
+    finite and > 0, as ``simulate_concession`` does. Then it raises
+    ValueError for the first bad period in run, then period, order (runs
+    numbered from ``first_run``), at or before the run's stop: a gross
     revenue that is not finite, as when price × quantity overflows; a tax
     outside [0, gross] (a negative price, or a NaN tax); or an accrued PV
     that overflows a float. A run is accrued before the next path is drawn,
     so later paths are not drawn. An error raised by the iterable itself (a
     price path that cannot be generated) propagates when that path is drawn.
     """
+    rate = new_concession(vpi, announced_rate).announced_rate
     durations: list[int | None] = []
     for run, path in enumerate(price_paths, start=first_run):
         if run == first_run:
             periods = len(path)
-            terms = _accrual_terms(announced_rate, tax_policy, periods)
+            terms = _accrual_terms(rate, tax_policy, periods)
         elif len(path) != periods:
             raise ValueError(f"price paths must share one length: run {run} has {len(path)}, run {first_run} {periods}")
         durations.append(_accrue(vpi, path, quantity_per_year, *terms, run))

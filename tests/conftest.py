@@ -8,13 +8,18 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from minerent import (
+    ConcessionOutcome,
     MarketSeries,
     MarketYear,
     MineDataset,
     MineYearRecord,
+    Rate,
     load_market_series,
     load_mine_dataset,
+    new_concession,
+    step_concession,
 )
+from minerent.concession_sim import OutcomeRow
 from minerent.data_model import MINE_COLUMNS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -107,6 +112,25 @@ def read_outcome_rows(out: Path) -> list[dict]:
         period, *floats, status = line.split(",")
         rows.append(dict(zip(header.split(","), (int(period), *map(float, floats), status))))
     return rows
+
+
+def stepped_run(vpi, prices, quantity, rate, tax_policy=None) -> ConcessionOutcome:
+    """One run as a plain loop of ``step_concession`` calls: the outcome the accrual loop must give, bit for bit.
+
+    The tax policy is None, a constant or a ``{period: tax}`` schedule; each period's tax is clamped to [0, gross].
+    """
+    state = new_concession(vpi, Rate(rate))
+    rows = []
+    for period, price in enumerate(prices, start=1):
+        gross = float(price) * quantity / 1e6
+        ask = tax_policy.get(period, 0.0) if isinstance(tax_policy, dict) else tax_policy or 0.0
+        tax = min(max(ask, 0.0), gross)
+        state = step_concession(state, gross, tax)
+        rows.append(OutcomeRow(period, float(price), gross, tax, gross - tax, state.accrued_pv, state.status.value))
+        if not state.active:
+            return ConcessionOutcome(state, period, tuple(rows))
+    warning = f"concession still active after {state.current_year} periods: accrued {state.accrued_pv!r}"
+    return ConcessionOutcome(state, None, tuple(rows), f"{warning} of VPI target {vpi!r}")
 
 
 def make_market(

@@ -1,4 +1,4 @@
-r"""Silence one statement at a time and report each mutant that Tier-1 does not notice.
+r'''Silence one statement at a time and report each mutant that Tier-1 does not notice.
 
 Usage::
 
@@ -15,17 +15,24 @@ on a random draw. The script prints each mutant's verdict (``killed``,
 ``SURVIVED`` or ``timeout``), its time and the test that failed, then the survivors; it
 exits 1 when there is one.
 
-The two sweeps kept with the project::
+The three sweeps kept with the project::
 
     # every validation rule: each err(, warn( and _check_range(err in _check_physical_row and
     # validate_dataset (and the one err( in _check_range itself)
     python tests/mutation_sweep.py src/minerent/data_model.py '^(err|warn)\(|_check_range\(err'
     # every raise statement, one-line or not (70 mutants)
     python tests/mutation_sweep.py src/minerent/*.py '^raise\b'
+    # every statement of the concession engine but its docstrings (133 mutants); the 5 survivors are
+    # equivalent: the numpy import under TYPE_CHECKING, two __slots__ = () and two trailing return None
+    python tests/mutation_sweep.py src/minerent/concession_sim.py '^(?!r?""")'
+
+The script copies and tests the tree it lives in. To sweep against chosen test files only, copy
+the tree to a scratch directory, remove the other ``tests/test_*.py`` files there, and run the
+script from that copy (``python tests/mutation_sweep.py ...`` in the copy's root).
 
 A killed mutant stops at the first failing test; a survivor costs a full Tier-1 run,
 about 45 s on a 2-core machine.
-"""
+'''
 
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ import pytest
 import minerent.cli
 import minerent.data_model
 import minerent.scenario
-from minerent import PricePathParams, generate_price_path
+from minerent import PricePathParams, Rate, equilibrium_bid, generate_price_path, run_auction
 from minerent.cli import main
 from minerent.concession_sim import AuctionError
 from minerent.data_model import MINE_COLUMNS, DataFileError, ValidationIssue, ValidationReport, load_market_series
@@ -31,8 +31,7 @@ from minerent.reconstruction import InvalidDatasetError
 from minerent.rent_analysis import summary_rows
 from minerent.scenario import load_scenario
 
-from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, read_outcome_rows, set_cells
-from oracle import accrue_brute
+from conftest import DATA_DIR, MARKET_FILE, MINES_DIR, read_outcome_rows, set_cells, stepped_run
 
 CONSTANT_SCENARIO = """\
 # constant-revenue concession: 10 million per year against a 30 million target
@@ -73,6 +72,23 @@ horizon=60
 seed=42
 replications=100
 """
+
+# The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7: its revenue overflows a float.
+REVENUE_OVERFLOW_SCENARIO = """\
+announced_rate=0.05
+quantity_t_per_year=1e305
+vpi=1e308
+initial_price=1000
+volatility=0.5
+horizon=10
+seed=3
+"""
+
+# 'far' repays its 1e200 near period 660; the -0.9 accrual of its bid overflows near period 308.
+BID_OVERFLOW_SCENARIO = (
+    AUCTION_SCENARIO.replace("announced_rate=0.06", "announced_rate=-0.9").replace("horizon=25", "horizon=1000")
+    + "far,1e200,-0.5\n"
+)
 
 
 def read_artifacts(out_dir):
@@ -802,6 +818,11 @@ class TestStreamedWriters:
         assert peak - window[0] - rows_size < document, (peak - window[0], rows_size, document)
 
 
+def _price_path(rate, vpi, rows):
+    """A scenario at 1e4 t a period whose ``[price_path]`` section holds ``rows``."""
+    return f"announced_rate={rate}\nquantity_t_per_year=10000\nvpi={vpi}\n[price_path]\nperiod,price_usd_per_t\n{rows}"
+
+
 def _without(*keys):
     """CONSTANT_SCENARIO without the ``key=value`` lines of ``keys``."""
     return "".join(line for line in CONSTANT_SCENARIO.splitlines(keepends=True) if line.partition("=")[0] not in keys)
@@ -854,6 +875,7 @@ SCENARIO_REFUSALS = [
             ("abc", "non-numeric value 'abc' for vpi"),
             ("nan", "vpi must be finite, got nan"),
             ("0", "vpi must be > 0, got 0.0"),
+            *((text, f"non-numeric value {text!r} for vpi") for text in OFF_GRAMMAR_NUMBERS),
         ],
         "initial_price": [
             ("abc", "non-numeric value 'abc' for initial_price"),
@@ -880,6 +902,7 @@ SCENARIO_REFUSALS = [
             # Refused at once, as a float: exactly, it would be a 400-digit integer.
             ("1e400", "horizon must be finite, got inf"),
             ("1e12", "periods * replications must be <= 300000, got 1000000000000.0"),
+            *((text, f"non-numeric value {text!r} for horizon") for text in OFF_GRAMMAR_NUMBERS),
         ],
         "seed": [
             ("abc", "non-numeric value 'abc' for seed"),
@@ -961,6 +984,14 @@ SCENARIO_REFUSALS = [
         (_without("vpi"), None, "scenario needs either 'vpi' or a [bidders] section"),
         (_without("horizon"), None, "scenario needs either a [price_path] section or initial_price and horizon"),
         (_without("initial_price"), None, "scenario needs either a [price_path] section or initial_price and horizon"),
+        # Listed period by period, 100,000 rows missing period 2 made a line of about 700 kB.
+        (
+            _price_path(
+                0.05, 30, "".join(f"{t},1000\n" for t in range(1, 100_002) if t not in (2, 500, 501, 502, 9000))
+            ),
+            None,
+            "price path periods must run 1..n: 5 period(s) missing: 2, 500-502, 9000",
+        ),
     ]
 ]
 
@@ -1001,28 +1032,118 @@ def test_readme_rule_table_names_every_validation_rule():
     assert documented == emitted
 
 
-class TestSimulateConcession:
-    def test_constant_revenue_duration(self, tmp_path):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(CONSTANT_SCENARIO)
-        out = tmp_path / "out"
-        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)])
-        assert code == 0
-        rows = (out / "concession_outcome.csv").read_text().splitlines()
-        assert len(rows) == 1 + 3  # header + three periods
-        assert rows[-1].endswith("expired")
-        outcome = json.loads((out / "concession_outcome.json").read_text())
-        assert outcome["duration"] == 3
+ACTIVE_0 = "warning: replication 0: concession still active after {} periods: accrued {} of VPI target {}"
+ACTIVE = "warning: {} of {} replications still active after {} periods"
 
-    def test_monte_carlo_histogram(self, tmp_path):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(MONTE_CARLO_SCENARIO)
-        out = tmp_path / "out"
-        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)])
-        assert code == 0
-        histogram = (out / "duration_histogram.csv").read_text().splitlines()
-        assert histogram[0] == "replication,duration"
-        assert len(histogram) == 1 + 100
+# Each simulate-concession run: its scenario text, exit code, stderr lines ({scenario} is the file's path) and
+# replication 0's duration (None when still active or refused).
+SIMULATE_RUNS = {
+    "constant": (CONSTANT_SCENARIO, 0, [], 3),
+    "expires-at-period-1": (CONSTANT_SCENARIO.replace("vpi=30", "vpi=5"), 0, [], 1),
+    "never-expires": (CONSTANT_SCENARIO.replace("vpi=30", "vpi=1000"), 0, [ACTIVE_0.format(10, 100.0, 1000.0)], None),
+    "constant-tax": (CONSTANT_SCENARIO + "tax_per_year=4\n", 0, [], 5),  # counted 6 a period against 30
+    "tax-schedule": (CONSTANT_SCENARIO + "[tax_schedule]\nperiod,tax\n2,1.5\n3,100\n", 0, [], 5),
+    "auction-decides-vpi": (AUCTION_SCENARIO, 0, [], 7),
+    "explicit-path": (_price_path(0.0, 30, "1,1000\n2,1000\n3,1500\n"), 0, [], 3),
+    "price-path-with-zeros": (_price_path(0.05, 15, "1,0\n2,1000\n3,0\n4,0.0\n5,1500\n6,1e-300\n"), 0, [], 5),
+    # (1 - 0.9) ** t underflows to 0.0 past t = 323; the zero revenue there adds 0.0, not 0 / 0.
+    "zero-revenue-past-discount-underflow": (
+        _price_path(-0.9, 30, "1,1.0\n" + "".join(f"{period},0\n" for period in range(2, 401))),
+        0,
+        [ACTIVE_0.format(400, 0.10000000000000002, 30.0)],
+        None,
+    ),
+    # (1.06) ** t overflows a float past t = 12180; later periods add 0.0.
+    "long-horizon-past-discount-overflow": (
+        CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=0.06")
+        .replace("vpi=30", "vpi=1000")
+        .replace("horizon=10", "horizon=20000"),
+        0,
+        [ACTIVE_0.format(20000, 166.66666666666637, 1000.0)],
+        None,
+    ),
+    "monte-carlo-all-expire": (MONTE_CARLO_SCENARIO.replace("vpi=120", "vpi=30"), 0, [], 2),
+    "monte-carlo-others-active": (MONTE_CARLO_SCENARIO, 0, [ACTIVE.format(7, 100, 60)], 10),
+    "monte-carlo-replication-0-and-others-active": (
+        MONTE_CARLO_SCENARIO.replace("vpi=120", "vpi=300"),
+        0,
+        [ACTIVE_0.format(60, 256.97617347857573, 300.0), ACTIVE.format(49, 100, 60)],
+        None,
+    ),
+    "monte-carlo-tax-schedule": (
+        "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=200\ninitial_price=2000\nvolatility=0.3\n"
+        "horizon=120\nseed=9\nreplications=60\n[tax_schedule]\nperiod,tax\n1,4\n2,4\n3,40\n",
+        0,
+        [ACTIVE.format(25, 60, 120)],
+        40,
+    ),
+    # With a VPI of 1, period 1 stops the run before period 2; with 1e308, period 1 accrues 1e302 / 1.05 and the
+    # run reaches period 2.
+    "revenue-overflow-after-expiry": (REVENUE_OVERFLOW_SCENARIO.replace("vpi=1e308", "vpi=1"), 0, [], 1),
+    "revenue-overflow": (
+        REVENUE_OVERFLOW_SCENARIO, 1, ["error: {scenario}: gross revenue is not finite in run 0, period 2: inf"], None
+    ),
+    "revenue-overflow-in-replication-1": (  # replication 1 draws seed 3's path
+        REVENUE_OVERFLOW_SCENARIO.replace("seed=3", "seed=2\nreplications=3"),
+        1,
+        ["error: {scenario}: gross revenue is not finite in run 1, period 2: inf"],
+        None,
+    ),
+    # At -0.9 discounting multiplies revenue by 10 a period: 10 * 10**308 overflows.
+    "accrued-pv-overflow": (
+        CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=-0.9")
+        .replace("vpi=30", "vpi=1.7e308")
+        .replace("horizon=10", "horizon=1000"),
+        1,
+        ["error: {scenario}: accrued PV overflows a float in run 0, period 308"],
+        None,
+    ),
+    "bid-overflow": (BID_OVERFLOW_SCENARIO, 1, ["error: bidder 'far': bid overflows a float"], None),
+}
+
+
+class TestSimulateConcession:
+    @pytest.mark.parametrize("text, code, err, duration", SIMULATE_RUNS.values(), ids=SIMULATE_RUNS)
+    def test_run_is_the_step_loop(self, tmp_path, capsys, text, code, err, duration):
+        # Every replication's path is rebuilt and run through the step loop: the outcome files are replication
+        # 0's rows and json.dumps of its five scalars, and the histogram has every replication's duration.
+        scenario, out = tmp_path / "scenario.txt", tmp_path / "out"
+        scenario.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [line.format(scenario=scenario) for line in err]
+        if code:
+            assert not out.exists()
+            return
+        given = load_scenario(scenario)
+        vpi, rate = given.vpi, Rate(given.announced_rate)
+        if vpi is None:
+            bids = {bidder.bidder_id: equilibrium_bid(bidder, rate) for bidder in given.auction_bidders()}
+            _, vpi = run_auction(bids)
+        if given.explicit_path is None:
+            params = PricePathParams(given.initial_price, given.drift, given.volatility, given.horizon, given.seed)
+            paths = [generate_price_path(params._replace(seed=given.seed + i)) for i in range(given.replications)]
+        else:
+            paths = [given.explicit_path] * given.replications
+        runs = [stepped_run(vpi, path, given.quantity, rate.value, given.tax_policy()) for path in paths]
+        first = runs[0]
+        assert first.duration == duration
+        lines = ["period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status"]
+        lines.extend(",".join((str(row.period), *map(repr, row[1:6]), row.status)) for row in first.rows)
+        state = first.final_state
+        document = {"vpi_target": vpi, "duration": first.duration, "status": state.status.value}
+        document.update(accrued_pv=state.accrued_pv, warning=first.warning)
+        expected = {
+            "concession_outcome.csv": "\n".join(lines) + "\n",
+            "concession_outcome.json": json.dumps(document, sort_keys=True, indent=2) + "\n",
+        }
+        if given.replications > 1:
+            histogram = [f"{i},{'' if run.duration is None else run.duration}" for i, run in enumerate(runs)]
+            expected["duration_histogram.csv"] = "\n".join(["replication,duration", *histogram]) + "\n"
+        written = {path.name: path.read_text() for path in out.iterdir()}
+        assert json.loads(written.pop("run_manifest.json"))["parameters"]["vpi"] == vpi
+        assert written == expected
 
     def test_seeded_runs_byte_identical(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
@@ -1031,54 +1152,6 @@ class TestSimulateConcession:
         for out in (first, second):
             assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert read_artifacts(first) == read_artifacts(second)
-
-    def test_voluntary_tax_lengthens_duration(self, tmp_path):
-        taxed = CONSTANT_SCENARIO + "tax_per_year=4\n"
-        plain_dir, taxed_dir = tmp_path / "plain", tmp_path / "taxed"
-        plain_file, taxed_file = tmp_path / "plain.txt", tmp_path / "taxed.txt"
-        plain_file.write_text(CONSTANT_SCENARIO)
-        taxed_file.write_text(taxed)
-        assert main(["simulate-concession", "--scenario", str(plain_file), "--out", str(plain_dir)]) == 0
-        assert main(["simulate-concession", "--scenario", str(taxed_file), "--out", str(taxed_dir)]) == 0
-        plain = json.loads((plain_dir / "concession_outcome.json").read_text())
-        taxed_outcome = json.loads((taxed_dir / "concession_outcome.json").read_text())
-        assert taxed_outcome["duration"] >= plain["duration"]
-        assert taxed_outcome["duration"] == 5  # counted 6 per year against 30
-
-    def test_auction_decides_vpi_when_missing(self, tmp_path):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(AUCTION_SCENARIO)
-        out = tmp_path / "out"
-        code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)])
-        assert code == 0
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["parameters"]["vpi"] > 0
-
-    def test_explicit_price_path(self, tmp_path):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            "announced_rate=0.0\nquantity_t_per_year=10000\nvpi=30\n"
-            "[price_path]\nperiod,price_usd_per_t\n1,1000\n2,1000\n3,1500\n"
-        )
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        outcome = json.loads((out / "concession_outcome.json").read_text())
-        assert outcome["duration"] == 3
-        assert read_outcome_rows(out)[2]["gross_revenue"] == pytest.approx(15.0)
-
-    @pytest.mark.parametrize("text", OFF_GRAMMAR_NUMBERS)
-    @pytest.mark.parametrize("key", ["vpi", "horizon"])
-    def test_number_outside_the_ascii_grammar_is_one_error_line(self, tmp_path, capsys, key, text):
-        lines = CONSTANT_SCENARIO.splitlines()
-        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key}="))
-        lines[lineno - 1] = f"{key}={text}"
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for command in ("simulate-concession", "auction"):
-            assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
-            err = capsys.readouterr().err.splitlines()
-            assert err == [f"error: {scenario}:{lineno}: non-numeric value {text!r} for {key}"]
-            assert not (tmp_path / "out").exists()
 
     def test_integer_fields_are_read_exactly(self, tmp_path, capsys):
         # Through float(), 2**53 + 1 became 2**53, so these two seeds drew the same price paths.
@@ -1115,73 +1188,10 @@ class TestSimulateConcession:
     @pytest.mark.parametrize("command", ["simulate-concession", "auction"])
     def test_scenario_refusal_is_one_error_line(self, tmp_path, capsys, command, text, lineno, message):
         scenario = tmp_path / "scenario.txt"
-        scenario.write_text(text)
+        scenario.write_text(text, encoding="utf-8")
         assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
         where = f"{scenario}" if lineno is None else f"{scenario}:{lineno}"
         assert capsys.readouterr().err.splitlines() == [f"error: {where}: {message}"]
-        assert not (tmp_path / "out").exists()
-
-    def test_gapped_price_path_is_one_short_error_line(self, tmp_path, capsys):
-        # Listed period by period, 100,000 rows missing period 2 made a line of about 700 kB.
-        rows = "".join(f"{period},1000\n" for period in range(1, 100_002) if period not in (2, 500, 501, 502, 9000))
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            f"announced_rate=0.05\nquantity_t_per_year=10000\nvpi=30\n[price_path]\nperiod,price_usd_per_t\n{rows}"
-        )
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {scenario}: price path periods must run 1..n: 5 period(s) missing: 2, 500-502, 9000"]
-        assert len(err[0]) < 1024
-        assert not (tmp_path / "out").exists()
-
-    def test_seeded_revenue_overflow_is_one_error_line(self, tmp_path, capsys):
-        # The forecast peaks at 1000 * 1e305 / 1e6, but seed 3's second price exceeds 1797.7.
-        # Period 1 accrues 1e302 / 1.05, short of the VPI, so the run reaches period 2.
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e308\n"
-            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=3\n"
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {scenario}: gross revenue is not finite in run 0, period 2: inf"
-        ]
-        assert not (tmp_path / "out").exists()
-
-    def test_revenue_overflow_after_expiry_is_no_error(self, tmp_path, capsys):
-        # Seed 3's path as above, but period 1 already reaches the VPI: period 2 is never accrued.
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1\n"
-            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=3\n"
-        )
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)])
-        assert (code, capsys.readouterr().err) == (0, "")
-        prices = generate_price_path(PricePathParams(1000.0, 0.0, 0.5, horizon=10, seed=3)).tolist()
-        duration, rows = accrue_brute(1.0, prices, 1e305, 0.05, 0.0)
-        assert json.loads((out / "concession_outcome.json").read_text())["duration"] == duration == 1
-        assert [tuple(row.values())[:6] for row in read_outcome_rows(out)] == rows
-
-    def test_revenue_overflow_names_its_replication(self, tmp_path, capsys):
-        # Replication 1 draws seed 3's path, whose second price overflows the revenue as above.
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=1e305\nvpi=1e308\n"
-            "initial_price=1000\nvolatility=0.5\nhorizon=10\nseed=2\nreplications=3\n"
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate-concession", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {scenario}: gross revenue is not finite in run 1, period 2: inf"
-        ]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -1228,150 +1238,6 @@ class TestSimulateConcession:
             params = PricePathParams(2000.0, 0.01, 0.25, horizon=60, seed=43)
             assert paths[0].tolist() == generate_price_path(params).tolist()
 
-    @pytest.mark.parametrize(
-        "command, text, message",
-        [
-            # At -0.9 discounting multiplies revenue by 10 a period: 10 * 10**308 overflows.
-            (
-                "simulate-concession",
-                CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=-0.9")
-                .replace("vpi=30", "vpi=1.7e308")
-                .replace("horizon=10", "horizon=1000"),
-                "{scenario}: accrued PV overflows a float in run 0, period 308",
-            ),
-            # 'far' repays its 1e200 near period 660; the -0.9 accrual overflows near period 308.
-            *(
-                (
-                    command,
-                    AUCTION_SCENARIO.replace("announced_rate=0.06", "announced_rate=-0.9").replace(
-                        "horizon=25", "horizon=1000"
-                    )
-                    + "far,1e200,-0.5\n",
-                    "bidder 'far': bid overflows a float",
-                )
-                for command in ("auction", "simulate-concession")
-            ),
-        ],
-    )
-    def test_discounting_overflow_is_one_error_line(self, tmp_path, capsys, command, text, message):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(scenario=scenario)]
-        assert not (tmp_path / "out").exists()
-
-    def test_zero_revenue_past_discount_underflow_adds_nothing(self, tmp_path, capsys):
-        # (1 - 0.9) ** t underflows to 0.0 past t = 323; the zero revenue there adds 0.0, not 0 / 0.
-        scenario = tmp_path / "scenario.txt"
-        rows = "".join(f"{period},0\n" for period in range(2, 401))
-        scenario.write_text(
-            "announced_rate=-0.9\nquantity_t_per_year=10000\nvpi=30\n"
-            f"[price_path]\nperiod,price_usd_per_t\n1,1.0\n{rows}"
-        )
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        assert capsys.readouterr().err.startswith("warning: replication 0: concession still active after 400 periods")
-        rows = read_outcome_rows(out)
-        assert len(rows) == 400
-        assert {repr(row["accrued_pv"]) for row in rows} == {"0.10000000000000002"}
-
-    @pytest.mark.parametrize(
-        "vpi, replication_0_active, active",
-        [(30, False, 0), (120, False, 7), (300, True, 49)],
-        ids=["all-expire", "others-active", "replication-0-and-others-active"],
-    )
-    def test_active_replications_are_one_summary_line(self, tmp_path, capsys, vpi, replication_0_active, active):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(MONTE_CARLO_SCENARIO.replace("vpi=120", f"vpi={vpi}"))
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        durations = (out / "duration_histogram.csv").read_text().splitlines()[1:]
-        assert sum(line.endswith(",") for line in durations) == active
-        outcome = json.loads((out / "concession_outcome.json").read_text())
-        want = []
-        if replication_0_active:
-            want.append(
-                "warning: replication 0: concession still active after 60 periods: "
-                f"accrued {outcome['accrued_pv']!r} of VPI target {float(vpi)!r}"
-            )
-            assert outcome["warning"] == want[0].removeprefix("warning: replication 0: ")
-        if active:
-            want.append(f"warning: {active} of 100 replications still active after 60 periods")
-        assert capsys.readouterr().err.splitlines() == want
-
-    def test_long_horizon_past_discount_overflow(self, tmp_path, capsys):
-        # (1.06) ** t overflows a float past t = 12180; later periods add 0.0.
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            CONSTANT_SCENARIO.replace("announced_rate=0.0", "announced_rate=0.06")
-            .replace("vpi=30", "vpi=1000")
-            .replace("horizon=10", "horizon=20000")
-        )
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("warning: replication 0: concession still active after 20000 periods")
-        outcome, rows = json.loads((out / "concession_outcome.json").read_text()), read_outcome_rows(out)
-        assert rows[12179]["accrued_pv"] == rows[-1]["accrued_pv"] == outcome["accrued_pv"]
-        assert outcome["accrued_pv"] == pytest.approx(10.0 / 0.06, rel=1e-9)
-
-    @pytest.mark.parametrize(
-        "text, duration",
-        [
-            pytest.param(CONSTANT_SCENARIO.replace("vpi=30", "vpi=5"), 1, id="expires-at-period-1"),
-            pytest.param(MONTE_CARLO_SCENARIO, 10, id="expires-mid-path"),
-            pytest.param(CONSTANT_SCENARIO.replace("vpi=30", "vpi=1000"), None, id="never-expires"),
-            pytest.param(CONSTANT_SCENARIO + "[tax_schedule]\nperiod,tax\n2,1.5\n3,100\n", 5, id="tax-schedule"),
-            pytest.param(
-                "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=15\n"
-                "[price_path]\nperiod,price_usd_per_t\n1,0\n2,1000\n3,0\n4,0.0\n5,1500\n6,1e-300\n",
-                5,
-                id="price-path-with-zeros",
-            ),
-        ],
-    )
-    def test_outcome_files_match_json_dumps(self, tmp_path, monkeypatch, text, duration):
-        # The oracle is a CSV line per row and json.dumps of the five scalars. The two files together rebuild, byte
-        # for byte, the one document that once held the scalars and the rows, so no fact was lost.
-        runs, simulate = [], minerent.cli.simulate_concession
-
-        def recorded(vpi, *args):
-            runs.append((vpi, simulate(vpi, *args)))
-            return runs[-1][1]
-
-        monkeypatch.setattr(minerent.cli, "simulate_concession", recorded)
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(text)
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        [(vpi, outcome)] = runs
-        assert outcome.duration == duration
-        lines = ["period,price,gross_revenue,voluntary_tax,counted_revenue,accrued_pv,status"]
-        lines.extend(
-            f"{row.period},{row.price!r},{row.gross_revenue!r},{row.voluntary_tax!r},"
-            f"{row.counted_revenue!r},{row.accrued_pv!r},{row.status}"
-            for row in outcome.rows
-        )
-        document = {
-            "vpi_target": vpi,
-            "duration": outcome.duration,
-            "status": outcome.final_state.status.value,
-            "accrued_pv": outcome.final_state.accrued_pv,
-            "warning": outcome.warning,
-        }
-        expected = {
-            "concession_outcome.csv": "\n".join(lines) + "\n",
-            "concession_outcome.json": json.dumps(document, sort_keys=True, indent=2) + "\n",
-        }
-        written = {name: (out / name).read_text() for name in expected}
-        assert written == expected
-        rebuilt = json.loads(written["concession_outcome.json"]) | {"rows": read_outcome_rows(out)}
-        document["rows"] = [row._asdict() for row in outcome.rows]
-        assert json.dumps(rebuilt, sort_keys=True, indent=2) == json.dumps(document, sort_keys=True, indent=2)
-
 
 class TestAuctionCommand:
     def test_result_table(self, tmp_path):
@@ -1413,6 +1279,16 @@ class TestAuctionCommand:
         code = main(["auction", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "no feasible bids" in capsys.readouterr().err
+
+    def test_discounting_overflow_is_one_error_line(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(BID_OVERFLOW_SCENARIO)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["auction", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: bidder 'far': bid overflows a float"]
+        assert not (tmp_path / "out").exists()
 
     def test_long_horizon_past_discount_overflow(self, tmp_path):
         # (1.14) ** t overflows a float past t = 5400.

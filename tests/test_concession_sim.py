@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -29,8 +31,8 @@ from minerent import (
     simulate_concession,
     step_concession,
 )
-from minerent.cli import main
 
+from conftest import stepped_run
 from oracle import bid_brute, rel_close
 
 
@@ -287,27 +289,6 @@ class TestGeneratePricePath:
 
 
 class TestSimulateConcession:
-    def test_constant_path_reduces_to_stepper(self):
-        # price 1000 USD/t on 10 000 t is 10 million per year
-        outcome = simulate_concession(30.0, [1000.0] * 6, 10_000.0, Rate(0.0))
-        assert outcome.duration == 3
-        assert outcome.final_state.status is ConcessionStatus.EXPIRED
-        assert [row.gross_revenue for row in outcome.rows] == pytest.approx([10.0] * 3)
-        assert outcome.warning is None
-
-    def test_unreachable_target_stays_active_with_warning(self):
-        outcome = simulate_concession(1000.0, [1000.0] * 4, 10_000.0, Rate(0.1))
-        assert outcome.duration is None
-        assert outcome.final_state.status is ConcessionStatus.ACTIVE
-        assert outcome.warning is not None
-
-    def test_tax_schedule_applies_per_period(self):
-        outcome = simulate_concession(
-            30.0, [1000.0] * 8, 10_000.0, Rate(0.0), tax_policy={1: 5.0, 2: 5.0}
-        )
-        assert [row.voluntary_tax for row in outcome.rows[:3]] == [5.0, 5.0, 0.0]
-        assert outcome.duration == 4  # counted 5,5,10,10
-
     def test_callable_policy_is_the_schedule_it_gives(self):
         # Asked once for every period, after expiry too, with that period's gross revenue.
         prices, asked = [1000.0, 3000.0, 2500.0, 800.0, 4000.0], []
@@ -382,46 +363,128 @@ class TestLpvrIdentity:
         assert accrue_concessions(vpi, [path], quantity, Rate(announced)) == [payback]
 
 
-def stepped_run(vpi, prices, quantity, rate, tax_policy):
-    """The accrual as a plain ``step_concession`` loop: the kernel's reference."""
-    def tax_for(period):
-        if tax_policy is None:
-            return 0.0
-        if isinstance(tax_policy, dict):
-            return tax_policy.get(period, 0.0)
-        return tax_policy
-
-    state = new_concession(vpi, Rate(rate))
-    rows = []
-    for period, price in enumerate(prices, start=1):
-        gross = float(price) * quantity / 1e6
-        tax = min(max(tax_for(period), 0.0), gross)
-        state = step_concession(state, gross, tax)
-        rows.append((period, float(price), gross, tax, gross - tax, state.accrued_pv, state.status.value))
-        if not state.active:
-            break
-    return state, rows
-
-
 TAX_POLICIES = {
     "none": None,
     "constant": 2.0,
     "schedule": {1: 5.0, 2: 25.0, 4: 1e9},
 }
 
-EXPLICIT_PATHS = [
-    ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
-    ([1000.0] * 6, 0.0, 30.0),
-    ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
-    ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
-    ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
-    ([1.0] + [0.0] * 399, -0.9, 30.0),  # discount factors underflow to 0.0 past period 323
-    ([], 0.05, 10.0),
+# Runs at 1e4 t a period, (prices, rate, vpi) by name; 1000 USD/t is 10 million a period.
+RUN_PATHS = {
+    "three-periods": ([1000.0, 1000.0, 1500.0], 0.0, 30.0),
+    "constant": ([1000.0] * 6, 0.0, 30.0),
+    "eight-periods": ([1000.0] * 8, 0.0, 30.0),
+    "unreachable": ([1000.0] * 4, 0.1, 1000.0),
+    "zero-price": ([3000.0, 0.0, 2500.0, 800.0, 4000.0], 0.1, 40.0),
+    "negative-zero": ([-0.0, 1000.0, 2500.0], 0.0, 30.0),
+    "factor-overflow": ([2000.0] * 5200, 0.15, 1e6),  # discount factors overflow past period 5075
+    "factor-underflow": ([1.0] + [0.0] * 399, -0.9, 30.0),  # discount factors underflow to 0.0 past period 323
+    "empty": ([], 0.05, 10.0),
+    **{f"one-period-{price}": ([float(price)], 0.06, 20.0) for price in range(0, 5000, 100)},
+}
+
+# Each run under every TAX_POLICIES entry, the eight periods under an early schedule, one period under a 3.0 tax.
+RUNS = [
+    *(
+        pytest.param(*run, policy, id=f"{name}-{tax}")
+        for name, run in RUN_PATHS.items()
+        for tax, policy in TAX_POLICIES.items()
+    ),
+    pytest.param(*RUN_PATHS["eight-periods"], {1: 5.0, 2: 5.0}, id="eight-periods-early-schedule"),
+    *(pytest.param(*run, 3.0, id=f"{name}-tax-3") for name, run in RUN_PATHS.items() if name.startswith("one-period")),
 ]
 
+OK = [1000.0] * 10  # 10 MUSD a period at 1e4 t and a zero rate: VPI 30 is reached at period 3
+BAD_TAX = [1000.0, -1.0] + OK[2:]  # a negative price makes the clamped tax exceed gross revenue
+HUGE = [1e300] * 10
+# At 1e6 t and a -0.9 rate, period 7 lifts the PV to 1.711e308 >= 1.7e308; period 8 would add 1e308 and overflow.
+STOPS = [1e300] * 6 + [1.7e301] + [1e300] * 3
+ZEROS = [0.0] * 10
+GROSS = "gross revenue is not finite in run {run}, period {period}: inf"
+OVERFLOW = "accrued PV overflows a float in run {run}, period {period}"
+TAX = "voluntary tax must lie in [0, gross revenue] in run {run}, period {period}, got -0.01 vs -0.01"
 
-class TestAccrualKernel:
-    """``accrue_concessions`` against the single-step oracle, bit for bit."""
+
+def _set(path, period, price):
+    return path[: period - 1] + [price] + path[period:]
+
+
+def _runs(count, run, path, others):
+    """``count`` paths, ``path`` as run ``run`` and ``others`` as every other."""
+    return [path if at == run else others for at in range(count)]
+
+
+# Each row: paths, quantity, rate and VPI, and what accrue_concessions gives: each run's duration, or the first
+# error's message.
+ACCRUAL_ERRORS = {
+    # A bad period of run 0 or 2 raises at or before the run's stop at period 3, never after it.
+    **{
+        f"{kind}-in-run-{run}-period-{period}": (
+            _runs(3, run, _set(OK, period, price), OK), 1e4, 0.0, 30.0,
+            message.format(run=run, period=period) if period <= 3 else [3, 3, 3],
+        )
+        for kind, price, message in [("gross", 1e305, GROSS), ("tax", -1.0, TAX)]
+        for run in (0, 2)
+        for period in (2, 3, 4, 8)
+    },
+    # Stopped at period 7, a run never reaches the overflow of period 8; short of the VPI there, it does.
+    **{
+        f"stop-in-run-{run}": (_runs(3, run, STOPS, ZEROS), 1e6, -0.9, 1.7e308, _runs(3, run, 7, None))
+        for run in (0, 2)
+    },
+    **{
+        f"overflow-in-run-{run}": (
+            _runs(3, run, _set(STOPS, 7, 1.6e301), ZEROS), 1e6, -0.9, 1.7e308, OVERFLOW.format(run=run, period=8)
+        )
+        for run in (0, 2)
+    },
+    "tax-after-the-stop": ([[4000.0, -1.0]], 1e4, 0.0, 30.0, [1]),
+    "tax-before-the-stop": ([[4000.0, 0.0], [1000.0, -1.0]], 1e4, 0.0, 30.0, TAX.format(run=1, period=2)),
+    **{
+        f"ragged-run-{run}": (
+            _runs(5, run, [1000.0] * 2, [1000.0] * 3), 1e4, 0.0, 30.0,
+            f"price paths must share one length: run {run} has 2, run 0 3",
+        )
+        for run in (1, 4)
+    },
+    "empty": ([], 1e4, 0.06, 10.0, []),
+    # The first bad period in run, then period, order.
+    "tax-then-gross": ([BAD_TAX, OK, _set(OK, 4, 1e305)], 1e4, 0.0, 1e6, TAX.format(run=0, period=2)),
+    "tax-then-gross-in-one-run": ([OK, _set(BAD_TAX, 4, 1e305), OK], 1e4, 0.0, 1e6, TAX.format(run=1, period=2)),
+    "overflow-then-tax": ([HUGE, OK, BAD_TAX], 1e6, -0.9, 1.7e308, OVERFLOW.format(run=0, period=9)),
+    "two-overflows": ([OK, HUGE, OK, HUGE], 1e6, -0.9, 1.7e308, OVERFLOW.format(run=1, period=9)),
+    "two-gross": ([OK, _set(OK, 4, 1e305), OK, _set(OK, 1, 1e305)], 1e4, 0.0, 1e6, GROSS.format(run=1, period=4)),
+    "two-taxes": ([OK, BAD_TAX, OK, _set(OK, 1, -5.0)], 1e4, 0.0, 1e6, TAX.format(run=1, period=2)),
+    # The VPI is checked before any path is drawn.
+    **{
+        f"vpi-{vpi!r}": ([OK[:3]], 1e4, 0.0, vpi, f"vpi_target must be finite and > 0, got {vpi!r}")
+        for vpi in (math.nan, math.inf, 0.0, -5.0)
+    },
+}
+
+
+def seeded_paths(count, horizon=2000):
+    """Replications 0..count-1 of a seeded path, generated one at a time."""
+    for seed in range(count):
+        yield generate_price_path(PricePathParams(2000.0, 0.0, 0.15, horizon=horizon, seed=seed))
+
+
+class TestAccrualRuns:
+    """Each run is the step loop, alone or in any batch position; errors come in run, then period, order."""
+
+    @pytest.mark.parametrize("prices, rate, vpi, policy", RUNS)
+    def test_run_is_the_step_loop(self, prices, rate, vpi, policy):
+        want = stepped_run(vpi, prices, 1e4, rate, policy)
+        # repr compares rows, final state, duration and warning bit for bit, telling -0.0 from 0.0 as artifacts do.
+        assert repr(simulate_concession(vpi, prices, 1e4, Rate(rate), policy)) == repr(want)
+        assert accrue_concessions(vpi, [prices], 1e4, Rate(rate), policy) == [want.duration]
+        # Neighbours that expire sooner, later or never share the call's discount factors and tax asks.
+        neighbours = [[scale * price for price in prices] for scale in (3.0, 0.0, 1 / 3, 2.0)]
+        durations = [stepped_run(vpi, path, 1e4, rate, policy).duration for path in neighbours]
+        for at in (0, 2, 4):
+            paths = neighbours[:at] + [prices] + neighbours[at:]
+            want_durations = [*durations[:at], want.duration, *durations[at:]]
+            assert accrue_concessions(vpi, paths, 1e4, Rate(rate), policy) == want_durations
 
     @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
     @pytest.mark.parametrize("rate", [0.0, 0.06, 0.15])
@@ -432,136 +495,34 @@ class TestAccrualKernel:
         ]
         vpi = 150.0 if rate else 900.0
         durations = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
-        assert len(durations) == len(paths)
-        for run, prices in enumerate(paths):
-            state, rows = stepped_run(vpi, prices, 10_000.0, rate, policy)
-            assert durations[run] == (state.current_year if not state.active else None)
-            outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
-            # repr compares the final PV bit for bit.
-            assert repr(outcome.final_state) == repr(state)
-            assert outcome.duration == durations[run]
-            assert (outcome.warning is None) == (not state.active)
-            if run == 0:
-                assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
+        wants = [stepped_run(vpi, prices, 10_000.0, rate, policy) for prices in paths]
+        assert durations == [want.duration for want in wants]
+        for prices, want in zip(paths, wants):
+            assert repr(simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)) == repr(want)
         assert {duration is None for duration in durations} == {True, False}
 
-    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
-    @pytest.mark.parametrize("prices, rate, vpi", EXPLICIT_PATHS)
-    def test_matches_stepper_on_explicit_paths(self, prices, rate, vpi, tax):
-        policy = TAX_POLICIES[tax]
-        outcome = simulate_concession(vpi, prices, 10_000.0, Rate(rate), policy)
-        state, rows = stepped_run(vpi, prices, 10_000.0, rate, policy)
-        # repr compares bit for bit, telling -0.0 from 0.0 as the artifacts do.
-        assert repr([tuple(row) for row in outcome.rows]) == repr(rows)
-        assert repr(outcome.final_state) == repr(state)
-        assert outcome.duration == (state.current_year if not state.active else None)
-        assert (outcome.warning is None) == (not state.active)
-        assert accrue_concessions(vpi, [prices] * 5, 10_000.0, Rate(rate), policy) == [outcome.duration] * 5
+    def test_past_discount_overflow_accrues_the_perpetuity(self):
+        # (1.06) ** t overflows a float past t = 12180 and later periods add 0.0: the PV is the perpetuity's.
+        outcome = simulate_concession(1000.0, [1000.0] * 20000, 1e4, Rate(0.06))
+        assert outcome.rows[12179].accrued_pv == outcome.final_state.accrued_pv
+        assert outcome.final_state.accrued_pv == pytest.approx(10.0 / 0.06, rel=1e-9)
 
-    def test_rejects_bad_tax_only_before_stop(self):
-        # A negative price makes the clamped tax exceed gross revenue.
-        assert accrue_concessions(30.0, [[4000.0, -1.0]], 10_000.0, Rate(0.0)) == [1]
-        with pytest.raises(ValueError, match="voluntary tax"):
-            accrue_concessions(30.0, [[4000.0, 0.0], [1000.0, -1.0]], 10_000.0, Rate(0.0))
-
-    def test_cli_histogram_matches_stepper(self, tmp_path):
-        scenario = tmp_path / "scenario.txt"
-        scenario.write_text(
-            "announced_rate=0.05\nquantity_t_per_year=10000\nvpi=200\ninitial_price=2000\n"
-            "volatility=0.3\nhorizon=120\nseed=9\nreplications=60\n"
-            "[tax_schedule]\nperiod,tax\n1,4\n2,4\n3,40\n"
-        )
-        out = tmp_path / "out"
-        assert main(["simulate-concession", "--scenario", str(scenario), "--out", str(out)]) == 0
-        lines = (out / "duration_histogram.csv").read_text().splitlines()
-        want = ["replication,duration"]
-        for replication in range(60):
-            prices = generate_price_path(PricePathParams(2000.0, 0.0, 0.3, horizon=120, seed=9 + replication))
-            state, _ = stepped_run(200.0, prices, 10_000.0, 0.05, {1: 4.0, 2: 4.0, 3: 40.0})
-            want.append(f"{replication},{'' if state.active else state.current_year}")
-        assert lines == want
-        assert any(line.endswith(",") for line in lines) and not all(line.endswith(",") for line in lines[1:])
-
-
-def seeded_paths(count, horizon=2000):
-    """Replications 0..count-1 of a seeded path, generated one at a time."""
-    for seed in range(count):
-        yield generate_price_path(PricePathParams(2000.0, 0.0, 0.15, horizon=horizon, seed=seed))
-
-
-class TestAccrualRuns:
-    """The kernel accrues one run at a time, in run order; a run's error is raised before the next path is drawn."""
-
-    @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.parametrize("tax", sorted(TAX_POLICIES))
-    @pytest.mark.parametrize("prices, rate, vpi", EXPLICIT_PATHS)
-    def test_run_is_its_own_in_any_position(self, prices, rate, vpi, tax, position):
-        # Neighbours that expire sooner, later or never share the call's discount factors and tax asks.
-        policy = TAX_POLICIES[tax]
-        neighbours = [[scale * price for price in prices] for scale in (3.0, 0.0, 1 / 3, 2.0)]
-        paths = neighbours[:position] + [prices] + neighbours[position:]
-        durations = accrue_concessions(vpi, paths, 10_000.0, Rate(rate), policy)
-        want = []
-        for path in paths:
-            state, _ = stepped_run(vpi, path, 10_000.0, rate, policy)
-            want.append(state.current_year if not state.active else None)
-        assert durations == want
-        assert durations[position] == accrue_concessions(vpi, [prices], 10_000.0, Rate(rate), policy)[0]
-
-    OK = [1000.0] * 8  # 10 MUSD a period at 1e4 t and a zero rate: VPI 30 is reached at period 3
-
-    @pytest.mark.parametrize("run", [0, 2])
-    @pytest.mark.parametrize("period", [2, 3, 4, 8])
-    @pytest.mark.parametrize(
-        "price, message",
-        [
-            (1e305, "gross revenue is not finite in run {run}, period {period}: inf"),
-            (-1.0, "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01"),
-        ],
-        ids=["gross", "tax"],
-    )
-    def test_bad_period_raises_only_at_or_before_the_stop(self, price, message, period, run):
-        bad = list(self.OK)
-        bad[period - 1] = price
-        paths = [self.OK] * 3
-        paths[run] = bad
-        if period <= 3:
-            with pytest.raises(ValueError) as caught:
-                accrue_concessions(30.0, paths, 1e4, Rate(0.0))
-            assert str(caught.value) == message.format(run=run, period=period)
-            with pytest.raises(ValueError) as caught:
-                simulate_concession(30.0, bad, 1e4, Rate(0.0))
-            assert str(caught.value) == message.format(run=0, period=period)
-        else:
-            assert accrue_concessions(30.0, paths, 1e4, Rate(0.0)) == [3, 3, 3]
-            outcome = simulate_concession(30.0, bad, 1e4, Rate(0.0))
-            assert outcome.duration == 3 and len(outcome.rows) == 3
-
-    @pytest.mark.parametrize("run", [0, 2])
-    def test_overflow_after_the_stop_is_no_error(self, run):
-        # Period 7 lifts the PV to 1.711e308 >= VPI; period 8 would add 1e308 and overflow.
-        stops = [1e300] * 6 + [1.7e301] + [1e300] * 3
-        paths = [[0.0] * 10] * 3
-        paths[run] = stops
-        durations = accrue_concessions(1.7e308, paths, 1e6, Rate(-0.9))
-        assert durations == [7 if index == run else None for index in range(3)]
-        outcome = simulate_concession(1.7e308, stops, 1e6, Rate(-0.9))
-        assert outcome.duration == 7 and 1.7e308 <= outcome.final_state.accrued_pv < 1.8e308
-        # Short of the VPI at period 7, the same run reaches period 8 and overflows there.
-        paths[run] = stops[:6] + [1.6e301] + stops[7:]
-        with pytest.raises(ValueError, match=f"^accrued PV overflows a float in run {run}, period 8$"):
-            accrue_concessions(1.7e308, paths, 1e6, Rate(-0.9))
-
-    def test_many_one_period_runs(self):
-        prices = [[float(price)] for price in range(0, 5000, 100)]
-        durations = accrue_concessions(20.0, prices, 10_000.0, Rate(0.06), 3.0)
-        assert len(durations) == 50
-        for run, path in enumerate(prices):
-            state, _ = stepped_run(20.0, path, 10_000.0, 0.06, 3.0)
-            assert durations[run] == (state.current_year if not state.active else None)
-            outcome = simulate_concession(20.0, path, 10_000.0, Rate(0.06), 3.0)
-            assert repr(outcome.final_state) == repr(state)
-        assert set(durations) == {None, 1}
+    @pytest.mark.parametrize("paths, quantity, rate, vpi, want", ACCRUAL_ERRORS.values(), ids=ACCRUAL_ERRORS)
+    def test_first_bad_period_in_run_order(self, paths, quantity, rate, vpi, want):
+        if isinstance(want, list):
+            assert accrue_concessions(vpi, iter(paths), quantity, Rate(rate)) == want
+            assert [simulate_concession(vpi, path, quantity, Rate(rate)).duration for path in paths] == want
+            return
+        with pytest.raises(ValueError) as caught:
+            accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
+        assert str(caught.value) == want
+        if "share one length" in want:  # no path raises alone
+            return
+        # The path that raised, alone, is run 0 of simulate_concession.
+        named = re.search(r"in run (\d+),", want)
+        with pytest.raises(ValueError) as caught:
+            simulate_concession(vpi, paths[int(named[1]) if named else 0], quantity, Rate(rate))
+        assert str(caught.value) == (want.replace(named[0], "in run 0,") if named else want)
 
     def test_generator_matches_list(self):
         streamed = accrue_concessions(150.0, seeded_paths(20, horizon=300), 10_000.0, Rate(0.06), 2.0)
@@ -569,87 +530,23 @@ class TestAccrualRuns:
         assert streamed == listed
         assert len(streamed) == 20
 
-    def test_empty_input_is_an_empty_batch(self):
-        assert accrue_concessions(10.0, iter([]), 10_000.0, Rate(0.06)) == []
-
-    @pytest.mark.parametrize("ragged_run", [1, 4])
-    def test_ragged_paths_raise(self, ragged_run):
-        paths = [[1000.0] * 3] * 5
-        paths[ragged_run] = [1000.0] * 2
-        with pytest.raises(ValueError, match=f"run {ragged_run} has 2, run 0 3"):
-            accrue_concessions(30.0, paths, 10_000.0, Rate(0.0))
-
-    OK = [1000.0] * 10
-    BAD_TAX = [1000.0, -1.0] + [1000.0] * 8
-    HUGE = [1e300] * 10
-
-    # The first bad period in run, then period, order.
-    @pytest.mark.parametrize(
-        "paths, quantity, rate, vpi, message",
-        [
-            pytest.param(
-                [BAD_TAX, OK, OK[:3] + [1e305] + OK[4:]],
-                1e4, 0.0, 1e6,
-                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
-                id="tax-then-gross",
-            ),
-            pytest.param(
-                [OK, BAD_TAX[:3] + [1e305] + BAD_TAX[4:], OK],
-                1e4, 0.0, 1e6,
-                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
-                id="tax-then-gross-in-one-run",
-            ),
-            pytest.param(
-                [HUGE, OK, BAD_TAX],
-                1e6, -0.9, 1.7e308,
-                "accrued PV overflows a float in run 0, period 9",
-                id="overflow-then-tax",
-            ),
-            pytest.param(
-                [OK, HUGE, OK, HUGE],
-                1e6, -0.9, 1.7e308,
-                "accrued PV overflows a float in run 1, period 9",
-                id="two-overflows",
-            ),
-            pytest.param(
-                [OK, OK[:3] + [1e305] + OK[4:], OK, [1e305] + OK[1:]],
-                1e4, 0.0, 1e6,
-                "gross revenue is not finite in run 1, period 4: inf",
-                id="two-gross",
-            ),
-            pytest.param(
-                [OK, BAD_TAX, OK, [-5.0] + OK[1:]],
-                1e4, 0.0, 1e6,
-                "voluntary tax must lie in [0, gross revenue], got -0.01 vs -0.01",
-                id="two-taxes",
-            ),
-        ],
-    )
-    def test_first_error_in_run_order(self, paths, quantity, rate, vpi, message):
-        with pytest.raises(ValueError) as caught:
-            accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
-        assert str(caught.value) == message
-
     def test_accrual_error_stops_the_stream(self):
+        # A bad VPI draws no path; a run's error is raised before the next path is drawn.
         paths_drawn = []
 
         def paths():
-            for path in ([1000.0] * 10, [1000.0, -1.0] + [1000.0] * 8, [1000.0] * 10):
+            for path in (OK, BAD_TAX, OK):
                 paths_drawn.append(path)
                 yield path
             raise ValueError("price path (seed 3) has a non-finite price at step 3: inf")
 
-        with pytest.raises(ValueError, match="voluntary tax"):
+        with pytest.raises(ValueError, match=r"^vpi_target must be finite and > 0, got 0\.0$"):
+            accrue_concessions(0.0, paths(), 1e4, Rate(0.0))
+        assert paths_drawn == []
+        with pytest.raises(ValueError) as caught:
             accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
+        assert str(caught.value) == TAX.format(run=1, period=2)
         assert len(paths_drawn) == 2
-
-    def test_accrual_error_comes_before_the_next_path(self):
-        def paths():
-            yield [1000.0, -1.0] + [1000.0] * 8
-            raise ValueError("price path (seed 1) has a non-finite price at step 3: inf")
-
-        with pytest.raises(ValueError, match=r"^voluntary tax must lie in \[0, gross revenue\], got -0.01 vs -0.01$"):
-            accrue_concessions(1e6, paths(), 1e4, Rate(0.0))
 
     def test_memory_does_not_grow_with_runs(self):
         def peak(runs):
