@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .data_model import USD_PER_MUSD
 from .valuation import CashFlowSeries, Rate, as_rate, compound, discount
@@ -347,22 +347,17 @@ def simulate_concession(
     price_path: Sequence[float] | np.ndarray,
     quantity_per_year: float,
     announced_rate: Rate | float,
-    tax_policy: Callable[[int, float], float] | dict[int, float] | float | None = None,
+    tax_policy: dict[int, float] | float | None = None,
 ) -> ConcessionOutcome:
     """Drive the concession over a price path until expiry or path end.
 
     Yearly gross revenue is price (USD/t) times quantity (t), expressed in
-    million USD. The tax policy may be a per-period schedule or a constant,
-    as for ``accrue_concessions``, or a callable (period, gross) -> tax, which
-    is asked for every period of the path, including periods after expiry,
-    and used as the schedule it gives. The path is accrued as run 0 of
+    million USD. The tax policy is a per-period schedule or a constant, as
+    for ``accrue_concessions``. The path is accrued as run 0 of
     ``accrue_concessions``, with its rows built as it goes; it raises as that
     does.
     """
     state = new_concession(vpi, announced_rate)
-    if callable(tax_policy):
-        grosses = (float(price) * quantity_per_year / USD_PER_MUSD for price in price_path)
-        tax_policy = {period: tax_policy(period, gross) for period, gross in enumerate(grosses, start=1)}
     rows: list[OutcomeRow] = []
     terms = _accrual_terms(state.announced_rate, tax_policy, len(price_path))
     duration = _accrue(vpi, price_path, quantity_per_year, *terms, 0, rows)

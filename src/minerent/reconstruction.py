@@ -4,8 +4,9 @@ Reconstruction fills the financial columns of physical-history rows:
 revenue is the cheaper of price*production and price*exports, unit cost and
 the admin/sales ratio come from a baseline window of reported years, and
 the remaining line items take baseline averages. Exploration spend is
-prorated across mines within five years of their initial investment and
-capitalized forward to each mine's opening year.
+prorated across mines within five years of their initial investment; the
+shares do not depend on any rate, and ``valuation.initial_investment``
+capitalizes them forward to each mine's opening year.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .data_model import DEFAULT_BASELINE_WINDOW, USD_PER_MUSD, MarketSeries, MarketYear, MineDataset, MineYearRecord
 from .data_model import ValidationIssue, validate_dataset
-from .valuation import compound
 
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
 DEFAULT_COHORT_WINDOW_YEARS = 5
@@ -42,13 +42,13 @@ class BaselineStats(NamedTuple):
 
 
 class ExplorationImputation(NamedTuple):
-    """Exploration spend allocated per mine, capitalized to each t=0.
+    """Private exploration spend split among the cohort: rate-free.
 
-    ``yearly_allocations`` keeps the pre-capitalization shares per spend
-    year for auditing.
+    ``yearly_allocations`` maps each allocated spend year, ascending, to its
+    shares by mine id; ``initial_investment(mine, exploration, rate)``
+    capitalizes a mine's shares to its opening year.
     """
 
-    allocations: dict[str, float]
     yearly_allocations: dict[int, dict[str, float]]
     total_private_spend: float
     warnings: tuple[str, ...] = ()
@@ -173,20 +173,18 @@ def reconstruct_dataset(mine: MineDataset, market: MarketSeries, audit: list[str
 def impute_exploration(
     market: MarketSeries,
     cohort: list[MineDataset] | tuple[MineDataset, ...],
-    r: float,
     window: tuple[int, int] = DEFAULT_IMPUTATION_WINDOW,
 ) -> ExplorationImputation:
     """Prorate national exploration spend across the mine cohort.
 
     For each spend year, the private share of national spend (GDP times the
     exploration share) is split among mines within the cohort window of
-    their opening year, in proportion to mean production; each share is then
-    capitalized forward at ``r`` to the mine's opening year. A spend year with
-    no eligible mine is left unallocated, with a warning.
+    their opening year, in proportion to mean production. No rate enters:
+    ``initial_investment`` capitalizes the shares. A spend year with no
+    eligible mine is left unallocated, with a warning.
     """
     mines = sorted(cohort, key=lambda m: m.mine_id)
     mean_production = {m.mine_id: m.mean_production() for m in mines}
-    allocations = {m.mine_id: 0.0 for m in mines}
     yearly: dict[int, dict[str, float]] = {}
     warnings: list[str] = []
     total_private = 0.0
@@ -203,15 +201,9 @@ def impute_exploration(
         if not eligible or pool <= 0:
             warnings.append(f"spend-year {year}: no eligible mine; {private!r} left unallocated")
             continue
-        shares = {
-            m.mine_id: private * mean_production[m.mine_id] / pool for m in eligible
-        }
-        yearly[year] = shares
-        for m in eligible:
-            allocations[m.mine_id] += shares[m.mine_id] * compound(r, m.opening_year - year)
+        yearly[year] = {m.mine_id: private * mean_production[m.mine_id] / pool for m in eligible}
 
     return ExplorationImputation(
-        allocations=allocations,
         yearly_allocations=yearly,
         total_private_spend=total_private,
         warnings=tuple(warnings),

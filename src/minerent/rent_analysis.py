@@ -106,7 +106,7 @@ def analyze_mine(
     if mine.physical_history:
         raise ValueError(f"{mine.mine_id}: physical history is not reconstructed")
     flows = mine_cash_flows(mine)
-    investment = initial_investment(mine, exploration)
+    investment = initial_investment(mine, exploration, rate)
     series = rvp_series(flows, investment, rate)
     forward = rent_forward_value(flows, series.momento_x, market.fund_rate, valuation_year)
     return series._replace(rent_forward=forward)
@@ -142,13 +142,13 @@ def sensitivity_report(
 ) -> SensitivityReport:
     """Run the whole pipeline under each labeled rate, after ``reconstruct_all`` validates and reconstructs once.
 
-    Exploration imputation is capitalized at each scenario's rate, so the initial investment varies
-    across columns. The arguments are checked before any mine is validated: no labeled rate, a
-    repeated label, a resolved rate outside [0, ``RATE_MAX``], or a valuation year after
-    ``VALUATION_YEAR_MAX`` raises ValueError. Then ``reconstruct_all`` may raise
-    :class:`InvalidDatasetError`, and a valuation year before any validated mine's last reported
-    year raises ValueError; with the inputs validated, every result is finite. The result carries
-    the validation warnings.
+    The cohort's exploration shares are imputed once; ``initial_investment`` capitalizes them at each
+    scenario's rate, so the initial investment varies across columns. The arguments are checked
+    before any mine is validated: no labeled rate, a repeated label, a resolved rate outside
+    [0, ``RATE_MAX``], or a valuation year after ``VALUATION_YEAR_MAX`` raises ValueError. Then
+    ``reconstruct_all`` may raise :class:`InvalidDatasetError`, and a valuation year before any
+    validated mine's last reported year raises ValueError; with the inputs validated, every result
+    is finite. The result carries the validation warnings.
     """
     if not specs:
         raise ValueError("at least one labeled rate is required")
@@ -165,9 +165,9 @@ def sensitivity_report(
     last = max((rec.year for mine in full_mines for rec in mine.records), default=valuation_year)
     if valuation_year < last:
         raise ValueError(f"valuation_year {valuation_year} precedes last flow year {last}")
+    exploration = impute_exploration(market, full_mines)
     series: dict[tuple[str, str], RvpSeries] = {}
     for label, rate in rates.items():
-        exploration = impute_exploration(market, full_mines, rate.value)
         for mine in full_mines:
             series[(mine.mine_id, label)] = analyze_mine(mine, market, rate, exploration, valuation_year)
     return SensitivityReport(

@@ -1,9 +1,8 @@
-"""Discount-rate construction, annual project cash flow, and present value."""
+"""Discount-rate construction, annual project cash flow, initial investment, and present value."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 from .data_model import DiscountSpec, MineDataset, MineYearRecord
@@ -122,17 +121,17 @@ def mine_cash_flows(mine: MineDataset) -> CashFlowSeries:
     return CashFlowSeries._make((mine.opening_year, tuple((rec.year, annual_cash_flow(rec)) for rec in mine.records)))
 
 
-def initial_investment(mine: MineDataset, exploration) -> InitialInvestment:
-    """Combine first-year paid-in capital with the mine's imputed exploration.
+def initial_investment(mine: MineDataset, exploration, rate: Rate | float) -> InitialInvestment:
+    """First-year paid-in capital plus the mine's exploration shares, capitalized at ``rate`` to its opening year.
 
-    A mine absent from the imputation is treated as zero exploration, with a
-    warning.
+    From 0.0, each share is added in ascending spend year as ``share * compound(rate, opening_year - year)``;
+    a mine that no spend year reached has no exploration.
     """
-    if mine.mine_id in exploration.allocations:
-        imputed = exploration.allocations[mine.mine_id]
-    else:
-        warnings.warn(f"no exploration imputation for mine {mine.mine_id}; treated as 0", stacklevel=2)
-        imputed = 0.0
+    r = as_rate(rate).value
+    imputed = 0.0  # a plain loop: from Python 3.12 the built-in sum compensates, which changes the artifacts' bits
+    for year, shares in exploration.yearly_allocations.items():
+        if mine.mine_id in shares:
+            imputed += shares[mine.mine_id] * compound(r, mine.opening_year - year)
     extraction = mine.capital_paid_first_year
     return InitialInvestment(extraction=extraction, exploration=imputed, total=extraction + imputed)
 

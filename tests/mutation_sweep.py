@@ -15,7 +15,7 @@ on a random draw. The script prints each mutant's verdict (``killed``,
 ``SURVIVED`` or ``timeout``), its time and the test that failed, then the survivors; it
 exits 1 when there is one.
 
-The three sweeps kept with the project::
+The five sweeps kept with the project::
 
     # every validation rule: each err(, warn( and _check_range(err in _check_physical_row and
     # validate_dataset (and the one err( in _check_range itself)
@@ -25,6 +25,13 @@ The three sweeps kept with the project::
     # every statement of the concession engine but its docstrings (133 mutants); the 5 survivors are
     # equivalent: the numpy import under TYPE_CHECKING, two __slots__ = () and two trailing return None
     python tests/mutation_sweep.py src/minerent/concession_sim.py '^(?!r?""")'
+    # every statement of the backfill and the imputation but its docstrings (75 mutants); the 1 survivor
+    # is equivalent: the future import
+    python tests/mutation_sweep.py src/minerent/reconstruction.py '^(?!r?""")'
+    # every statement of the valuation layer but its docstrings (43 mutants); 6 survive: the future import
+    # and three __slots__ = () are equivalent, and no test passes Rate a non-finite value (math.isfinite)
+    # or hands CashFlowSeries flows that are not (int, float) pairs already
+    python tests/mutation_sweep.py src/minerent/valuation.py '^(?!r?""")'
 
 The script copies and tests the tree it lives in. To sweep against chosen test files only, copy
 the tree to a scratch directory, remove the other ``tests/test_*.py`` files there, and run the

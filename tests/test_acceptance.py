@@ -183,9 +183,7 @@ def test_criterion_4c_voluntary_tax_lengthens():
         rate = Rate(float(rng.uniform(0.0, 0.2)))
         fractions = rng.uniform(0.0, 0.9, size=horizon)
 
-        def taxed(period, gross, fractions=fractions):
-            return fractions[period - 1] * gross
-
+        taxed = {p: fractions[p - 1] * (float(price) * 10_000.0 / 1e6) for p, price in enumerate(prices, start=1)}
         plain = simulate_concession(vpi, prices, 10_000.0, rate)
         stretched = simulate_concession(vpi, prices, 10_000.0, rate, tax_policy=taxed)
         if plain.duration is None:
@@ -284,7 +282,8 @@ def test_criterion_4f_proration_conserves_private_spend():
             )
             for i in range(int(rng.integers(1, 7)))
         ]
-        result = impute_exploration(market, mines, r=float(rng.uniform(0.0, 0.3)), window=(years[0], years[-1]))
+        rng.uniform(0.0, 0.3)  # a rate no longer used: drawn so that every later case stays the same
+        result = impute_exploration(market, mines, window=(years[0], years[-1]))
         private = (2.0 / 3.0) * gdp * pct
         for year in years:
             eligible = [m for m in mines if m.opening_year - 5 <= year <= m.opening_year]

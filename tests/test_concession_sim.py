@@ -289,21 +289,6 @@ class TestGeneratePricePath:
 
 
 class TestSimulateConcession:
-    def test_callable_policy_is_the_schedule_it_gives(self):
-        # Asked once for every period, after expiry too, with that period's gross revenue.
-        prices, asked = [1000.0, 3000.0, 2500.0, 800.0, 4000.0], []
-
-        def policy(period, gross):
-            asked.append((period, gross))
-            return 0.3 * gross if period % 3 else -1.0
-
-        outcome = simulate_concession(20.0, prices, 10_000.0, Rate(0.1), policy)
-        grosses = [10.0, 30.0, 25.0, 8.0, 40.0]
-        assert asked == list(enumerate(grosses, start=1))
-        schedule = {period: 0.3 * gross if period % 3 else -1.0 for period, gross in asked}
-        assert repr(outcome) == repr(simulate_concession(20.0, prices, 10_000.0, Rate(0.1), schedule))
-        assert outcome.duration == 2
-
     def test_dominated_path_never_shortens(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -78,7 +78,7 @@ def test_every_import_site_resolves():
                 "data_model.load_market_series": 1,
                 "data_model.load_mine_dataset": 3,
                 "rent_analysis.sensitivity_report": 1,
-                "reconstruction.impute_exploration": 2,
+                "reconstruction.impute_exploration": 1,
                 "rent_analysis.analyze_mine": 6,
                 "valuation.mine_cash_flows": 6,
                 "valuation.initial_investment": 6,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import statistics
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,14 +11,22 @@ from hypothesis import strategies as st
 
 from minerent import (
     BaselineStats,
+    ExplorationImputation,
     InvalidDatasetError,
     PhysicalYear,
     ReconstructionError,
     compute_baseline_stats,
     impute_exploration,
+    initial_investment,
     reconstruct_all,
     reconstruct_dataset,
 )
+from minerent.reconstruction import (
+    DEFAULT_COHORT_WINDOW_YEARS,
+    DEFAULT_IMPUTATION_WINDOW,
+    PRIVATE_EXPLORATION_SHARE,
+)
+from minerent.valuation import compound
 
 from conftest import make_market, make_mine, make_record
 from oracle import rel_close
@@ -305,54 +314,114 @@ class TestReconstructAll:
         assert [issue.rule for issue in excinfo.value.report.warnings] == ["exports-exceed-production"]
 
 
+def cohort_mine(mine_id, opening_year=1995, production=100_000.0, capital=500.0):
+    return make_mine(
+        mine_id=mine_id, opening_year=opening_year, capital_paid_first_year=capital,
+        records=[make_record(2001, production=production)],
+    )
+
+
+# Each row: a cohort, a market, the imputation window and a rate, mapped to the yearly shares, the total private
+# spend and the unallocated-year warnings, and to each mine's (exploration, total) initial investment at that rate.
+# A market year of GDP 75,000 at the default 0.4% carries 200.0 of private spend.
+IMPUTATIONS = [
+    pytest.param(
+        [cohort_mine("big", production=200_000.0), cohort_mine("small")], make_market(years=[1995], gdp=75_000.0),
+        DEFAULT_IMPUTATION_WINDOW, 0.0,
+        {1995: {"big": 133.33333333333334, "small": 66.66666666666667}}, 200.0, (),
+        {"big": (133.33333333333334, 633.3333333333334), "small": (66.66666666666667, 566.6666666666666)},
+        id="prorated-by-mean-production",
+    ),
+    pytest.param(
+        [cohort_mine("only")], make_market(years=[1995], gdp=75_000.0), DEFAULT_IMPUTATION_WINDOW, 0.0,
+        {1995: {"only": 200.0}}, 200.0, (), {"only": (200.0, 700.0)},
+        id="single-eligible-mine-gets-everything",
+    ),
+    pytest.param(
+        [cohort_mine("m")], make_market(years=[1992], gdp=37_500.0), DEFAULT_IMPUTATION_WINDOW, 0.10,
+        {1992: {"m": 100.0}}, 100.0, (), {"m": (100.0 * 1.1**3, 633.1)},
+        id="capitalized-to-the-opening-year",
+    ),
+    pytest.param(
+        [cohort_mine("m")], make_market(years=[1984, 1995], gdp=75_000.0), DEFAULT_IMPUTATION_WINDOW, 0.0,
+        {1995: {"m": 200.0}}, 400.0, ("spend-year 1984: no eligible mine; 200.0 left unallocated",),
+        {"m": (200.0, 700.0)},
+        id="unallocated-year-warns",
+    ),
+    pytest.param(
+        # Eligible only for 1990..1995: 1989 and 1996 stay unallocated; the shares add in ascending year.
+        [cohort_mine("m")], make_market(years=[1989, 1990, 1995, 1996], gdp=75_000.0), DEFAULT_IMPUTATION_WINDOW, 0.1,
+        {1990: {"m": 200.0}, 1995: {"m": 200.0}}, 800.0,
+        ("spend-year 1989: no eligible mine; 200.0 left unallocated",
+         "spend-year 1996: no eligible mine; 200.0 left unallocated"),
+        {"m": (200.0 * 1.1**5 + 200.0, 500.0 + (200.0 * 1.1**5 + 200.0))},
+        id="cohort-eligibility-window",
+    ),
+    pytest.param(
+        # Spend years outside the imputation window are neither counted nor warned about.
+        [cohort_mine("m")], make_market(years=[1989, 1990, 1995, 1996], gdp=75_000.0), (1990, 1995), 0.0,
+        {1990: {"m": 200.0}, 1995: {"m": 200.0}}, 400.0, (), {"m": (400.0, 900.0)},
+        id="imputation-window",
+    ),
+    pytest.param(
+        [cohort_mine("m", capital=1000.0)], make_market(years=[1995], gdp=93_750.0), DEFAULT_IMPUTATION_WINDOW, 0.2,
+        {1995: {"m": 250.0}}, 250.0, (), {"m": (250.0, 1250.0)},
+        id="investment-adds-extraction-and-exploration",
+    ),
+    pytest.param(
+        [cohort_mine("m", capital=1000.0)], make_market(years=[1995], exploration_pct=0.0),
+        DEFAULT_IMPUTATION_WINDOW, 0.0,
+        {1995: {"m": 0.0}}, 0.0, (), {"m": (0.0, 1000.0)},
+        id="zero-exploration",
+    ),
+    pytest.param(
+        # A mine that no spend year reached has no share, and no warning.
+        [cohort_mine("early"), cohort_mine("late", opening_year=2005)], make_market(years=[1995], gdp=75_000.0),
+        DEFAULT_IMPUTATION_WINDOW, 0.1,
+        {1995: {"early": 200.0}}, 200.0, (), {"early": (200.0, 700.0), "late": (0.0, 500.0)},
+        id="mine-without-a-share",
+    ),
+]
+
+
 class TestImputeExploration:
-    def test_proration_shares(self):
-        market = make_market(years=[1995], gdp=75_000.0, exploration_pct=0.004)
-        big = make_mine(
-            mine_id="big", opening_year=1995,
-            records=[make_record(2001, production=200_000.0)],
-        )
-        small = make_mine(
-            mine_id="small", opening_year=1995,
-            records=[make_record(2001, production=100_000.0)],
-        )
-        result = impute_exploration(market, [big, small], r=0.0)
-        assert result.yearly_allocations[1995]["big"] == pytest.approx(200.0 * 2 / 3)
-        assert result.yearly_allocations[1995]["small"] == pytest.approx(200.0 / 3)
-        # r=0 means no capitalization adjustment
-        assert result.allocations["big"] == pytest.approx(133.3333333333, rel=1e-9)
-        assert result.allocations["small"] == pytest.approx(66.6666666667, rel=1e-9)
-        assert result.total_private_spend == pytest.approx(200.0)
+    @pytest.mark.parametrize("cohort, market, window, rate, yearly, total, unallocated, investments", IMPUTATIONS)
+    def test_imputation_and_investment(self, cohort, market, window, rate, yearly, total, unallocated, investments):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = impute_exploration(market, cohort, window)
+            invested = {mine.mine_id: initial_investment(mine, result, rate)[1:] for mine in cohort}
+        assert repr(result) == repr(ExplorationImputation(yearly, total, unallocated))
+        assert repr(invested) == repr(investments)
 
-    def test_single_eligible_mine_gets_everything(self):
-        market = make_market(years=[1995], gdp=75_000.0, exploration_pct=0.004)
-        only = make_mine(mine_id="only", opening_year=1995, records=[make_record(2001)])
-        result = impute_exploration(market, [only], r=0.0)
-        assert result.allocations["only"] == pytest.approx(200.0)
-
-    def test_capitalization_to_opening_year(self):
-        # 100 of private spend allocated 3 years before t=0 at r=0.10
-        market = make_market(years=[1992], gdp=37_500.0, exploration_pct=0.004)
-        mine = make_mine(mine_id="m", opening_year=1995, records=[make_record(2001)])
-        result = impute_exploration(market, [mine], r=0.10)
-        assert result.allocations["m"] == pytest.approx(100.0 * 1.1**3)
-        assert result.allocations["m"] == pytest.approx(133.1)
-
-    def test_unallocated_year_warns(self):
-        market = make_market(years=[1984, 1995], gdp=75_000.0, exploration_pct=0.004)
-        mine = make_mine(mine_id="m", opening_year=1995, records=[make_record(2001)])
-        result = impute_exploration(market, [mine], r=0.0)
-        assert len(result.warnings) == 1
-        assert "1984" in result.warnings[0]
-        assert result.allocations["m"] == pytest.approx(200.0)
-
-    def test_eligibility_window(self):
-        market = make_market(years=[1989, 1990, 1995, 1996], gdp=75_000.0, exploration_pct=0.004)
-        mine = make_mine(mine_id="m", opening_year=1995, records=[make_record(2001)])
-        result = impute_exploration(market, [mine], r=0.0)
-        # eligible only for 1990..1995; 1989 and 1996 stay unallocated
-        assert sorted(result.yearly_allocations) == [1990, 1995]
-        assert len(result.warnings) == 2
+    @given(
+        openings=st.lists(st.integers(min_value=1984, max_value=2004), min_size=1, max_size=6),
+        productions=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=6, max_size=6),
+        gdps=st.lists(st.floats(min_value=1_000.0, max_value=500_000.0), min_size=1, max_size=21),
+        pct=st.floats(min_value=0.0, max_value=0.02),
+        window=st.tuples(st.integers(1984, 2004), st.integers(1984, 2004)).map(sorted),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=300)
+    def test_investment_capitalizes_in_ascending_spend_year(self, openings, productions, gdps, pct, window, rate):
+        # Bit for bit, the artifacts' accumulation: from 0.0, per spend year ascending, each eligible mine's
+        # share times its factor added in turn. A compensated sum (math.fsum, or the built-in sum from
+        # Python 3.12) or another order gives other bits.
+        cohort = [cohort_mine(f"m{i}", year, productions[i]) for i, year in enumerate(openings)]
+        years = range(1984, 1984 + len(gdps))
+        market = make_market(years=years, gdp=lambda year: gdps[year - 1984], exploration_pct=pct)
+        mean = {mine.mine_id: mine.mean_production() for mine in cohort}
+        acc = {mine.mine_id: 0.0 for mine in cohort}
+        for entry in market.entries:
+            year = entry.year
+            eligible = [m for m in cohort if m.opening_year - DEFAULT_COHORT_WINDOW_YEARS <= year <= m.opening_year]
+            pool = sum(mean[m.mine_id] for m in eligible)
+            if window[0] <= year <= window[1] and pool > 0:
+                private = PRIVATE_EXPLORATION_SHARE * (entry.gdp * entry.exploration_spend_pct_gdp)
+                for m in eligible:
+                    acc[m.mine_id] += private * mean[m.mine_id] / pool * compound(rate, m.opening_year - year)
+        result = impute_exploration(market, cohort, tuple(window))
+        assert {m.mine_id: initial_investment(m, result, rate).exploration for m in cohort} == acc
 
     @given(
         gdp=st.floats(min_value=1_000.0, max_value=500_000.0),
@@ -366,7 +435,7 @@ class TestImputeExploration:
             make_mine(mine_id=f"m{i}", opening_year=1995, records=[make_record(2001, production=p)])
             for i, p in enumerate(productions)
         ]
-        result = impute_exploration(market, mines, r=0.12)
+        result = impute_exploration(market, mines)
         private = (2.0 / 3.0) * gdp * pct
         allocated = sum(result.yearly_allocations.get(1995, {}).values())
         assert rel_close(allocated, private, rel=1e-9, abs_tol=1e-9)
@@ -387,7 +456,7 @@ class TestImputeExploration:
             ]
 
         market = make_market(years=[1995], gdp=75_000.0, exploration_pct=0.004)
-        base = impute_exploration(market, build(1.0), r=0.1)
-        scaled = impute_exploration(market, build(scale), r=0.1)
-        for key, value in base.allocations.items():
-            assert rel_close(scaled.allocations[key], value, rel=1e-9, abs_tol=1e-9)
+        base = impute_exploration(market, build(1.0)).yearly_allocations[1995]
+        scaled = impute_exploration(market, build(scale)).yearly_allocations[1995]
+        for key, value in base.items():
+            assert rel_close(scaled[key], value, rel=1e-9, abs_tol=1e-9)

@@ -319,13 +319,13 @@ class TestAnalyzeMine:
         rate = Rate(0.1216899)
         report = sensitivity_report(corpus_mines, corpus_market, [("base", rate)])
         full = [reconstruct_dataset(mine, corpus_market) for mine in corpus_mines]
-        exploration = impute_exploration(corpus_market, full, rate.value)
+        exploration = impute_exploration(corpus_market, full)
         for mine in full:
             assert analyze_mine(mine, corpus_market, rate, exploration) == report.cell(mine.mine_id, "base")
 
     def test_unreconstructed_mine_rejected(self, corpus_mines, corpus_market):
         mine = next(mine for mine in corpus_mines if mine.physical_history)
-        exploration = impute_exploration(corpus_market, corpus_mines, 0.12)
+        exploration = impute_exploration(corpus_market, corpus_mines)
         with pytest.raises(ValueError, match="physical history is not reconstructed"):
             analyze_mine(mine, corpus_market, Rate(0.12), exploration)
 

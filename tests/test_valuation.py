@@ -18,22 +18,12 @@ from minerent import (
     Rate,
     annual_cash_flow,
     discount_rate,
-    initial_investment,
     mine_cash_flows,
     present_value,
 )
-from minerent.reconstruction import ExplorationImputation
 from minerent.valuation import compound, discount
 
 from conftest import make_mine, make_record
-
-
-def imputation(allocations):
-    return ExplorationImputation(
-        allocations=allocations,
-        yearly_allocations={},
-        total_private_spend=sum(allocations.values()),
-    )
 
 
 class TestDiscountRate:
@@ -135,22 +125,6 @@ class TestAnnualCashFlow:
 
 
 class TestInitialInvestment:
-    def test_additive(self):
-        mine = make_mine(mine_id="m", capital_paid_first_year=1000.0, records=[make_record(2001)])
-        inv = initial_investment(mine, imputation({"m": 250.0}))
-        assert (inv.extraction, inv.exploration, inv.total) == (1000.0, 250.0, 1250.0)
-
-    def test_zero_exploration(self):
-        mine = make_mine(mine_id="m", capital_paid_first_year=1000.0, records=[make_record(2001)])
-        inv = initial_investment(mine, imputation({"m": 0.0}))
-        assert inv.total == 1000.0
-
-    def test_absent_mine_warns_and_defaults_to_zero(self):
-        mine = make_mine(mine_id="m", capital_paid_first_year=1000.0, records=[make_record(2001)])
-        with pytest.warns(UserWarning, match="no exploration imputation"):
-            inv = initial_investment(mine, imputation({"other": 99.0}))
-        assert inv.exploration == 0.0
-
     def test_inconsistent_total_rejected(self):
         with pytest.raises(ValueError):
             InitialInvestment(extraction=10.0, exploration=5.0, total=16.0)
