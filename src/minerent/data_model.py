@@ -61,6 +61,18 @@ _MINE_ID_FORBIDDEN = frozenset("/\\,") | frozenset(map(chr, [*range(0x20), *rang
 MINE_ID_MAX_BYTES = 200
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...`` in order, rounded at each step.
+
+    The package calls this where it would call the built-in ``sum``, which compensates float sums
+    from Python 3.12 on, so that the artifacts' bits do not depend on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class DataFileError(Exception):
     """Problem in an input file; carries the offending path and line."""
 
@@ -136,7 +148,7 @@ class MineDataset(NamedTuple):
         per_year = {row.year: row.production for row in (*self.physical_history, *self.records)}  # records win
         if not per_year:
             return 0.0
-        return sum(per_year.values()) / len(per_year)
+        return plain_sum(per_year.values()) / len(per_year)
 
 
 class MarketYear(NamedTuple):

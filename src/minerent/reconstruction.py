@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .data_model import DEFAULT_BASELINE_WINDOW, USD_PER_MUSD, MarketSeries, MarketYear, MineDataset, MineYearRecord
-from .data_model import ValidationIssue, validate_dataset
+from .data_model import ValidationIssue, plain_sum, validate_dataset
 
 DEFAULT_IMPUTATION_WINDOW = (1984, 1999)
 DEFAULT_COHORT_WINDOW_YEARS = 5
@@ -197,7 +197,7 @@ def impute_exploration(
         private = PRIVATE_EXPLORATION_SHARE * national
         total_private += private
         eligible = [m for m in mines if m.opening_year - DEFAULT_COHORT_WINDOW_YEARS <= year <= m.opening_year]
-        pool = sum(mean_production[m.mine_id] for m in eligible)
+        pool = plain_sum(mean_production[m.mine_id] for m in eligible)
         if not eligible or pool <= 0:
             warnings.append(f"spend-year {year}: no eligible mine; {private!r} left unallocated")
             continue

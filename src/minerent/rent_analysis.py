@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .data_model import RATE_MAX, VALUATION_YEAR_MAX, DiscountSpec, MarketSeries, MineDataset, ValidationIssue
+from .data_model import plain_sum
 from .reconstruction import ExplorationImputation, impute_exploration, reconstruct_all
 from .reconstruction import reconstruct_dataset  # noqa: F401  unused; the benchmark's tracer wraps it (ROADMAP item 1)
 from .valuation import (
@@ -81,14 +82,7 @@ def rent_forward_value(
     if x is None:
         return 0.0
     rate = as_rate(fund_rate).value
-    return sum(
-        (
-            amount * compound(rate, valuation_year - year)
-            for year, amount in flows.flows
-            if year > x
-        ),
-        start=0.0,
-    )
+    return plain_sum(amount * compound(rate, valuation_year - year) for year, amount in flows.flows if year > x)
 
 
 def analyze_mine(
@@ -198,11 +192,7 @@ def write_summary_table(report: SensitivityReport, path: str | Path) -> None:
     columns = ["mine_id", *chain.from_iterable(zip(*report.summary_columns.values()))]
 
     def fmt(value) -> str:
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+        return "-" if value is None else str(value)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")

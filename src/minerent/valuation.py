@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .data_model import DiscountSpec, MineDataset, MineYearRecord
+from .data_model import DiscountSpec, MineDataset, MineYearRecord, plain_sum
 
 #: Named cost-of-capital configurations shipped with the engine.
 PRESETS: dict[str, DiscountSpec] = {
@@ -139,4 +139,4 @@ def initial_investment(mine: MineDataset, exploration, rate: Rate | float) -> In
 def present_value(series: CashFlowSeries, rate: Rate | float) -> float:
     """Sum of flows discounted end-of-year: flow / (1+r)^(year - base_year), with ``discount``'s limits."""
     r = as_rate(rate).value
-    return sum(discount(amount, r, year - series.base_year) for year, amount in series.flows)
+    return plain_sum(discount(amount, r, year - series.base_year) for year, amount in series.flows)

@@ -15,7 +15,7 @@ on a random draw. The script prints each mutant's verdict (``killed``,
 ``SURVIVED`` or ``timeout``), its time and the test that failed, then the survivors; it
 exits 1 when there is one.
 
-The five sweeps kept with the project::
+The six sweeps kept with the project::
 
     # every validation rule: each err(, warn( and _check_range(err in _check_physical_row and
     # validate_dataset (and the one err( in _check_range itself)
@@ -28,10 +28,12 @@ The five sweeps kept with the project::
     # every statement of the backfill and the imputation but its docstrings (75 mutants); the 1 survivor
     # is equivalent: the future import
     python tests/mutation_sweep.py src/minerent/reconstruction.py '^(?!r?""")'
-    # every statement of the valuation layer but its docstrings (43 mutants); 6 survive: the future import
-    # and three __slots__ = () are equivalent, and no test passes Rate a non-finite value (math.isfinite)
-    # or hands CashFlowSeries flows that are not (int, float) pairs already
+    # every statement of the valuation layer but its docstrings (43 mutants); the 4 survivors are
+    # equivalent: the future import and three __slots__ = ()
     python tests/mutation_sweep.py src/minerent/valuation.py '^(?!r?""")'
+    # every statement of the RVP, momento x and rent valuation but its docstrings (70 mutants); the 3
+    # survivors are equivalent: the future import, the annotation-only Path import and a trailing return None
+    python tests/mutation_sweep.py src/minerent/rent_analysis.py '^(?!r?""")'
 
 The script copies and tests the tree it lives in. To sweep against chosen test files only, copy
 the tree to a scratch directory, remove the other ``tests/test_*.py`` files there, and run the

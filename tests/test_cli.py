@@ -137,7 +137,7 @@ def joined_summary_table(report):
     columns += [f"momento_x_{label}" for label in labels]
     columns += [f"rent_pv_at_t0_{label}" for label in labels]
     columns += [f"rent_at_{report.valuation_year}_{label}" for label in labels]
-    fmt = lambda value: "-" if value is None else repr(value) if isinstance(value, float) else str(value)
+    fmt = lambda value: "-" if value is None else str(value)
     lines = [",".join(columns)]
     lines.extend(",".join(fmt(row[column]) for column in columns) for row in summary_rows(report))
     return "\n".join(lines) + "\n"

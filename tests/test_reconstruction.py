@@ -381,6 +381,13 @@ IMPUTATIONS = [
         {1995: {"early": 200.0}}, 200.0, (), {"early": (200.0, 700.0), "late": (0.0, 500.0)},
         id="mine-without-a-share",
     ),
+    pytest.param(
+        # A mine with no year on file has a mean production of 0.0, so its share is 0.0.
+        [cohort_mine("m"), make_mine(mine_id="bare")], make_market(years=[1995], gdp=75_000.0),
+        DEFAULT_IMPUTATION_WINDOW, 0.0,
+        {1995: {"bare": 0.0, "m": 200.0}}, 200.0, (), {"m": (200.0, 700.0), "bare": (0.0, 500.0)},
+        id="mine-without-history-gets-a-zero-share",
+    ),
 ]
 
 
@@ -415,7 +422,9 @@ class TestImputeExploration:
         for entry in market.entries:
             year = entry.year
             eligible = [m for m in cohort if m.opening_year - DEFAULT_COHORT_WINDOW_YEARS <= year <= m.opening_year]
-            pool = sum(mean[m.mine_id] for m in eligible)
+            pool = 0.0
+            for m in eligible:
+                pool += mean[m.mine_id]
             if window[0] <= year <= window[1] and pool > 0:
                 private = PRIVATE_EXPLORATION_SHARE * (entry.gdp * entry.exploration_spend_pct_gdp)
                 for m in eligible:

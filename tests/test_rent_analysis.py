@@ -12,9 +12,10 @@ from minerent import (
     InvalidDatasetError,
     PhysicalYear,
     Rate,
+    RvpSeries,
     analyze_mine,
+    as_rate,
     impute_exploration,
-    momento_x,
     present_value,
     rent_forward_value,
     reconstruct_dataset,
@@ -25,7 +26,7 @@ from minerent import (
 )
 
 from conftest import make_market, make_mine, make_record
-from oracle import momento_brute, rel_close, rvp_brute
+from oracle import forward_brute, momento_brute, rel_close, rvp_brute
 
 
 def investment(total):
@@ -38,39 +39,83 @@ def flows_of(base_year, amounts, start_offset=1):
     )
 
 
+# Each row: a call, flows and the call's other arguments (the initial investment and the rate of rvp_series, or the
+# x, fund rate and valuation year of rent_forward_value), mapped to the value returned or the ValueError's text.
+RVP_CASES = {
+    "two-year-payback": (
+        rvp_series, flows_of(2000, [60.0, 60.5]), (investment(100.0), Rate(0.10)),
+        RvpSeries(((2001, -45.45454545454546), (2002, 4.5454545454545325)), 2002, 4.5454545454545325),
+    ),
+    "all-zero-flows": (
+        rvp_series, flows_of(2000, [0.0, 0.0, 0.0]), (investment(100.0), Rate(0.10)),
+        RvpSeries(((2001, -100.0), (2002, -100.0), (2003, -100.0)), None, 0.0),
+    ),
+    "higher-rate-erases-rent": (
+        rvp_series, flows_of(2000, [60.0, 60.5]), (investment(100.0), Rate(0.25)),
+        RvpSeries(((2001, -52.0), (2002, -13.280000000000001)), None, 0.0),
+    ),
+    "empty-flows": (rvp_series, CashFlowSeries(2000, ()), (investment(10.0), 0.1), RvpSeries((), None, 0.0)),
+    "mixed-sign-flows": (
+        rvp_series, flows_of(2000, [50.0, -20.0, 80.0, 10.0]), (investment(60.0), 0.13),
+        RvpSeries(
+            ((2001, -15.752212389380524), (2002, -31.415146056856447),
+             (2003, 24.02886692535921), (2004, 30.162054202152973)),
+            2003, 30.162054202152973,
+        ),
+    ),
+    "never-positive": (
+        rvp_series, flows_of(2000, [1.0, 1.0]), (investment(100.0), 0.10),
+        RvpSeries(((2001, -99.0909090909091), (2002, -98.26446280991736)), None, 0.0),
+    ),
+    # Undiscounted flows: -10, 0.0, +5 relative to the investment; an exact payback is not momento x.
+    "exact-zero-does-not-trigger": (
+        rvp_series, flows_of(2000, [20.0, 10.0, 5.0]), (investment(30.0), 0.0),
+        RvpSeries(((2001, -10.0), (2002, 0.0), (2003, 5.0)), 2003, 5.0),
+    ),
+    "two-year-compounding": (
+        rent_forward_value, CashFlowSeries(2009, ((2010, 100.0),)), (2009, 0.0507, 2012), 110.39704900000001
+    ),
+    "flow-in-valuation-year-kept-verbatim": (
+        rent_forward_value, CashFlowSeries(2011, ((2012, 77.0),)), (2011, 0.0507, 2012), 77.0
+    ),
+    "mixed-years": (
+        rent_forward_value, CashFlowSeries(2010, ((2011, 50.0), (2012, 50.0))), (2010, 0.0507, 2012), 102.535
+    ),
+    "absent-momento-gives-zero": (rent_forward_value, CashFlowSeries(2010, ((2011, 50.0),)), (None, 0.0507, 2012), 0.0),
+    "momento-at-final-year-gives-zero": (
+        rent_forward_value, CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0))), (2011, 0.0507, 2012), 0.0,
+    ),
+    # Whether or not the rent was appropriated.
+    **{
+        f"valuation-before-last-flow-at-x-{x}": (
+            rent_forward_value, CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0))), (x, 0.0507, 2010),
+            "valuation_year 2010 precedes last flow year 2011",
+        )
+        for x in (2009, None)
+    },
+}
+
+
+@pytest.mark.parametrize("call, flows, args, expected", list(RVP_CASES.values()), ids=list(RVP_CASES))
+def test_rvp_case(call, flows, args, expected):
+    """The value by repr, or the exact refusal; a value also matches the oracle's brute force to 1e-12."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as excinfo:
+            call(flows, *args)
+        assert str(excinfo.value) == expected
+        return
+    value = call(flows, *args)
+    assert repr(value) == repr(expected)
+    if call is rvp_series:
+        brute = rvp_brute(list(flows.flows), flows.base_year, args[0].total, as_rate(args[1]).value)
+        assert [year for year, _ in value.points] == [year for year, _ in brute]
+        assert all(rel_close(got, want, rel=1e-12) for (_, got), (_, want) in zip(value.points, brute))
+        assert value.momento_x == momento_brute(brute)
+    else:
+        assert rel_close(value, forward_brute(list(flows.flows), *args), rel=1e-12)
+
+
 class TestRvpSeries:
-    def test_two_year_payback_fixture(self):
-        flows = flows_of(2000, [60.0, 60.5])
-        series = rvp_series(flows, investment(100.0), Rate(0.10))
-        assert series.points[0][1] == pytest.approx(-45.4545, abs=1e-4)
-        assert series.points[1][1] == pytest.approx(4.5455, abs=1e-4)
-        assert series.momento_x == 2002
-        assert series.rent_pv == pytest.approx(4.5455, abs=1e-4)
-
-    def test_all_zero_flows(self):
-        flows = flows_of(2000, [0.0, 0.0, 0.0])
-        series = rvp_series(flows, investment(100.0), Rate(0.10))
-        assert all(value == pytest.approx(-100.0) for _, value in series.points)
-        assert series.momento_x is None
-        assert series.rent_pv == 0.0
-
-    def test_higher_rate_erases_rent(self):
-        flows = flows_of(2000, [60.0, 60.5])
-        series = rvp_series(flows, investment(100.0), Rate(0.25))
-        assert series.points[-1][1] == pytest.approx(-13.28, abs=1e-9)
-        assert series.momento_x is None
-        assert series.rent_pv == 0.0
-
-    def test_empty_flows(self):
-        series = rvp_series(CashFlowSeries(2000, ()), investment(10.0), 0.1)
-        assert series.points == ()
-        assert series.momento_x is None
-        assert series.rent_pv == 0.0
-
-    def test_investment_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rvp_series(flows_of(2000, [1.0]), InitialInvestment(0.0, 0.0, 0.0), 0.1)
-
     @given(
         amounts=st.lists(st.floats(min_value=-200, max_value=500), min_size=1, max_size=30),
         total=st.floats(min_value=1.0, max_value=1000.0),
@@ -132,67 +177,14 @@ class TestRvpSeries:
         for year in set(early) & set(late):
             assert late[year] <= early[year] + 1e-9
 
-    def test_consecutive_differences_are_discounted_flows(self):
-        flows = flows_of(2000, [50.0, -20.0, 80.0, 10.0])
-        series = rvp_series(flows, investment(60.0), 0.13)
-        for i in range(1, len(series.points)):
-            year, value = series.points[i]
-            _, prev = series.points[i - 1]
-            step = flows.flows[i][1] / 1.13 ** (year - 2000)
-            assert value - prev == pytest.approx(step, rel=1e-9)
 
-
-class TestMomentoX:
-    def test_detects_first_positive(self):
-        flows = flows_of(2000, [60.0, 60.5])
-        series = rvp_series(flows, investment(100.0), 0.10)
-        assert momento_x(series) == 2002
-
-    def test_absent_when_never_positive(self):
-        series = rvp_series(flows_of(2000, [1.0, 1.0]), investment(100.0), 0.10)
-        assert momento_x(series) is None
-
-    def test_exact_zero_does_not_trigger(self):
-        # undiscounted flows: -10, 0.0, +5 relative to the investment
-        flows = flows_of(2000, [20.0, 10.0, 5.0])
-        series = rvp_series(flows, investment(30.0), 0.0)
-        assert [round(v, 9) for _, v in series.points] == [-10.0, 0.0, 5.0]
-        assert momento_x(series) == 2003
-
-
-class TestRentForwardValue:
-    def test_two_year_compounding(self):
-        flows = CashFlowSeries(2009, ((2010, 100.0),))
-        value = rent_forward_value(flows, x=2009, fund_rate=0.0507, valuation_year=2012)
-        assert value == pytest.approx(110.397049, rel=1e-9)
-
-    def test_flow_in_valuation_year_kept_verbatim(self):
-        flows = CashFlowSeries(2011, ((2012, 77.0),))
-        assert rent_forward_value(flows, 2011, 0.0507, 2012) == pytest.approx(77.0)
-
-    def test_mixed_years(self):
-        flows = CashFlowSeries(2010, ((2011, 50.0), (2012, 50.0)))
-        assert rent_forward_value(flows, 2010, 0.0507, 2012) == pytest.approx(102.535)
-
-    def test_absent_momento_gives_zero(self):
-        flows = CashFlowSeries(2010, ((2011, 50.0),))
-        assert rent_forward_value(flows, None, 0.0507, 2012) == 0.0
-
-    def test_momento_at_final_year_gives_zero(self):
-        flows = CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0)))
-        assert rent_forward_value(flows, 2011, 0.0507, 2012) == 0.0
-
-    @pytest.mark.parametrize("x", [2009, None])
-    def test_valuation_before_last_flow_rejected(self, x):
-        # Whether or not the rent was appropriated.
-        flows = CashFlowSeries(2008, ((2009, 50.0), (2011, 30.0)))
-        with pytest.raises(ValueError, match="valuation_year 2010 precedes last flow year 2011"):
-            rent_forward_value(flows, x, 0.0507, 2010)
-
-
-def sensitivity_fixture():
-    """Mine whose rent flips sign between a mild and a harsh rate."""
-    records = [
+# A mine whose rent flips sign between a mild and a harsh rate; zero exploration spend keeps its initial investment
+# at the paid-in capital.
+EDGE = make_mine(
+    mine_id="edge",
+    opening_year=2001,
+    capital_paid_first_year=260.0,
+    records=[
         make_record(
             y,
             revenue=95.0,
@@ -206,17 +198,17 @@ def sensitivity_fixture():
             production=50_000.0,
         )
         for y in range(2002, 2012)
-    ]
-    mine = make_mine(mine_id="edge", opening_year=2001, capital_paid_first_year=260.0, records=records)
-    # zero exploration spend keeps the initial investment at the paid-in capital
-    market = make_market(years=range(1984, 2013), exploration_pct=0.0, fund_rate=0.0507)
-    return mine, market
+    ],
+)
+EDGE_MARKET = make_market(years=range(1984, 2013), exploration_pct=0.0, fund_rate=0.0507)
+LATE = EDGE._replace(mine_id="late", records=(*EDGE.records, EDGE.records[-1]._replace(year=2012)))
+INVALID = EDGE._replace(capital_paid_first_year=0.0)
+OUTSIDE = "discount rate 'r' must lie in [0, 1], got"
 
 
 class TestSensitivityReport:
     def test_sign_flip_between_rates(self):
-        mine, market = sensitivity_fixture()
-        report = sensitivity_report([mine], market, [("base", Rate(0.10)), ("harsh", Rate(0.25))])
+        report = sensitivity_report([EDGE], EDGE_MARKET, [("base", Rate(0.10)), ("harsh", Rate(0.25))])
         mild = report.cell("edge", "base")
         harsh = report.cell("edge", "harsh")
         assert mild.momento_x is not None
@@ -225,8 +217,7 @@ class TestSensitivityReport:
         assert harsh.rent_forward == 0.0
 
     def test_identical_specs_identical_columns(self):
-        mine, market = sensitivity_fixture()
-        report = sensitivity_report([mine], market, [("one", Rate(0.12)), ("two", Rate(0.12))])
+        report = sensitivity_report([EDGE], EDGE_MARKET, [("one", Rate(0.12)), ("two", Rate(0.12))])
         one = report.cell("edge", "one")
         two = report.cell("edge", "two")
         assert one == two
@@ -242,75 +233,45 @@ class TestSensitivityReport:
                 assert base.momento_x is not None
                 assert base.momento_x <= harsh.momento_x
 
-    def test_duplicate_labels_rejected(self):
-        mine, market = sensitivity_fixture()
-        with pytest.raises(ValueError):
-            sensitivity_report([mine], market, [("x", Rate(0.1)), ("x", Rate(0.2))])
-
     @pytest.mark.parametrize(
-        "rate, valuation_year, message",
+        "mines, specs, valuation_year, error",
         [
-            (0.0, 2112, None),
-            (1.0, 2012, None),
-            (-1e-9, 2012, "discount rate 'r' must lie in [0, 1], got -1e-09"),
-            (1.0000000000000002, 2012, "discount rate 'r' must lie in [0, 1], got 1.0000000000000002"),
-            (0.1, 2113, "valuation_year 2113 is after 2112"),
-            (0.1, 2011, None),
+            ([EDGE], [("r", 0.0)], 2112, None),
+            ([EDGE], [("r", 1.0)], 2012, None),
+            ([EDGE], [("r", -1e-9)], 2012, ValueError(f"{OUTSIDE} -1e-09")),
+            ([EDGE], [("r", 1.0000000000000002)], 2012, ValueError(f"{OUTSIDE} 1.0000000000000002")),
+            ([EDGE], [("r", 0.1)], 2113, ValueError("valuation_year 2113 is after 2112")),
+            ([EDGE], [("r", 0.1)], 2011, None),
             # At either rate, whether or not the rent is appropriated (momento x is 2011 at 0.1, none at 1).
-            (0.1, 2010, "valuation_year 2010 precedes last flow year 2011"),
-            (1.0, 2010, "valuation_year 2010 precedes last flow year 2011"),
+            ([EDGE], [("r", 0.1)], 2010, ValueError("valuation_year 2010 precedes last flow year 2011")),
+            ([EDGE], [("r", 1.0)], 2010, ValueError("valuation_year 2010 precedes last flow year 2011")),
+            ([EDGE], [("x", Rate(0.1)), ("x", Rate(0.2))], 2012, ValueError("duplicate rate labels: ['x', 'x']")),
+            # The run's last flow year, 2012, is named before a per-mine check could name edge's 2011.
+            ([EDGE, LATE], [("r", 0.1)], 2010, ValueError("valuation_year 2010 precedes last flow year 2012")),
+            # An invalid mine: the ValueError for the arguments comes first, but the last flow year is read from
+            # validated mines, so at 2010 the mine is refused as such first.
+            ([INVALID], [], 2012, ValueError("at least one labeled rate is required")),
+            ([INVALID], [("r", 0.1), ("r", 0.2)], 2012, ValueError("duplicate rate labels: ['r', 'r']")),
+            ([INVALID], [("r", 2.0)], 2012, ValueError(f"{OUTSIDE} 2.0")),
+            ([INVALID], [("r", 0.1)], 2113, ValueError("valuation_year 2113 is after 2112")),
+            ([INVALID], [("r", 0.1)], 2010,
+             InvalidDatasetError("edge: [capital-paid-positive] capital_paid_first_year must be > 0, got 0.0")),
+            # Unchecked, both "edge" rows held the second mine's numbers: the imputation keys its allocations by id.
+            ([EDGE, LATE._replace(mine_id="edge")], [("r", 0.1)], 2012,
+             InvalidDatasetError("edge: [duplicate-mine-id] 2 mines share this mine_id")),
         ],
     )
-    def test_rate_and_valuation_year_bounds(self, rate, valuation_year, message):
-        mine, market = sensitivity_fixture()
-        if message is None:
-            assert sensitivity_report([mine], market, [("r", rate)], valuation_year).cell("edge", "r")
+    def test_rate_and_valuation_year_bounds(self, mines, specs, valuation_year, error):
+        if error is None:
+            assert sensitivity_report(mines, EDGE_MARKET, specs, valuation_year).cell("edge", "r")
         else:
-            with pytest.raises(ValueError) as excinfo:
-                sensitivity_report([mine], market, [("r", rate)], valuation_year)
-            assert str(excinfo.value) == message
-
-    @pytest.mark.parametrize(
-        "specs, valuation_year",
-        [
-            ([], 2012),
-            ([("r", 0.1), ("r", 0.2)], 2012),
-            ([("r", 2.0)], 2012),
-            ([("r", 0.1)], 2113),
-        ],
-    )
-    def test_arguments_are_checked_before_the_inputs(self, specs, valuation_year):
-        # The capital makes the mine invalid, but the ValueError for the arguments comes first.
-        mine, market = sensitivity_fixture()
-        with pytest.raises(ValueError):
-            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, specs, valuation_year)
-
-    def test_valuation_year_is_checked_against_the_validated_mines(self):
-        # The last flow year is read from validated mines, so an invalid mine is refused as such first.
-        mine, market = sensitivity_fixture()
-        with pytest.raises(InvalidDatasetError):
-            sensitivity_report([mine._replace(capital_paid_first_year=0.0)], market, [("r", 0.1)], 2010)
-        with pytest.raises(ValueError, match="^valuation_year 2010 precedes last flow year 2011$"):
-            sensitivity_report([mine], market, [("r", 0.1)], 2010)
-
-    def test_valuation_year_is_checked_against_the_last_mine_to_end(self):
-        # The run's last flow year, 2012, is named before a per-mine check could name edge's 2011.
-        mine, market = sensitivity_fixture()
-        late = mine._replace(mine_id="late", records=(*mine.records, mine.records[-1]._replace(year=2012)))
-        with pytest.raises(ValueError, match="^valuation_year 2010 precedes last flow year 2012$"):
-            sensitivity_report([mine, late], market, [("r", 0.1)], 2010)
-
-    def test_mines_sharing_an_id_are_refused(self, corpus_mines, corpus_market):
-        # Unchecked, both "alpha" rows held beta's numbers: the imputation keys its allocations by id.
-        alpha, beta, _ = corpus_mines
-        with pytest.raises(InvalidDatasetError) as excinfo:
-            sensitivity_report([alpha, beta._replace(mine_id="alpha")], corpus_market, [("r", 0.1)])
-        assert str(excinfo.value) == "alpha: [duplicate-mine-id] 2 mines share this mine_id"
+            with pytest.raises(Exception) as excinfo:
+                sensitivity_report(mines, EDGE_MARKET, specs, valuation_year)
+            assert (type(excinfo.value), str(excinfo.value)) == (type(error), str(error))
 
     def test_validation_warnings_come_back_on_the_report(self):
-        mine, market = sensitivity_fixture()
-        mine = mine._replace(physical_history=(PhysicalYear(2001, 50_000.0, 60_000.0),))
-        report = sensitivity_report([mine], market, [("r", 0.1)])
+        mine = EDGE._replace(physical_history=(PhysicalYear(2001, 50_000.0, 60_000.0),))
+        report = sensitivity_report([mine], EDGE_MARKET, [("r", 0.1)])
         assert [(w.locator, w.rule) for w in report.warnings] == [("edge:2001", "exports-exceed-production")]
 
 
@@ -326,7 +287,7 @@ class TestAnalyzeMine:
     def test_unreconstructed_mine_rejected(self, corpus_mines, corpus_market):
         mine = next(mine for mine in corpus_mines if mine.physical_history)
         exploration = impute_exploration(corpus_market, corpus_mines)
-        with pytest.raises(ValueError, match="physical history is not reconstructed"):
+        with pytest.raises(ValueError, match="^alpha: physical history is not reconstructed$"):
             analyze_mine(mine, corpus_market, Rate(0.12), exploration)
 
 
@@ -335,21 +296,14 @@ class TestWriters:
         series = rvp_series(flows_of(2000, [60.0, 60.5]), investment(100.0), 0.10)
         target = tmp_path / "m.csv"
         write_plot_data(series, target)
-        lines = target.read_text().splitlines()
-        assert lines[0] == "year,rvp"
-        assert len(lines) == 3
-        assert lines[1].startswith("2001,-45.45")
+        assert target.read_text() == "year,rvp\n2001,-45.45454545454546\n2002,4.5454545454545325\n"
 
     def test_summary_table_layout(self, tmp_path):
-        mine, market = sensitivity_fixture()
-        report = sensitivity_report([mine], market, [("base", Rate(0.10)), ("harsh", Rate(0.25))])
+        report = sensitivity_report([EDGE], EDGE_MARKET, [("base", Rate(0.10)), ("harsh", Rate(0.25))])
         target = tmp_path / "summary.csv"
         write_summary_table(report, target)
-        lines = target.read_text().splitlines()
-        assert lines[0] == (
+        assert target.read_text() == (
             "mine_id,momento_x_base,momento_x_harsh,rent_pv_at_t0_base,rent_pv_at_t0_harsh,"
-            "rent_at_2012_base,rent_at_2012_harsh"
+            "rent_at_2012_base,rent_at_2012_harsh\n"
+            "edge,2011,-,10.36095265100596,0.0,0.0,0.0\n"  # absent momento under the harsh rate
         )
-        cells = lines[1].split(",")
-        assert cells[0] == "edge"
-        assert cells[2] == "-"  # absent momento under the harsh rate

@@ -26,22 +26,83 @@ from minerent.valuation import compound, discount
 from conftest import make_mine, make_record
 
 
+def flow_record(pretax, dep, cap, tax, faa, nlp):
+    """A record whose six line items of the annual cash flow are these."""
+    return make_record(
+        2001, pretax_result=pretax, depreciation_amortization=dep,
+        capital_paid_increase=cap, taxes_paid=tax,
+        fixed_asset_additions=faa, net_loan_payments=nlp,
+    )
+
+
+# Each row: a call and its arguments, mapped to what it returns, compared by repr.
+VALUATIONS = {
+    "conservative-spec": (discount_rate, (DiscountSpec(0.069, 2.0, 0.03889, 0.0411),), Rate(0.18788000000000002)),
+    "zero-beta-zero-country": (discount_rate, (DiscountSpec(0.05, 0.0, 0.07, 0.0),), Rate(0.05)),
+    "base-spec": (discount_rate, (DiscountSpec(0.069, 0.91, 0.03889, 0.0173),), Rate(0.1216899)),
+    "base-preset": (discount_rate, (PRESETS["base"],), Rate(0.1216899)),
+    "conservative-preset": (discount_rate, (PRESETS["conservative"],), Rate(0.18788000000000002)),
+    "six-line-items": (annual_cash_flow, (flow_record(100.0, 20.0, 5.0, 10.0, 30.0, 15.0),), 60.0),
+    "all-zero-line-items": (annual_cash_flow, (flow_record(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),), 0.0),
+    "taxes-absorb-gross-flow": (annual_cash_flow, (flow_record(50.0, 10.0, 0.0, 60.0, 0.0, 0.0),), 0.0),
+    "single-discounted-flow": (present_value, (CashFlowSeries(2000, ((2001, 110.0),)), Rate(0.10)), 99.99999999999999),
+    "zero-rate-is-plain-sum": (
+        present_value, (CashFlowSeries(2000, ((2001, 10.0), (2003, 30.0), (2007, -5.0))), 0.0), 35.0
+    ),
+    "empty-series": (present_value, (CashFlowSeries(2000, ()), 0.1), 0.0),
+    # (1 - 0.9) ** 400 underflows to 0.0
+    "underflowed-factor-gives-infinity": (present_value, (CashFlowSeries(0, ((400, 1.0),)), -0.9), math.inf),
+    # Added in year order and rounded at each step; a compensated sum (math.fsum, or the built-in sum from
+    # Python 3.12) gives 1.0.
+    "flows-add-in-year-order": (
+        present_value, (CashFlowSeries(2000, ((2001, 1e100), (2002, 1.0), (2003, -1e100))), 0.0), 0.0
+    ),
+    "mine-cash-flows-anchored-at-opening": (
+        mine_cash_flows, (make_mine(opening_year=1998, records=[make_record(y) for y in (1999, 2000)]),),
+        CashFlowSeries(1998, ((1999, 41.0), (2000, 41.0))),
+    ),
+    "flow-amounts-become-floats": (CashFlowSeries, (2000, [(2001, 1)]), CashFlowSeries(2000, ((2001, 1.0),))),
+}
+
+# Each row: a call and its arguments, mapped to the text of the ValueError it raises.
+VALUATION_REFUSALS = {
+    **{
+        f"rate-{value!r}": (Rate, (value,), f"rate must be finite and > -1, got {value!r}")
+        for value in (math.nan, math.inf, -math.inf)
+    },
+    "negative-risk-free": (
+        DiscountSpec, (-0.01, 1.0, 0.05, 0.0), "risk_free must be finite and nonnegative, got -0.01"
+    ),
+    "inconsistent-investment-total": (
+        InitialInvestment, (10.0, 5.0, 16.0), "total must equal extraction + exploration"
+    ),
+    "zero-investment-total": (InitialInvestment, (0.0, 0.0, 0.0), "total initial investment must be > 0, got 0.0"),
+    **{
+        f"flow-years-{name}": (CashFlowSeries, (2000, flows), "flow years must be strictly increasing")
+        for name, flows in [("decrease", ((2002, 1.0), (2001, 1.0))), ("repeat", ((2001, 1.0), (2001, 2.0)))]
+    },
+    "base-year-after-first-flow": (
+        CashFlowSeries, (2005, ((2001, 1.0),)), "base_year 2005 is after first flow year 2001"
+    ),
+    "present-value-at-minus-one": (
+        present_value, (CashFlowSeries(2000, ((2001, 1.0),)), -1.0), "rate must be finite and > -1, got -1.0"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, args, expected", list(VALUATIONS.values()), ids=list(VALUATIONS))
+def test_value(call, args, expected):
+    assert repr(call(*args)) == repr(expected)
+
+
+@pytest.mark.parametrize("call, args, message", list(VALUATION_REFUSALS.values()), ids=list(VALUATION_REFUSALS))
+def test_refusal(call, args, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(*args)
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
 class TestDiscountRate:
-    def test_conservative_parameters(self):
-        rate = discount_rate(DiscountSpec(0.069, 2.0, 0.03889, 0.0411))
-        assert rate.value == pytest.approx(0.18788, abs=1e-6)
-
-    def test_zero_beta_zero_country(self):
-        assert discount_rate(DiscountSpec(0.05, 0.0, 0.07, 0.0)).value == 0.05
-
-    def test_base_parameters(self):
-        rate = discount_rate(DiscountSpec(0.069, 0.91, 0.03889, 0.0173))
-        assert rate.value == pytest.approx(0.12169, abs=1e-6)
-
-    def test_presets(self):
-        assert discount_rate(PRESETS["base"]).value == pytest.approx(0.1216899)
-        assert discount_rate(PRESETS["conservative"]).value == pytest.approx(0.18788)
-
     @given(
         spec=st.tuples(
             st.floats(min_value=0, max_value=0.2),
@@ -60,48 +121,8 @@ class TestDiscountRate:
         bumped = DiscountSpec(*bumped_values)
         assert discount_rate(bumped).value > discount_rate(base).value
 
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            DiscountSpec(-0.01, 1.0, 0.05, 0.0)
-
 
 class TestAnnualCashFlow:
-    def test_six_line_items(self):
-        rec = make_record(
-            2001,
-            pretax_result=100.0,
-            depreciation_amortization=20.0,
-            capital_paid_increase=5.0,
-            taxes_paid=10.0,
-            fixed_asset_additions=30.0,
-            net_loan_payments=15.0,
-        )
-        assert annual_cash_flow(rec) == pytest.approx(60.0)
-
-    def test_all_zero(self):
-        rec = make_record(
-            2001,
-            pretax_result=0.0,
-            depreciation_amortization=0.0,
-            capital_paid_increase=0.0,
-            taxes_paid=0.0,
-            fixed_asset_additions=0.0,
-            net_loan_payments=0.0,
-        )
-        assert annual_cash_flow(rec) == 0.0
-
-    def test_taxes_absorb_gross_flow(self):
-        rec = make_record(
-            2001,
-            pretax_result=50.0,
-            depreciation_amortization=10.0,
-            capital_paid_increase=0.0,
-            taxes_paid=60.0,
-            fixed_asset_additions=0.0,
-            net_loan_payments=0.0,
-        )
-        assert annual_cash_flow(rec) == pytest.approx(0.0)
-
     @given(
         values=st.tuples(*[st.floats(min_value=-500, max_value=500) for _ in range(6)]),
         scale=st.floats(min_value=-10, max_value=10),
@@ -109,11 +130,7 @@ class TestAnnualCashFlow:
     @settings(max_examples=200)
     def test_linear_in_money_fields(self, values, scale):
         pretax, dep, cap, tax, faa, nlp = values
-        rec = make_record(
-            2001, pretax_result=pretax, depreciation_amortization=dep,
-            capital_paid_increase=cap, taxes_paid=tax,
-            fixed_asset_additions=faa, net_loan_payments=nlp,
-        )
+        rec = flow_record(*values)
         scaled = rec._replace(
             revenue=rec.revenue * scale, operating_cost=rec.operating_cost * scale,
             admin_sales_expense=rec.admin_sales_expense * scale,
@@ -124,53 +141,7 @@ class TestAnnualCashFlow:
         assert annual_cash_flow(scaled) == pytest.approx(scale * annual_cash_flow(rec), abs=1e-9)
 
 
-class TestInitialInvestment:
-    def test_inconsistent_total_rejected(self):
-        with pytest.raises(ValueError):
-            InitialInvestment(extraction=10.0, exploration=5.0, total=16.0)
-        with pytest.raises(ValueError):
-            InitialInvestment(extraction=0.0, exploration=0.0, total=0.0)
-
-
-class TestCashFlowSeries:
-    def test_years_must_increase(self):
-        with pytest.raises(ValueError):
-            CashFlowSeries(base_year=2000, flows=((2002, 1.0), (2001, 1.0)))
-        with pytest.raises(ValueError):
-            CashFlowSeries(base_year=2000, flows=((2001, 1.0), (2001, 2.0)))
-
-    def test_base_year_before_first_flow(self):
-        with pytest.raises(ValueError):
-            CashFlowSeries(base_year=2005, flows=((2001, 1.0),))
-
-    def test_mine_cash_flows_anchored_at_opening(self):
-        mine = make_mine(opening_year=1998, records=[make_record(y) for y in (1999, 2000)])
-        flows = mine_cash_flows(mine)
-        assert flows.base_year == 1998
-        assert flows.flows == tuple((r.year, annual_cash_flow(r)) for r in mine.records)
-        assert [year for year, _ in flows.flows] == [1999, 2000]
-
-
 class TestPresentValue:
-    def test_single_discounted_flow(self):
-        series = CashFlowSeries(base_year=2000, flows=((2001, 110.0),))
-        assert present_value(series, Rate(0.10)) == pytest.approx(100.0)
-
-    def test_zero_rate_is_plain_sum(self):
-        series = CashFlowSeries(base_year=2000, flows=((2001, 10.0), (2003, 30.0), (2007, -5.0)))
-        assert present_value(series, 0.0) == pytest.approx(35.0)
-
-    def test_empty_series(self):
-        assert present_value(CashFlowSeries(2000, ()), 0.1) == 0.0
-
-    def test_underflowed_factor_gives_infinity(self):
-        # (1 - 0.9) ** 400 underflows to 0.0
-        assert present_value(CashFlowSeries(0, ((400, 1.0),)), -0.9) == math.inf
-
-    def test_rate_must_exceed_minus_one(self):
-        with pytest.raises(ValueError):
-            present_value(CashFlowSeries(2000, ((2001, 1.0),)), -1.0)
-
     @given(
         amounts=st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=20),
         r1=st.floats(min_value=0.0, max_value=0.5),
@@ -236,25 +207,34 @@ class TestCompoundAndDiscount:
         assert compound(-0.9, 400) == 0.0
 
 
-def _one_plus_power_sites(source: str) -> list[int]:
-    """Lines holding ``(1 + x) ** y`` or ``(1.0 + x) ** y``."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.BinOp)
+def _sites(match) -> dict[str, list[int]]:
+    """Each module of the package that has syntax nodes that ``match``, with their lines."""
+    package = Path(compound.__code__.co_filename).parent
+    sites = {
+        path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if match(node)]
+        for path in sorted(package.glob("*.py"))
+    }
+    return {name: lines for name, lines in sites.items() if lines}
+
+
+def _is_one_plus_power(node) -> bool:
+    """``(1 + x) ** y`` or ``(1.0 + x) ** y``."""
+    return (
+        isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Pow)
         and isinstance(node.left, ast.BinOp)
         and isinstance(node.left.op, ast.Add)
         and isinstance(node.left.left, ast.Constant)
         and node.left.left.value == 1
-    ]
+    )
 
 
 def test_only_valuation_turns_a_rate_into_a_factor():
     """``valuation.compound`` is the one place that writes ``(1 + r) ** t``; the rest call it."""
-    package = Path(compound.__code__.co_filename).parent
-    sites = {
-        path.name: _one_plus_power_sites(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))
-    }
-    assert sites.pop("valuation.py")
-    assert {name: lines for name, lines in sites.items() if lines} == {}
+    assert list(_sites(_is_one_plus_power)) == ["valuation.py"]
+
+
+def test_no_module_calls_the_built_in_sum():
+    """From Python 3.12 the built-in ``sum`` compensates float sums, which would make the artifacts' bits hang on
+    the interpreter; ``data_model.plain_sum`` adds in order instead."""
+    assert _sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum") == {}
