@@ -51,7 +51,6 @@ from .rent_analysis import (
     RvpSeries,
     SensitivityReport,
     analyze_mine,
-    momento_x,
     rent_forward_value,
     rvp_series,
     sensitivity_report,

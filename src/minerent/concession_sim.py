@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .data_model import USD_PER_MUSD
 from .valuation import CashFlowSeries, Rate, as_rate, compound, discount
@@ -249,39 +249,32 @@ def generate_price_path(params: PricePathParams) -> np.ndarray:
     return prices
 
 
-def _accrual_terms(announced_rate: Rate | float, tax_policy: dict[int, float] | float | None, periods: int):
-    """Periods 1..n's discount factors and tax asks, built once per call and shared by its runs.
-
-    A factor is the Python float power that ``discount`` divides by. An ask is
-    the ``{period: tax}`` schedule's entry (0.0 where absent) or the constant,
-    raised to 0.0 if negative: the first half of the clamp.
-    """
-    rate = as_rate(announced_rate).value
-    factors = [compound(rate, period) for period in range(1, periods + 1)]
-    if tax_policy is None or isinstance(tax_policy, (int, float)):
-        return factors, [max(float(tax_policy or 0.0), 0.0)] * periods
-    return factors, [max(float(tax_policy.get(period, 0.0)), 0.0) for period in range(1, periods + 1)]
-
-
-def _accrue(vpi: float, path, quantity_per_year: float, factors, asks, run: int, rows=None) -> int | None:
+def _accrue(vpi: float, path, quantity_per_year: float, rate: float, tax_policy, run: int, rows=None) -> int | None:
     """Accrue one concession over ``path``, period by period; return its expiry period, None if it outlives the path.
 
     Each step is ``step_concession``'s, bit for bit: gross revenue is
-    ``price * quantity / USD_PER_MUSD``, the tax is clamped to [0, gross],
-    and the counted revenue over the period's factor is added to the accrued
-    PV. A zero counted revenue is skipped, as the +0.0 or -0.0 it would add
-    leaves a sum that starts from +0.0 unchanged; a factor a negative rate
-    underflowed to 0.0 makes any other an infinity (``discount``'s limits).
-    Stops at expiry. Raises ValueError at the first bad period, numbered in
-    run ``run``: a gross revenue that is not finite, a tax outside [0, gross]
-    (a negative price, or a NaN tax) or an accrued PV that overflows a float.
-    With ``rows`` a list, appends each period's ``OutcomeRow`` to it.
+    ``price * quantity / USD_PER_MUSD``; the tax ask, the ``{period: tax}``
+    schedule's entry (0.0 where absent) or the constant, is raised to 0.0 if
+    negative and lowered to gross; and the counted revenue over the period's
+    factor ``compound(rate, period)`` is added to the accrued PV. A zero
+    counted revenue is skipped, as the +0.0 or -0.0 it would add leaves a sum
+    that starts from +0.0 unchanged; a factor a negative rate underflowed to
+    0.0 makes any other an infinity (``discount``'s limits). Reads ``path``,
+    any iterable of prices, only up to its stop: expiry or the path's end.
+    Raises ValueError at the first bad period, numbered in run ``run``: a
+    gross revenue that is not finite, a tax outside [0, gross] (a negative
+    price, or a NaN tax) or an accrued PV that overflows a float. With
+    ``rows`` a list, appends each period's ``OutcomeRow`` to it.
     """
+    constant = tax_policy is None or isinstance(tax_policy, (int, float))
+    ask = max(float(tax_policy or 0.0), 0.0) if constant else 0.0
     accrued = 0.0
-    for period, (price, factor, ask) in enumerate(zip(map(float, path), factors, asks), start=1):
+    for period, price in enumerate(map(float, path), start=1):
         gross = price * quantity_per_year / USD_PER_MUSD
         if not math.isfinite(gross):
             raise ValueError(f"gross revenue is not finite in run {run}, period {period}: {gross!r}")
+        if not constant:
+            ask = max(float(tax_policy.get(period, 0.0)), 0.0)
         tax = gross if gross < ask else ask
         if not 0.0 <= tax <= gross:
             raise ValueError(
@@ -289,6 +282,7 @@ def _accrue(vpi: float, path, quantity_per_year: float, factors, asks, run: int,
             )
         counted = gross - tax
         if counted:
+            factor = compound(rate, period)
             accrued += counted / factor if factor else math.inf
             if not math.isfinite(accrued):
                 raise ValueError(f"accrued PV overflows a float in run {run}, period {period}")
@@ -303,7 +297,7 @@ def _accrue(vpi: float, path, quantity_per_year: float, factors, asks, run: int,
 
 def accrue_concessions(
     vpi: float,
-    price_paths: Iterable[Sequence[float]],
+    price_paths: Iterable[Iterable[float]],
     quantity_per_year: float,
     announced_rate: Rate | float,
     tax_policy: dict[int, float] | float | None = None,
@@ -312,11 +306,11 @@ def accrue_concessions(
 ) -> list[int | None]:
     """Accrue one concession per price path; return each run's duration, None if still active.
 
-    The paths may come from any iterable, a generator included, and must
-    share one length; a path of another length raises ValueError when it is
-    reached. Each run is accrued by one loop that stops at its expiry, and
-    every value equals what a loop of ``step_concession`` calls gives, bit
-    for bit: the same IEEE operations and the same Python float powers as
+    The paths may come from any iterable, a generator included, and each
+    path may be any iterable of prices, of any length; it is read only up to
+    its run's stop. Each run is accrued by one loop that stops at its expiry,
+    and every value equals what a loop of ``step_concession`` calls gives,
+    bit for bit: the same IEEE operations and the same Python float powers as
     discount factors. The tax policy is a ``{period: tax}`` schedule or a
     constant, clamped to [0, gross] with Python's ``max``/``min`` semantics.
 
@@ -330,26 +324,21 @@ def accrue_concessions(
     so later paths are not drawn. An error raised by the iterable itself (a
     price path that cannot be generated) propagates when that path is drawn.
     """
-    rate = new_concession(vpi, announced_rate).announced_rate
-    durations: list[int | None] = []
-    for run, path in enumerate(price_paths, start=first_run):
-        if run == first_run:
-            periods = len(path)
-            terms = _accrual_terms(rate, tax_policy, periods)
-        elif len(path) != periods:
-            raise ValueError(f"price paths must share one length: run {run} has {len(path)}, run {first_run} {periods}")
-        durations.append(_accrue(vpi, path, quantity_per_year, *terms, run))
-    return durations
+    rate = new_concession(vpi, announced_rate).announced_rate.value
+    return [
+        _accrue(vpi, path, quantity_per_year, rate, tax_policy, run)
+        for run, path in enumerate(price_paths, start=first_run)
+    ]
 
 
 def simulate_concession(
     vpi: float,
-    price_path: Sequence[float] | np.ndarray,
+    price_path: Iterable[float],
     quantity_per_year: float,
     announced_rate: Rate | float,
     tax_policy: dict[int, float] | float | None = None,
 ) -> ConcessionOutcome:
-    """Drive the concession over a price path until expiry or path end.
+    """Drive the concession over a price path, any iterable of prices, until expiry or path end.
 
     Yearly gross revenue is price (USD/t) times quantity (t), expressed in
     million USD. The tax policy is a per-period schedule or a constant, as
@@ -359,8 +348,7 @@ def simulate_concession(
     """
     state = new_concession(vpi, announced_rate)
     rows: list[OutcomeRow] = []
-    terms = _accrual_terms(state.announced_rate, tax_policy, len(price_path))
-    duration = _accrue(vpi, price_path, quantity_per_year, *terms, 0, rows)
+    duration = _accrue(vpi, price_path, quantity_per_year, state.announced_rate.value, tax_policy, 0, rows)
     final_pv = rows[-1].accrued_pv if rows else 0.0
     status, warning = ConcessionStatus.EXPIRED, None
     if duration is None:

@@ -55,9 +55,9 @@ USD_PER_MUSD = 1_000_000.0
 NO_HISTORY_WARNING = "no history; reconstruction required"
 
 # A mine_id becomes part of output file names and a summary CSV cell, so it may not
-# hold a path separator, a comma or a control character, nor be "." or "..", and its
+# hold a path separator, a comma, a double quote or a control character, nor be "." or "..", and its
 # longest name, "{mine_id}_rvp_conservative.csv", must fit a file system's 255 bytes.
-_MINE_ID_FORBIDDEN = frozenset("/\\,") | frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
+_MINE_ID_FORBIDDEN = frozenset('/\\,"') | frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
 MINE_ID_MAX_BYTES = 200
 
 
@@ -322,7 +322,7 @@ def load_mine_dataset(path: str | Path) -> MineDataset:
         raise SchemaError("mine_id must be non-empty", path, mine_id_line)
     if mine_id in (".", "..") or not _MINE_ID_FORBIDDEN.isdisjoint(mine_id):
         raise SchemaError(
-            f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',' or a control character",
+            f"mine_id {mine_id!r} must not be '.' or '..' nor contain '/', '\\', ',', '\"' or a control character",
             path,
             mine_id_line,
         )

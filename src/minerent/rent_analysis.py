@@ -45,24 +45,18 @@ class RvpSeries(NamedTuple):
 
 
 def rvp_series(flows: CashFlowSeries, investment: InitialInvestment, rate: Rate | float) -> RvpSeries:
-    """Cumulative discounted cash flow minus the initial investment, per year."""
+    """Cumulative discounted cash flow minus the initial investment, per year, and momento x found on the way."""
     r, base, total = as_rate(rate).value, flows.base_year, investment.total
-    cumulative = 0.0
+    cumulative = rvp = 0.0
     points: list[tuple[int, float]] = []
+    x = None
     for year, amount in flows.flows:
         cumulative += discount(amount, r, year - base)
-        points.append((year, cumulative - total))
-    final = points[-1][1] if points else 0.0
-    series = RvpSeries(points=tuple(points), momento_x=None, rent_pv=max(final, 0.0))
-    return series._replace(momento_x=momento_x(series))
-
-
-def momento_x(series: RvpSeries) -> int | None:
-    """First year whose RVP is strictly positive; None when there is none."""
-    for year, value in series.points:
-        if value > MOMENTO_TOLERANCE:
-            return year
-    return None
+        rvp = cumulative - total
+        points.append((year, rvp))
+        if x is None and rvp > MOMENTO_TOLERANCE:
+            x = year
+    return RvpSeries(points=tuple(points), momento_x=x, rent_pv=max(rvp, 0.0))
 
 
 def rent_forward_value(

@@ -191,8 +191,9 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"expected {len(columns)} columns, got {len(fields)}", path, lineno)
         if section == "bidders":
             key = fields[0].strip()
-            if not key or not key.isprintable():  # it becomes a cell of auction_result.csv
-                raise ScenarioError(f"bidder_id must be non-empty and printable, got {key!r}", path, lineno)
+            if not key or not key.isprintable() or '"' in key:  # it becomes a cell of auction_result.csv
+                message = f"bidder_id must be non-empty, printable and free of '\"', got {key!r}"
+                raise ScenarioError(message, path, lineno)
         else:
             key = _scenario_number(fields[0], "period", path, lineno)
         if key in keyed[section]:

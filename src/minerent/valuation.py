@@ -128,10 +128,11 @@ def initial_investment(mine: MineDataset, exploration, rate: Rate | float) -> In
     a mine that no spend year reached has no exploration.
     """
     r = as_rate(rate).value
-    imputed = 0.0  # a plain loop: from Python 3.12 the built-in sum compensates, which changes the artifacts' bits
-    for year, shares in exploration.yearly_allocations.items():
-        if mine.mine_id in shares:
-            imputed += shares[mine.mine_id] * compound(r, mine.opening_year - year)
+    imputed = plain_sum(
+        shares[mine.mine_id] * compound(r, mine.opening_year - year)
+        for year, shares in exploration.yearly_allocations.items()
+        if mine.mine_id in shares
+    )
     extraction = mine.capital_paid_first_year
     return InitialInvestment(extraction=extraction, exploration=imputed, total=extraction + imputed)
 

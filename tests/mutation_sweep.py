@@ -20,19 +20,19 @@ The six sweeps kept with the project::
     # every validation rule: each err(, warn( and _check_range(err in _check_physical_row and
     # validate_dataset (and the one err( in _check_range itself)
     python tests/mutation_sweep.py src/minerent/data_model.py '^(err|warn)\(|_check_range\(err'
-    # every raise statement, one-line or not (70 mutants)
+    # every raise statement, one-line or not (69 mutants)
     python tests/mutation_sweep.py src/minerent/*.py '^raise\b'
-    # every statement of the concession engine but its docstrings (133 mutants); the 5 survivors are
+    # every statement of the concession engine but its docstrings (122 mutants); the 5 survivors are
     # equivalent: the numpy import under TYPE_CHECKING, two __slots__ = () and two trailing return None
     python tests/mutation_sweep.py src/minerent/concession_sim.py '^(?!r?""")'
     # every statement of the backfill and the imputation but its docstrings (75 mutants); the 1 survivor
     # is equivalent: the future import
     python tests/mutation_sweep.py src/minerent/reconstruction.py '^(?!r?""")'
-    # every statement of the valuation layer but its docstrings (43 mutants); the 4 survivors are
+    # every statement of the valuation layer but its docstrings (42 mutants); the 4 survivors are
     # equivalent: the future import and three __slots__ = ()
     python tests/mutation_sweep.py src/minerent/valuation.py '^(?!r?""")'
-    # every statement of the RVP, momento x and rent valuation but its docstrings (70 mutants); the 3
-    # survivors are equivalent: the future import, the annotation-only Path import and a trailing return None
+    # every statement of the RVP, momento x and rent valuation but its docstrings (69 mutants); the 2
+    # survivors are equivalent: the future import and the annotation-only Path import
     python tests/mutation_sweep.py src/minerent/rent_analysis.py '^(?!r?""")'
 
 The script copies and tests the tree it lives in. To sweep against chosen test files only, copy

@@ -165,7 +165,7 @@ _TONNAGE = "[tonnage-range] values must be 0 or between 1 and 1e+12 t in magnitu
 _MONEY = "[money-range] values must be 0 or between 1e-06 and 1e+12 M USD in magnitude, got"
 _BASELINE = "[baseline-window] pre-history needs a reported year 2001-2005 with production > 0 to backfill from"
 _BLANKED = "[history-before-reports] pre-history year {} is not before first reported year 2001"
-_MINE_ID = "must not be '.' or '..' nor contain '/', '\\', ',' or a control character"
+_MINE_ID = "must not be '.' or '..' nor contain '/', '\\', ',', '\"' or a control character"
 
 # Refusals of a mine or market file, the same under analyze and reconstruct: (edits, stderr lines). An edit
 # (file, old, new) replaces the first `old` in a copy of the shipped file (an absent file reads as ""); a
@@ -292,14 +292,15 @@ INPUT_REFUSALS = [
             (5e-324, [2001]),
         ]
     ),
-    # The id is part of output file names, so "../escaped" would put escaped_* beside --out.
+    # The id is part of output file names, so "../escaped" would put escaped_* beside --out; a leading '"' would
+    # open a quoted cell of summary_cuadro1.csv that runs to the end of the file.
     *(
         _refusal(
             f"mine_id={mine_id!r}",
             [("alpha.csv", "mine_id=alpha\n", f"mine_id={mine_id}\n")],
             f"error: {{alpha}}:1: mine_id {mine_id!r} {_MINE_ID}",
         )
-        for mine_id in ["../escaped", "sub/dir", "a,b", "..", "bell\x07"]
+        for mine_id in ["../escaped", "sub/dir", "a,b", '"alpha', "..", "bell\x07"]
     ),
     *(
         _refusal(
@@ -968,6 +969,11 @@ SCENARIO_REFUSALS = [
                 ("slim,90", "expected 3 columns, got 2"),
                 # Each row is checked at its own line, so a fault on a later line does not hide it.
                 ("slim,-5,0.12\n[oops]", "i0 must be > 0, got -5.0"),
+                # A leading '"' would open a quoted cell of auction_result.csv that runs to the end of the file.
+                *(
+                    (f"{key},90,0.12", f"bidder_id must be non-empty, printable and free of '\"', got {key!r}")
+                    for key in ['"slim', 'sl"im']
+                ),
             ]
         ),
         (
@@ -1253,13 +1259,14 @@ class TestAuctionCommand:
         assert rows["heavy"][2] == "false"
         assert float(rows["slim"][1]) < float(rows["heavy"][1])
 
-    # Splitting lines at "\n" only keeps a "\r" inside its line; no such character reaches the result table.
-    @pytest.mark.parametrize("bidder_id", ["sl\rim", "nul\x00", "line\u2028break", "no\xa0break"])
+    # Splitting lines at "\n" only keeps a "\r" inside its line; no such character, and no '"', reaches the result
+    # table.
+    @pytest.mark.parametrize("bidder_id", ["sl\rim", "nul\x00", "line\u2028break", "no\xa0break", '"slim', 'sl"im'])
     def test_unprintable_bidder_id_is_one_error_line(self, tmp_path, capsys, bidder_id):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(AUCTION_SCENARIO.replace("slim,", f"{bidder_id},"))
         assert main(["auction", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
-        message = f"bidder_id must be non-empty and printable, got {bidder_id!r}"
+        message = f"bidder_id must be non-empty, printable and free of '\"', got {bidder_id!r}"
         assert capsys.readouterr().err.splitlines() == [f"error: {scenario}:7: {message}"]
         assert not (tmp_path / "out").exists()
 

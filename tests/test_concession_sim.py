@@ -70,10 +70,12 @@ class TestEquilibriumBid:
         assert equilibrium_bid(bidder(1000.0, 0.2, [5.0] * 5), Rate(0.1)) is None
 
     def test_negative_revenue_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             equilibrium_bid(bidder(10.0, 0.1, [5.0, -1.0]), Rate(0.05))
-        with pytest.raises(ValueError):  # also after the period that repays
+        assert str(caught.value) == "revenue must be nonnegative, got -1.0 at period 2"
+        with pytest.raises(ValueError) as caught:  # also after the period that repays
             equilibrium_bid(bidder(5.0, 0.1, [50.0, 5.0, -1.0]), Rate(0.05))
+        assert str(caught.value) == "revenue must be nonnegative, got -1.0 at period 3"
 
     @pytest.mark.parametrize("investment", [0.0, float("nan")])
     def test_investment_must_be_finite_and_positive(self, investment):
@@ -82,10 +84,9 @@ class TestEquilibriumBid:
 
     def test_path_must_start_after_award(self):
         path = CashFlowSeries(0, ((0, 5.0), (1, 5.0)))
-        with pytest.raises(ValueError):
-            equilibrium_bid(
-                Bidder("b", 5.0, Rate(0.1), path), Rate(0.05)
-            )
+        with pytest.raises(ValueError) as caught:
+            equilibrium_bid(Bidder("b", 5.0, Rate(0.1), path), Rate(0.05))
+        assert str(caught.value) == "revenue path must start strictly after the concession start"
 
     @given(
         revenues=st.lists(st.floats(min_value=0.1, max_value=60.0), min_size=1, max_size=25),
@@ -121,8 +122,9 @@ class TestRunAuction:
         assert run_auction({"B": 1250.0, "A": 1250.0}) == ("A", 1250.0)
 
     def test_empty_bid_set_fails(self):
-        with pytest.raises(AuctionError):
+        with pytest.raises(AuctionError) as caught:
             run_auction({})
+        assert str(caught.value) == "auction failed: no feasible bids"
 
     def test_no_bid_entries_are_ignored(self):
         assert run_auction({"A": None, "B": 1400.0, "C": None}) == ("B", 1400.0)
@@ -177,15 +179,16 @@ class TestStepConcession:
         state = new_concession(5.0, Rate(0.0))
         state = step_concession(state, 10.0)
         assert not state.active
-        with pytest.raises(StateMachineError):
+        with pytest.raises(StateMachineError) as caught:
             step_concession(state, 10.0)
+        assert str(caught.value) == "cannot step a concession in status 'expired'"
 
     def test_tax_bounds_enforced(self):
         state = new_concession(5.0, Rate(0.0))
-        with pytest.raises(ValueError):
-            step_concession(state, 10.0, voluntary_tax=11.0)
-        with pytest.raises(ValueError):
-            step_concession(state, 10.0, voluntary_tax=-0.1)
+        for tax in (11.0, -0.1):
+            with pytest.raises(ValueError) as caught:
+                step_concession(state, 10.0, voluntary_tax=tax)
+            assert str(caught.value) == f"voluntary tax must lie in [0, gross revenue], got {tax!r} vs 10.0"
 
 
 class TestExpropriationIndemnity:
@@ -218,10 +221,12 @@ class TestExpropriationIndemnity:
         taken = expropriate(state)
         assert taken.status is ConcessionStatus.EXPROPRIATED
         assert expropriation_indemnity(taken) == pytest.approx(10.0)
-        with pytest.raises(StateMachineError):
+        with pytest.raises(StateMachineError) as caught:
             step_concession(taken, 11.0)
-        with pytest.raises(StateMachineError):
+        assert str(caught.value) == "cannot step a concession in status 'expropriated'"
+        with pytest.raises(StateMachineError) as caught:
             expropriate(taken)
+        assert str(caught.value) == "cannot expropriate a concession in status 'expropriated'"
 
     @given(
         vpi=st.floats(min_value=10.0, max_value=500.0),
@@ -425,11 +430,9 @@ ACCRUAL_ERRORS = {
     },
     "tax-after-the-stop": ([[4000.0, -1.0]], 1e4, 0.0, 30.0, [1]),
     "tax-before-the-stop": ([[4000.0, 0.0], [1000.0, -1.0]], 1e4, 0.0, 30.0, TAX.format(run=1, period=2)),
+    # Paths need not share one length: a two-period run ends still active among runs that expire at period 3.
     **{
-        f"ragged-run-{run}": (
-            _runs(5, run, [1000.0] * 2, [1000.0] * 3), 1e4, 0.0, 30.0,
-            f"price paths must share one length: run {run} has 2, run 0 3",
-        )
+        f"ragged-run-{run}": (_runs(5, run, [1000.0] * 2, [1000.0] * 3), 1e4, 0.0, 30.0, _runs(5, run, None, 3))
         for run in (1, 4)
     },
     "empty": ([], 1e4, 0.06, 10.0, []),
@@ -448,6 +451,29 @@ ACCRUAL_ERRORS = {
 }
 
 
+def _drawn_to(stop, prices):
+    """``prices`` as a generator that fails the test when a price past period ``stop`` is drawn."""
+    for period, price in enumerate(prices, start=1):
+        if period > stop:
+            raise AssertionError(f"period {period} drawn past the stop at period {stop}")
+        yield price
+
+
+# Each row: each run's prices and stop period (its expiry, its first bad period or its end), quantity, rate, VPI
+# and tax policy, and what accrue_concessions gives. Every path is a generator that fails if drawn past its stop.
+DRAWN_TO_STOP = {
+    "any-lengths": (
+        [(OK, 3), (OK[:2], 2), (itertools.repeat(1000.0), 3), (OK[:3], 3), (OK * 2, 3)], 1e4, 0.0, 30.0, None,
+        [3, None, 3, 3, 3],
+    ),
+    "schedule-past-the-stop": ([(itertools.repeat(1000.0), 4)], 1e4, 0.0, 30.0, {1: 5.0, 2: 5.0, 10**9: 1.0}, [4]),
+    "stop-short-of-overflow": ([(STOPS, 7), (ZEROS, 10)], 1e6, -0.9, 1.7e308, 0.0, [7, None]),
+    "tax": ([(OK, 3), (BAD_TAX, 2), (OK, 0)], 1e4, 0.0, 30.0, None, TAX.format(run=1, period=2)),
+    "gross": ([(OK, 4), (_set(OK, 2, 1e305), 2)], 1e4, 0.0, 30.0, 2.0, GROSS.format(run=1, period=2)),
+    "overflow": ([(HUGE, 9)], 1e6, -0.9, 1.7e308, None, OVERFLOW.format(run=0, period=9)),
+}
+
+
 def seeded_paths(count, horizon=2000):
     """Replications 0..count-1 of a seeded path, generated one at a time."""
     for seed in range(count):
@@ -463,7 +489,7 @@ class TestAccrualRuns:
         # repr compares rows, final state, duration and warning bit for bit, telling -0.0 from 0.0 as artifacts do.
         assert repr(simulate_concession(vpi, prices, 1e4, Rate(rate), policy)) == repr(want)
         assert accrue_concessions(vpi, [prices], 1e4, Rate(rate), policy) == [want.duration]
-        # Neighbours that expire sooner, later or never share the call's discount factors and tax asks.
+        # Neighbours that expire sooner, later or never leave the run's duration as it is alone.
         neighbours = [[scale * price for price in prices] for scale in (3.0, 0.0, 1 / 3, 2.0)]
         durations = [stepped_run(vpi, path, 1e4, rate, policy).duration for path in neighbours]
         for at in (0, 2, 4):
@@ -501,13 +527,29 @@ class TestAccrualRuns:
         with pytest.raises(ValueError) as caught:
             accrue_concessions(vpi, iter(paths), quantity, Rate(rate))
         assert str(caught.value) == want
-        if "share one length" in want:  # no path raises alone
-            return
         # The path that raised, alone, is run 0 of simulate_concession.
         named = re.search(r"in run (\d+),", want)
         with pytest.raises(ValueError) as caught:
             simulate_concession(vpi, paths[int(named[1]) if named else 0], quantity, Rate(rate))
         assert str(caught.value) == (want.replace(named[0], "in run 0,") if named else want)
+
+    @pytest.mark.parametrize("paths, quantity, rate, vpi, policy, want", DRAWN_TO_STOP.values(), ids=DRAWN_TO_STOP)
+    def test_reads_no_price_past_the_stop(self, paths, quantity, rate, vpi, policy, want):
+        def streams():
+            return (_drawn_to(stop, prices) for prices, stop in paths)
+
+        if isinstance(want, list):
+            assert accrue_concessions(vpi, streams(), quantity, Rate(rate), policy) == want
+            assert [simulate_concession(vpi, path, quantity, Rate(rate), policy).duration for path in streams()] == want
+            return
+        with pytest.raises(ValueError) as caught:
+            accrue_concessions(vpi, streams(), quantity, Rate(rate), policy)
+        assert str(caught.value) == want
+        run = int(re.search(r"in run (\d+),", want)[1])
+        prices, stop = paths[run]
+        with pytest.raises(ValueError) as caught:
+            simulate_concession(vpi, _drawn_to(stop, prices), quantity, Rate(rate), policy)
+        assert str(caught.value) == want.replace(f"in run {run},", "in run 0,")
 
     def test_generator_matches_list(self):
         streamed = accrue_concessions(150.0, seeded_paths(20, horizon=300), 10_000.0, Rate(0.06), 2.0)

@@ -93,7 +93,7 @@ def outcome(load, path):
 MARKET_ROWS = [line.split(",") for line in MARKET_FILE.read_text(encoding="utf-8").splitlines()[2:]]
 # str.splitlines also breaks a line at each of these; a line number counts "\n" only.
 LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-NOT_A_FILE_NAME_PART = "must not be '.' or '..' nor contain '/', '\\', ',' or a control character"
+NOT_A_FILE_NAME_PART = "must not be '.' or '..' nor contain '/', '\\', ',', '\"' or a control character"
 
 # Each row: a loader, the file's text or bytes, and the outcome: the value loaded, or the refusal's class and
 # text, where {path} stands for the file.
@@ -191,7 +191,8 @@ LOADS = {
             (SchemaError, f"{{path}}:2: mine_id {mine_id!r} {NOT_A_FILE_NAME_PART}"),
         )
         for mine_id in [
-            "../escaped", "sub/dir", "back\\slash", "a,b", ".", "..", "tab\tinside", "nul\x00", "del\x7f", "c1\x9f"
+            "../escaped", "sub/dir", "back\\slash", "a,b", '"alpha', 'quote"inside', ".", "..", "tab\tinside",
+            "nul\x00", "del\x7f", "c1\x9f",
         ]
     },
     "empty-mine-id": (

@@ -12,7 +12,7 @@ scenario strategy also writes only in-bound values, so that many runs
 succeed and reach that check. A mine or market run that succeeds must
 write only finite numbers into the reconstructed mine files, the RVP files
 and both summaries, and no run may write beside its output directory. A mine whose id could leave that directory or break the summary
-CSV (a ``/``, ``\\``, ``,`` or control character, or ``.`` or ``..``) must
+CSV (a ``/``, ``\\``, ``,``, ``"`` or control character, or ``.`` or ``..``) must
 fail with exactly one ``error:`` line, exit code 1.
 
 Integers written into lines range up to 10**18 in size. A scenario runs
@@ -271,11 +271,11 @@ def test_mine_slot(text, command):
         run_pipeline(command, mines, MARKET_FILE, Path(tmp) / "out")
 
 
-# Ids the loader rejects, each holding "/", "../", "\\", "," or NUL between two free parts, or "." or "..".
+# Ids the loader rejects, each holding "/", "../", "\\", ",", '"' or NUL between two free parts, or "." or "..".
 id_parts = st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters=".-_ "), max_size=6)
 rejected_ids = st.one_of(
     st.sampled_from([".", ".."]),
-    st.tuples(id_parts, st.sampled_from(["/", "../", "\\", ",", "\x00"]), id_parts).map("".join),
+    st.tuples(id_parts, st.sampled_from(["/", "../", "\\", ",", '"', "\x00"]), id_parts).map("".join),
 )
 
 
@@ -291,7 +291,7 @@ def test_mine_slot_rejected_id(mine_id, command):
     assert code == 1, lines
     assert lines == [
         f"error: {mines / 'alpha.csv'}:1: mine_id {mine_id.strip()!r} must not be '.' or '..' "
-        "nor contain '/', '\\', ',' or a control character"
+        "nor contain '/', '\\', ',', '\"' or a control character"
     ]
 
 
